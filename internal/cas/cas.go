@@ -1,6 +1,6 @@
 // Package cas is the content-addressed digest store behind the sweep
 // pipeline's cross-sweep cache. Entries are keyed by *content identity*,
-// not by VM: a Token names one frozen guest-memory image (an mm.SnapshotID
+// not by VM: a Token names one frozen guest-memory image (an mm.ContentID
 // plus the domain's mapping epoch), and token equality means the entire
 // guest-physical image is bit-identical to when the entry was written — so
 // every read-only derivation of it (module fetch, parse, normalization,
@@ -23,7 +23,7 @@
 //     pair — any member of a cluster compares identically.
 //
 // Invalidation is structural rather than explicit: a guest write dirties
-// the copy-on-write overlay and the VM stops advertising a SnapshotID, a
+// the copy-on-write overlay and the VM stops advertising a ContentID, a
 // snapshot revert or fault-plan lifecycle event bumps the mapping epoch —
 // either way the VM's token changes and its old entries simply stop being
 // addressable. Stale entries age out of the bounded in-memory tier FIFO.
@@ -47,7 +47,7 @@ import (
 // entries keep the store well under typical fleet-sweep working sets.
 const DefaultMaxEntries = 1 << 20
 
-// Token names one frozen guest-memory image: the mm.SnapshotID of the
+// Token names one frozen guest-memory image: the mm.ContentID of the
 // copy-on-write base layer the VM is an unmodified fork of, plus the
 // domain's mapping epoch. OK is false when the VM has no stable identity
 // (dirtied frames, no frozen base, destroyed domain, fault plan installed)

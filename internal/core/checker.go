@@ -100,7 +100,7 @@ type Target struct {
 	// reverts and fault-plan lifecycle events. The digest cache folds it
 	// into the VM's content token, so conclusions cached before such an
 	// event stop being addressable after it even if the memory image's
-	// SnapshotID were to read the same.
+	// ContentID reads the same.
 	Epoch func() uint64
 }
 
@@ -125,53 +125,46 @@ type Config struct {
 	// paper's Section V-C.1 suggests); the paper's measured configuration
 	// is sequential.
 	Parallel bool
-	// Workers bounds the goroutines of the parallel fetch and compare
-	// stages; zero means DefaultWorkers (the paper's 8-thread host).
-	Workers int
-	// FullPairwise forces CheckPool onto the legacy O(n²) comparison path
-	// (every pair normalized and hashed independently) instead of digest
-	// pre-clustering. The results are identical — the differential tests
-	// pin that — so this exists for benchmarking the two paths and as a
-	// paper-faithful reference.
+	// FullPairwise runs every pool check (CheckPool, ClusterPool, sweep
+	// sessions) as the paper's O(n²) oracle: every healthy pair normalized
+	// and hashed independently instead of digest clusters. The results are
+	// identical — the differential tests pin that — so this exists as the
+	// paper-faithful reference and for benchmarking. ShardSize,
+	// LeanReports, DedupIdentical and DigestCache do not apply to it.
 	FullPairwise bool
 	// Retry governs how fetches respond to transient introspection faults.
 	// The zero value means one attempt, no verification.
 	Retry RetryPolicy
 	// Quorum governs how many healthy comparisons a verdict requires.
 	Quorum QuorumPolicy
-	// ShardSize, when positive, partitions a pool sweep's fetch+digest work
-	// into shards of at most this many VMs, bounding how many module copies
-	// are resident at once to O(ShardSize + clusters) instead of O(pool).
-	// Digest equality implies a pairwise match, so per-shard clusters
-	// compose into pool-wide clusters without re-comparison, and the
-	// resulting reports are byte-identical to the flat clustered path (the
-	// differential tests pin this).
+	// ShardSize, when positive, makes sweep sessions fetch and digest in
+	// shards of at most this many VMs, bounding resident module copies to
+	// O(ShardSize + clusters) instead of O(pool). It only caps memory and
+	// intra-shard parallelism: every shard digests against the same
+	// reference, so reports, traces and simulated costs are byte-identical
+	// for any shard size (the differential tests pin this).
 	ShardSize int
-	// LeanReports drops per-VM reports for clean VMs from PoolReports:
-	// verdicts are derived from cluster sizes in O(clusters² + pool) and
-	// only non-clean VMs (flagged, inconclusive, errored) get a full
-	// ModuleReport — without Pairs or MismatchedVMs lists, which are O(pool)
-	// each. Simulated costs, alerts, and verdicts are unchanged; only the
-	// host-side report size shrinks. Required for streaming sweeps over
-	// very large pools.
+	// LeanReports makes sweep sessions derive verdicts from cluster sizes
+	// in O(clusters² + pool) and give only non-clean VMs (flagged,
+	// inconclusive, errored) a ModuleReport — without the Pairs and
+	// MismatchedVMs lists, which are O(pool) each. Simulated costs, alerts
+	// and verdicts are unchanged; only the host-side report size shrinks.
 	LeanReports bool
-	// DedupIdentical lets pool sweeps consult Target.Identity and
+	// DedupIdentical lets sweep sessions consult Target.Identity and
 	// introspect only one VM of each content-identity group, sharing its
-	// list walk, fetch, digest, and verdict with the group. Deduped VMs are
+	// list walk, fetch, digest and verdict with the group. Deduped VMs are
 	// charged nothing — this intentionally changes the simulated cost model
 	// (it is the optimization, not a refactoring), so it is never enabled
 	// on the paper-faithful paths or under fault injection.
 	DedupIdentical bool
-	// DigestCache, when set, routes pool-sweep module checks through the
-	// content-addressed digest store: a VM whose content token matches a
-	// stored conclusion skips its fetch entirely and is charged only
-	// CostCASLookup; misses do the full fetch+digest and populate the store.
-	// Verdicts are provably unchanged (tokens only hit when the guest image
-	// is bit-identical to when the entry was written — the differential
-	// tests pin cached ≡ uncached reports), and a cold store changes
-	// nothing at all, simulated time included. Ignored by the per-call
-	// CheckModule/CheckPool paths and under FullPairwise (there are no
-	// digest keys to cache there).
+	// DigestCache, when set, gives sweep sessions a content-addressed
+	// digest store: a VM whose content token matches a stored conclusion
+	// skips its fetch and is charged only CostCASLookup; misses do the full
+	// fetch+digest and populate the store. Verdicts are provably unchanged
+	// (tokens only hit when the guest image is bit-identical to when the
+	// entry was written — the differential tests pin cached ≡ uncached
+	// reports), and a cold store changes nothing at all, simulated time
+	// included.
 	DigestCache *cas.Store
 	// Charge, if set, is invoked with the nominal duration of each unit of
 	// work and returns the effective (contention-stretched) duration. The
@@ -223,8 +216,6 @@ func (t *PhaseTiming) Add(o PhaseTiming) {
 	t.Parser += o.Parser
 	t.Checker += o.Checker
 }
-
-func (t *PhaseTiming) addInto(o PhaseTiming) { t.Add(o) }
 
 // PairResult is the outcome of comparing the target's module against one
 // peer VM's copy.
@@ -437,7 +428,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		TargetVM:   target.Name,
 		Base:       tf.info.Base,
 	}
-	rep.Timing.addInto(tf.timing)
+	rep.Timing.Add(tf.timing)
 
 	rep.Elapsed = tf.timing.Searcher + tf.timing.Parser + tf.timing.Checker
 
@@ -452,7 +443,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 	}
 
 	for _, pf := range peerFetches {
-		rep.Timing.addInto(pf.timing)
+		rep.Timing.Add(pf.timing)
 		if pf.err != nil {
 			rep.Pairs = append(rep.Pairs, PairResult{
 				PeerVM: pf.target.Name, Err: pf.err, ErrClass: faults.Classify(pf.err),

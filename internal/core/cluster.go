@@ -43,42 +43,44 @@ type ClusterReport struct {
 	Errors map[string]error
 }
 
-// ClusterPool fetches the module from every VM and groups identical copies.
+// ClusterPool fetches the module from every VM and groups identical copies:
+// the engine's digest clusters, merged wherever their representative
+// comparison came back clean (a digest split between copies that match
+// pairwise). Each digest cluster joins the first earlier group whose
+// leading cluster it matches, so groups keep pool order.
 //
 //modsafe:charged
 func (c *Checker) ClusterPool(module string, vms []Target) (*ClusterReport, error) {
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("core: cluster check of %s needs at least 2 VMs", module)
 	}
-	// Fetch fan-out is bounded by the checker's worker cap, like CheckPool's.
-	fetches, _ := c.fetchStage(module, vms)
+	o := c.poolEngine(vms).check(module)
 
 	rep := &ClusterReport{ModuleName: module, MajorityCluster: -1, Errors: map[string]error{}}
-	// Greedy clustering against each cluster's representative fetch.
-	var reps []*fetched
 	var clusters []Cluster
-	for i, f := range fetches {
-		if f.err != nil {
-			rep.Errors[vms[i].Name] = f.err
-			continue
-		}
-		placed := false
-		for ci, rf := range reps {
-			mm, cost := c.compare(rf, f)
-			c.charge(cost)
-			if len(mm) == 0 {
-				clusters[ci].VMs = append(clusters[ci].VMs, vms[i].Name)
-				placed = true
+	var heads []int // leading digest cluster per group
+	groupOf := make([]int, len(o.clusters))
+	for cid := range o.clusters {
+		groupOf[cid] = -1
+		for g, h := range heads {
+			if len(o.mismatches(h, cid)) == 0 {
+				groupOf[cid] = g
 				break
 			}
 		}
-		if !placed {
-			reps = append(reps, f)
-			clusters = append(clusters, Cluster{
-				VMs:            []string{vms[i].Name},
-				Representative: vms[i].Name,
-			})
+		if groupOf[cid] < 0 {
+			groupOf[cid] = len(heads)
+			heads = append(heads, cid)
+			clusters = append(clusters, Cluster{Representative: vms[o.clusters[cid].vm].Name})
 		}
+	}
+	for i, cid := range o.clusterOf {
+		if cid < 0 {
+			rep.Errors[vms[i].Name] = o.errs[i]
+			continue
+		}
+		g := &clusters[groupOf[cid]]
+		g.VMs = append(g.VMs, vms[i].Name)
 	}
 	sort.SliceStable(clusters, func(i, j int) bool { return len(clusters[i].VMs) > len(clusters[j].VMs) })
 	rep.Clusters = clusters
@@ -103,11 +105,5 @@ func (c *Checker) ClusterPool(module string, vms []Target) (*ClusterReport, erro
 		}
 	}
 	sort.Strings(rep.Suspicious)
-	// The report aliases nothing from the fetches (names, errors, and
-	// scalars only), so the module buffers go back to the pool here instead
-	// of leaking one SizeOfImage-sized buffer per VM per sweep.
-	for _, f := range fetches {
-		c.releaseFetched(f)
-	}
 	return rep, nil
 }

@@ -24,18 +24,10 @@ import (
 // timing), and the hypervisor clock's stretch factor depends only on domain
 // pause states, so the sum of charges is independent of interleaving.
 
-// DefaultWorkers bounds the parallel fetch and compare stages when
-// Config.Workers is zero. Eight matches the paper's testbed host — a
-// quad-core i7 with HyperThreading — and its 8-thread parallel enhancement.
+// DefaultWorkers bounds the parallel stages. Eight matches the paper's
+// testbed host — a quad-core i7 with HyperThreading — and its 8-thread
+// parallel enhancement.
 const DefaultWorkers = 8
-
-// workers returns the effective worker bound.
-func (c *Checker) workers() int {
-	if c.cfg.Workers > 0 {
-		return c.cfg.Workers
-	}
-	return DefaultWorkers
-}
 
 // runBounded executes task(i) for every i in [0, n) on at most w concurrent
 // goroutines, each labeled with the pipeline stage for pprof attribution
@@ -117,11 +109,11 @@ func criticalPath(costs []time.Duration, w int) time.Duration {
 	return makespan
 }
 
-// stageWorkers is the worker count the elapsed-time model uses: the bounded
-// pool in parallel mode, one lane sequentially.
+// stageWorkers is the worker count of every stage and of its elapsed-time
+// model: the bounded pool in parallel mode, one lane sequentially.
 func (c *Checker) stageWorkers() int {
 	if c.cfg.Parallel {
-		return c.workers()
+		return DefaultWorkers
 	}
 	return 1
 }
@@ -167,195 +159,15 @@ func (c *Checker) traceStage(stage, module string, nameFn func(int) string, cost
 //modown:pool module-fetch get
 func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Duration) {
 	fetches := make([]*fetched, len(vms))
-	fetchOne := func(i int) {
+	runBounded("fetch", len(vms), c.stageWorkers(), func(i int) {
 		fetches[i] = c.fetchAndParse(vms[i], module)
-	}
-	if c.cfg.Parallel {
-		runBounded("fetch", len(vms), c.workers(), fetchOne)
-	} else {
-		for i := range vms {
-			fetchOne(i)
-		}
-	}
+	})
 	costs := make([]time.Duration, len(fetches))
 	for i, f := range fetches {
 		costs[i] = f.timing.Total()
 	}
 	return fetches, c.traceStage("fetch", module,
 		func(k int) string { return "fetch " + fetches[k].target.Name }, costs)
-}
-
-// pairKey identifies one unordered healthy pair (i < j) of a pool sweep.
-type pairKey struct{ i, j int }
-
-// comparePairwise is the legacy comparison stage: Algorithm 2 plus hashing
-// on every healthy pair independently. Returns the mismatch lists keyed by
-// pair, the total checker work, and the stage's elapsed-time breakdown.
-//
-//moddet:sink comparison results must not depend on host state or ordering
-func (c *Checker) comparePairwise(module string, fetches []*fetched) (map[pairKey][]string, time.Duration, StageTiming) {
-	var pairs []pairKey
-	for i := range fetches {
-		if fetches[i].err != nil {
-			continue
-		}
-		for j := i + 1; j < len(fetches); j++ {
-			if fetches[j].err == nil {
-				pairs = append(pairs, pairKey{i, j})
-			}
-		}
-	}
-	mms := make([][]string, len(pairs))
-	costs := make([]time.Duration, len(pairs))
-	compareOne := func(k int) {
-		p := pairs[k]
-		mm, cost := c.compare(fetches[p.i], fetches[p.j])
-		mms[k] = mm
-		costs[k] = c.charge(cost)
-	}
-	if c.cfg.Parallel {
-		runBounded("compare", len(pairs), c.workers(), compareOne)
-	} else {
-		for k := range pairs {
-			compareOne(k)
-		}
-	}
-	mismatches := make(map[pairKey][]string, len(pairs))
-	var work time.Duration
-	for k, p := range pairs {
-		mismatches[p] = mms[k]
-		work += costs[k]
-	}
-	var st StageTiming
-	st.Compare = c.traceStage("compare", module, func(k int) string {
-		p := pairs[k]
-		return "compare " + fetches[p.i].target.Name + " vs " + fetches[p.j].target.Name
-	}, costs)
-	return mismatches, work, st
-}
-
-// compareClustered is the digest pre-clustering comparison stage. Instead of
-// normalizing and hashing all O(n²) pairs, it picks the first healthy fetch
-// as the reference, normalizes every other copy against it once (O(n)),
-// digests both normalized sides per component, and groups identical digests
-// into equivalence clusters. Digest equality implies the pairwise comparison
-// would match (both copies reduce to the same normalized form against the
-// same reference), so same-cluster pairs need no comparison at all; pairs
-// from different clusters take their mismatch list from a single true
-// pairwise comparison between the two cluster representatives. A digest
-// split between copies that actually match pairwise (possible when the
-// reference lacks a component, or bases collide) is harmless: the
-// representative comparison returns an empty mismatch list, which the report
-// derivation already treats as a match.
-//
-//moddet:sink digest clustering must not depend on host state or ordering
-func (c *Checker) compareClustered(module string, fetches []*fetched) (map[pairKey][]string, time.Duration, StageTiming) {
-	var st StageTiming
-	var healthy []int
-	for i := range fetches {
-		if fetches[i].err == nil {
-			healthy = append(healthy, i)
-		}
-	}
-	mismatches := make(map[pairKey][]string)
-	if len(healthy) < 2 {
-		return mismatches, 0, st
-	}
-	ref := healthy[0]
-	others := healthy[1:]
-
-	// Digest pass: O(n) normalizations against the reference copy.
-	keys := make([]string, len(others))
-	costs := make([]time.Duration, len(others))
-	digestOne := func(k int) {
-		key, cost := c.digestAgainst(fetches[ref], fetches[others[k]])
-		keys[k] = key
-		costs[k] = c.charge(cost)
-	}
-	if c.cfg.Parallel {
-		runBounded("digest", len(others), c.workers(), digestOne)
-	} else {
-		for k := range others {
-			digestOne(k)
-		}
-	}
-	var work time.Duration
-	for _, d := range costs {
-		work += d
-	}
-	st.Digest = c.traceStage("digest", module,
-		func(k int) string { return "digest " + fetches[others[k]].target.Name }, costs)
-
-	// Cluster by digest. The reference copy is cluster 0 (its digest against
-	// itself is degenerate, so it simply fronts its own cluster); the
-	// representative comparisons below reconcile it with everyone else.
-	clusterOf := make(map[int]int, len(healthy))
-	clusterOf[ref] = 0
-	reps := []int{ref}
-	byKey := make(map[string]int)
-	for k, idx := range others {
-		cid, ok := byKey[keys[k]]
-		if !ok {
-			cid = len(reps)
-			byKey[keys[k]] = cid
-			reps = append(reps, idx)
-		}
-		clusterOf[idx] = cid
-	}
-
-	// True pairwise comparison between cluster representatives only — one
-	// comparison per cluster pair, however many members each side has.
-	type cpair struct{ a, b int }
-	var cpairs []cpair
-	for a := 0; a < len(reps); a++ {
-		for b := a + 1; b < len(reps); b++ {
-			cpairs = append(cpairs, cpair{a, b})
-		}
-	}
-	repMMs := make([][]string, len(cpairs))
-	repCosts := make([]time.Duration, len(cpairs))
-	repOne := func(k int) {
-		p := cpairs[k]
-		mm, cost := c.compare(fetches[reps[p.a]], fetches[reps[p.b]])
-		repMMs[k] = mm
-		repCosts[k] = c.charge(cost)
-	}
-	if c.cfg.Parallel {
-		runBounded("compare", len(cpairs), c.workers(), repOne)
-	} else {
-		for k := range cpairs {
-			repOne(k)
-		}
-	}
-	repMM := make(map[cpair][]string, len(cpairs))
-	for k, p := range cpairs {
-		repMM[p] = repMMs[k]
-		work += repCosts[k]
-	}
-	st.Compare = c.traceStage("compare", module, func(k int) string {
-		p := cpairs[k]
-		return "compare " + fetches[reps[p.a]].target.Name + " vs " + fetches[reps[p.b]].target.Name
-	}, repCosts)
-
-	// Derive every pair's mismatch list from cluster membership: absent map
-	// entries (same cluster, or clusters whose representatives turned out
-	// identical) read back as nil — a match — in the report derivation.
-	for x := 0; x < len(healthy); x++ {
-		for y := x + 1; y < len(healthy); y++ {
-			i, j := healthy[x], healthy[y]
-			ca, cb := clusterOf[i], clusterOf[j]
-			if ca == cb {
-				continue
-			}
-			if ca > cb {
-				ca, cb = cb, ca
-			}
-			if mm := repMM[cpair{ca, cb}]; len(mm) > 0 {
-				mismatches[pairKey{i, j}] = mm
-			}
-		}
-	}
-	return mismatches, work, st
 }
 
 // digestAgainst computes one copy's cluster key: every component normalized

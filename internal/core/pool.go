@@ -57,12 +57,6 @@ type StageTiming struct {
 // Total returns the summed stage time.
 func (s StageTiming) Total() time.Duration { return s.Fetch + s.Digest + s.Compare }
 
-func (s *StageTiming) addInto(o StageTiming) {
-	s.Fetch += o.Fetch
-	s.Digest += o.Digest
-	s.Compare += o.Compare
-}
-
 // Report returns the per-VM report for the named VM, or nil.
 func (p *PoolReport) Report(vm string) *ModuleReport {
 	for _, r := range p.VMReports {
@@ -77,80 +71,34 @@ func (p *PoolReport) Report(vm string) *ModuleReport {
 // majority verdict from cross-comparison. Unlike calling CheckModule per
 // target (which refetches peers each time), the pool sweep reuses each
 // fetch, so introspection cost stays linear in pool size; the comparison
-// stage is digest pre-clustering by default (O(n) normalizations against a
-// reference plus one true comparison per cluster pair) with the legacy
-// O(n²) full-pairwise path selectable via Config.FullPairwise.
+// is digest pre-clustering (O(n) normalizations against a reference plus
+// one true comparison per cluster pair), or the legacy O(n²) pairwise
+// oracle under Config.FullPairwise. Every fetch walks the VM's LDR list
+// itself; there is no store, no dedup, and the report is always full.
 //
 //modsafe:charged
 func (c *Checker) CheckPool(module string, vms []Target) (*PoolReport, error) {
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("core: pool check of %s needs at least 2 VMs, have %d", module, len(vms))
 	}
-	rep := &PoolReport{ModuleName: module}
-	fetches, fetchElapsed := c.fetchStage(module, vms)
-	rep.Elapsed = fetchElapsed
-	rep.Stages.Fetch = fetchElapsed
-	for _, f := range fetches {
-		rep.Timing.addInto(f.timing)
-	}
-	c.assemblePool(rep, module, vms, fetches)
-	for _, f := range fetches {
-		c.releaseFetched(f)
-	}
-	return rep, nil
+	return c.poolEngine(vms).report(module), nil
 }
 
-// assemblePool runs the comparison stage over the fetches and derives every
-// PairResult, ComponentTally and verdict of the report. Both comparison
-// paths feed the same mismatch map — an absent entry means the pair matched
-// — so the derivation below is identical for the clustered and the
-// full-pairwise stage.
-func (c *Checker) assemblePool(rep *PoolReport, module string, vms []Target, fetches []*fetched) {
-	var mismatches map[pairKey][]string
-	var work time.Duration
-	var st StageTiming
-	if c.cfg.FullPairwise {
-		mismatches, work, st = c.comparePairwise(module, fetches)
-	} else {
-		mismatches, work, st = c.compareClustered(module, fetches)
-	}
-	rep.Timing.Checker += work
-	rep.Stages.Digest += st.Digest
-	rep.Stages.Compare += st.Compare
-	rep.Elapsed += st.Digest + st.Compare
-
-	c.derivePool(rep, module, vms, poolView{
-		err:  func(i int) error { return fetches[i].err },
-		base: func(i int) uint32 { return fetches[i].info.Base },
-		components: func(i int) []string {
-			comps := fetches[i].parsed.Components
-			names := make([]string, len(comps))
-			for k := range comps {
-				names[k] = comps[k].Name
-			}
-			return names
-		},
-	}, mismatches)
-}
-
-// poolView abstracts the per-VM facts the report derivation reads, so the
-// flat path (which still holds every fetch) and the sharded fleet path
-// (which has dropped member buffers and kept only cluster representatives)
-// derive reports through the same code. base and components are consulted
-// only for VMs whose err is nil.
-type poolView struct {
-	err        func(i int) error
-	base       func(i int) uint32
-	components func(i int) []string
+// poolEngine is the engine of the per-call pool checks: one flat shard,
+// every VM fetched with its own LDR walk, no store, full reports.
+func (c *Checker) poolEngine(vms []Target) *engine {
+	return &engine{c: c, vms: vms, leader: identityLeaders(false, vms)}
 }
 
 // derivePool fills a PoolReport's VMReports, tallies, verdicts and
-// flag/error lists from the mismatch map — an absent pair entry means the
-// pair matched.
-func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poolView, mismatches map[pairKey][]string) {
+// flag/error lists from the engine's clusters: two VMs' copies mismatch on
+// exactly the components their clusters' representative comparison
+// reported.
+func (c *Checker) derivePool(o *outcome, module string, vms []Target) {
+	rep := o.rep
 	for i := range vms {
 		r := &ModuleReport{ModuleName: module, TargetVM: vms[i].Name}
-		if err := v.err(i); err != nil {
+		if err := o.errs[i]; err != nil {
 			r.Verdict = VerdictError
 			r.Err = err
 			r.ErrClass = faults.Classify(err)
@@ -162,10 +110,10 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poo
 			continue
 		}
 		rep.Healthy++
-		r.Base = v.base(i)
+		r.Base = o.bases[i]
 		tallies := make(map[string]*ComponentTally)
 		var order []string
-		for _, name := range v.components(i) {
+		for _, name := range o.clusters[o.clusterOf[i]].names {
 			tallies[name] = &ComponentTally{Name: name}
 			order = append(order, name)
 		}
@@ -173,17 +121,13 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poo
 			if j == i {
 				continue
 			}
-			if perr := v.err(j); perr != nil {
+			if perr := o.errs[j]; perr != nil {
 				r.Pairs = append(r.Pairs, PairResult{
 					PeerVM: vms[j].Name, Err: perr, ErrClass: faults.Classify(perr),
 				})
 				continue
 			}
-			key := pairKey{i, j}
-			if j < i {
-				key = pairKey{j, i}
-			}
-			mm := mismatches[key]
+			mm := o.mismatches(o.clusterOf[i], o.clusterOf[j])
 			pr := PairResult{PeerVM: vms[j].Name, Match: len(mm) == 0, MismatchedComponents: mm}
 			r.Pairs = append(r.Pairs, pr)
 			r.Comparisons++
@@ -218,6 +162,112 @@ func (c *Checker) derivePool(rep *PoolReport, module string, vms []Target, v poo
 			rep.Flagged = append(rep.Flagged, vms[i].Name)
 		case VerdictInconclusive:
 			rep.Inconclusive = append(rep.Inconclusive, vms[i].Name)
+		}
+	}
+	sort.Strings(rep.Flagged)
+	sort.Strings(rep.Inconclusive)
+	sort.Strings(rep.Errored)
+}
+
+// deriveLean fills a PoolReport from cluster structure alone: a VM's
+// successes are its cluster's size minus itself plus every cluster whose
+// representative comparison came back clean, so verdicts cost O(clusters²)
+// once plus O(pool) to apply. Clean VMs get no ModuleReport at all, and the
+// reports lean mode does build omit the O(pool)-sized Pairs and
+// MismatchedVMs lists — alerts, verdicts, and counts are unchanged.
+func (c *Checker) deriveLean(o *outcome, module string, vms []Target) {
+	rep := o.rep
+	nClusters := len(o.clusters)
+	sizes := make([]int, nClusters)
+	healthy := 0
+	for _, cid := range o.clusterOf {
+		if cid >= 0 {
+			sizes[cid]++
+			healthy++
+		}
+	}
+	rep.Healthy = healthy
+
+	succ := make([]int, nClusters)
+	verdicts := make([]Verdict, nClusters)
+	for cid := range succ {
+		s := sizes[cid] - 1
+		for d := 0; d < nClusters; d++ {
+			if d != cid && len(o.mismatches(cid, d)) == 0 {
+				s += sizes[d]
+			}
+		}
+		succ[cid] = s
+		verdicts[cid] = c.verdict(s, healthy-1)
+	}
+
+	for i := range vms {
+		name := vms[i].Name
+		if err := o.errs[i]; err != nil {
+			r := &ModuleReport{ModuleName: module, TargetVM: name,
+				Verdict: VerdictError, Err: err, ErrClass: faults.Classify(err)}
+			r.Pairs = append(r.Pairs, PairResult{PeerVM: name, Err: err, ErrClass: r.ErrClass})
+			rep.VMReports = append(rep.VMReports, r)
+			rep.Errored = append(rep.Errored, name)
+			continue
+		}
+		cid := o.clusterOf[i]
+		v := verdicts[cid]
+		if v == VerdictClean {
+			continue
+		}
+		r := &ModuleReport{
+			ModuleName:  module,
+			TargetVM:    name,
+			Base:        o.bases[i],
+			Successes:   succ[cid],
+			Comparisons: healthy - 1,
+			Verdict:     v,
+		}
+		// Component tallies against every other cluster, weighted by
+		// cluster size.
+		order := append([]string(nil), o.clusters[cid].names...)
+		tallies := make(map[string]*ComponentTally, len(order))
+		for _, cn := range order {
+			tallies[cn] = &ComponentTally{Name: cn, Matches: sizes[cid] - 1}
+		}
+		for d := 0; d < nClusters; d++ {
+			if d == cid {
+				continue
+			}
+			mm := o.mismatches(cid, d)
+			if len(mm) == 0 {
+				for _, cn := range order {
+					tallies[cn].Matches += sizes[d]
+				}
+				continue
+			}
+			seen := make(map[string]bool, len(mm))
+			for _, cn := range mm {
+				seen[cn] = true
+				t, ok := tallies[cn]
+				if !ok {
+					t = &ComponentTally{Name: cn}
+					tallies[cn] = t
+					order = append(order, cn)
+				}
+				t.Mismatches += sizes[d]
+			}
+			for _, cn := range order {
+				if !seen[cn] {
+					tallies[cn].Matches += sizes[d]
+				}
+			}
+		}
+		for _, cn := range order {
+			r.Components = append(r.Components, *tallies[cn])
+		}
+		rep.VMReports = append(rep.VMReports, r)
+		switch v {
+		case VerdictAltered:
+			rep.Flagged = append(rep.Flagged, name)
+		case VerdictInconclusive:
+			rep.Inconclusive = append(rep.Inconclusive, name)
 		}
 	}
 	sort.Strings(rep.Flagged)

@@ -53,6 +53,9 @@ type PoolSweep struct {
 	// sweep (sweeps only read), so non-leaders share their leader's list
 	// walk, fetches, digests and verdicts without touching guest memory.
 	leader []int
+	// eng checks each module: fetches come from the snapshot, with the
+	// configured shard, dedup, store and lean settings.
+	eng *engine
 
 	// Budget state (see SetBudgets). All durations are *modeled* elapsed
 	// time, never live clock reads: the driver's budget decisions must not
@@ -70,12 +73,6 @@ type PoolSweep struct {
 // return budget-skipped reports instead of doing work. perVM caps one VM's
 // modeled fetch spend within the sweep — a VM past its budget is skipped
 // (ErrVMBudget) for the remaining modules while its peers continue.
-//
-// Arming a sweep budget disables the one-module-deep prefetch in parallel
-// mode: the deadline has to be enforced at module boundaries by the
-// driving goroutine with the full elapsed model in hand, which a
-// concurrent producer would turn into a race. Stage-level fan-out across
-// VMs is unaffected.
 func (ps *PoolSweep) SetBudgets(sweep, perVM time.Duration) {
 	ps.sweepBudget, ps.perVMBudget = sweep, perVM
 	ps.used = ps.ListElapsed
@@ -91,12 +88,17 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("core: pool sweep needs at least 2 VMs, have %d", len(vms))
 	}
+	cfg := &c.cfg
 	ps := &PoolSweep{
 		c:       c,
 		vms:     vms,
 		tables:  make([][]ModuleInfo, len(vms)),
 		listErr: make([]error, len(vms)),
-		leader:  identityLeaders(c.cfg, vms),
+		leader:  identityLeaders(cfg.DedupIdentical && !cfg.FullPairwise, vms),
+	}
+	ps.eng = &engine{c: c, vms: vms, ps: ps, leader: ps.leader}
+	if !cfg.FullPairwise {
+		ps.eng.shard, ps.eng.store, ps.eng.lean = cfg.ShardSize, cfg.DigestCache, cfg.LeanReports
 	}
 	costs := make([]time.Duration, len(vms))
 	listOne := func(i int) {
@@ -109,13 +111,7 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 		ps.tables[i] = mods
 		ps.listErr[i] = err
 	}
-	if c.cfg.Parallel {
-		runBounded("list", len(vms), c.workers(), listOne)
-	} else {
-		for i := range vms {
-			listOne(i)
-		}
-	}
+	runBounded("list", len(vms), c.stageWorkers(), listOne)
 	for i, l := range ps.leader {
 		if l != i {
 			ps.tables[i] = ps.tables[l]
@@ -133,12 +129,12 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 // identityLeaders samples each target's content-identity token and maps
 // every VM to the first member of its identity group. With dedup off (or no
 // tokens available) every VM leads itself.
-func identityLeaders(cfg Config, vms []Target) []int {
+func identityLeaders(dedup bool, vms []Target) []int {
 	leader := make([]int, len(vms))
 	for i := range leader {
 		leader[i] = i
 	}
-	if !cfg.DedupIdentical {
+	if !dedup {
 		return leader
 	}
 	firstByID := make(map[uint64]int, len(vms))
@@ -205,8 +201,12 @@ func (ps *PoolSweep) Modules() ([]string, error) {
 }
 
 // lookup finds the named module in VM i's snapshot (case-insensitively, as
-// Windows compares module names).
+// Windows compares module names), unless VM i has exhausted its per-VM
+// budget.
 func (ps *PoolSweep) lookup(i int, module string) (*ModuleInfo, error) {
+	if ps.perVMBudget > 0 && ps.spent[i] >= ps.perVMBudget {
+		return nil, fmt.Errorf("%s on %s: %w", module, ps.vms[i].Name, ErrVMBudget)
+	}
 	if ps.closed {
 		return nil, ErrSweepClosed
 	}
@@ -223,16 +223,12 @@ func (ps *PoolSweep) lookup(i int, module string) (*ModuleInfo, error) {
 
 // fetchVM copies and parses one module on one VM using the session's
 // module-table snapshot. spent[i] is only ever touched by VM i's fetch
-// slot, and stage boundaries (runBounded joins, sequential driving under a
-// sweep budget) order those touches, so the accounting is race-free.
+// slot, and stage boundaries (runBounded joins) order those touches, so
+// the accounting is race-free.
 func (ps *PoolSweep) fetchVM(i int, module string) *fetched {
 	c := ps.c
 	t := ps.vms[i]
 	f := &fetched{target: t}
-	if ps.perVMBudget > 0 && ps.spent[i] >= ps.perVMBudget {
-		f.err = fmt.Errorf("%s on %s: %w", module, t.Name, ErrVMBudget)
-		return f
-	}
 	info, err := ps.lookup(i, module)
 	if err != nil {
 		f.err = err
@@ -253,59 +249,6 @@ func (ps *PoolSweep) fetchVM(i int, module string) *fetched {
 	return f
 }
 
-// fetchFromSnapshot copies and parses one module on every VM using the
-// session's module-table snapshot — no LDR re-walk — and returns the fetches
-// plus the stage's simulated elapsed time.
-func (ps *PoolSweep) fetchFromSnapshot(module string) ([]*fetched, time.Duration) {
-	c := ps.c
-	fetches := make([]*fetched, len(ps.vms))
-	fetchOne := func(i int) {
-		fetches[i] = ps.fetchVM(i, module)
-	}
-	if c.cfg.Parallel {
-		runBounded("fetch", len(ps.vms), c.workers(), fetchOne)
-	} else {
-		for i := range ps.vms {
-			fetchOne(i)
-		}
-	}
-	// No trace emission here: in pipelined mode this runs on the prefetch
-	// producer goroutine, and the tracer's emission discipline allows only
-	// the coordinator to emit. assembleFromFetches renders the stage.
-	costs := make([]time.Duration, len(fetches))
-	for i, f := range fetches {
-		costs[i] = f.timing.Total()
-	}
-	return fetches, criticalPath(costs, c.stageWorkers())
-}
-
-// assembleFromFetches builds a module's PoolReport from its fetch stage.
-// It runs on the sweep's coordinator goroutine, which makes it the safe
-// point to render the (possibly prefetched) fetch stage onto the trace
-// timeline before the comparison stages add theirs.
-func (ps *PoolSweep) assembleFromFetches(module string, fetches []*fetched, fetchElapsed time.Duration) *PoolReport {
-	rep := &PoolReport{ModuleName: module, Elapsed: fetchElapsed}
-	costs := make([]time.Duration, len(fetches))
-	for i, f := range fetches {
-		rep.Timing.addInto(f.timing)
-		costs[i] = f.timing.Total()
-	}
-	rep.Stages.Fetch = ps.c.traceStage("fetch", module,
-		func(k int) string { return "fetch " + fetches[k].target.Name }, costs)
-	ps.c.assemblePool(rep, module, ps.vms, fetches)
-	for _, f := range fetches {
-		ps.c.releaseFetched(f)
-	}
-	return rep
-}
-
-// fleetMode reports whether the session routes module checks through the
-// sharded fleet engine (any of ShardSize, LeanReports, DedupIdentical set).
-func (ps *PoolSweep) fleetMode() bool {
-	cfg := &ps.c.cfg
-	return cfg.ShardSize > 0 || cfg.LeanReports || cfg.DedupIdentical
-}
-
 // CheckModule checks one module across the session's pool using the module
 // table snapshot. Under an exhausted sweep budget it does no work and
 // returns a report with BudgetSkipped set.
@@ -315,15 +258,7 @@ func (ps *PoolSweep) CheckModule(module string) *PoolReport {
 	if ps.sweepBudget > 0 && ps.used >= ps.sweepBudget {
 		return &PoolReport{ModuleName: module, BudgetSkipped: true}
 	}
-	var rep *PoolReport
-	if ps.cached() {
-		rep = ps.checkModuleCached(module)
-	} else if ps.fleetMode() {
-		rep = ps.checkModuleFleet(module)
-	} else {
-		fetches, elapsed := ps.fetchFromSnapshot(module)
-		rep = ps.assembleFromFetches(module, fetches, elapsed)
-	}
+	rep := ps.eng.report(module)
 	if ps.sweepBudget > 0 {
 		ps.used += rep.Elapsed
 	}
@@ -335,45 +270,17 @@ func (ps *PoolSweep) CheckModule(module string) *PoolReport {
 // always on the calling goroutine. This is the streaming form of
 // CheckModules: the caller folds each report into its own aggregate and
 // drops it, so a sweep never holds more than one module's reports at once
-// (with Config.LeanReports, not even one module's clean VM reports). In
-// parallel mode the session pipelines the sweep: module k+1's fetch stage
-// runs concurrently with module k's comparison stage (a single prefetch
-// stage deep, so the per-VM read order each fault plan sees is still the
-// module order).
+// (with Config.LeanReports, not even one module's clean VM reports).
+// Modules run one after another on the calling goroutine: that keeps the
+// sweep-budget check at module boundaries exact and the digest store's
+// insert order deterministic, while each module's stages still fan out
+// across VMs in parallel mode.
 //
 //moddet:sink sweep reports must be identical for sequential and parallel runs
 //modsafe:charged
 func (ps *PoolSweep) CheckModulesFunc(modules []string, fn func(*PoolReport)) {
-	// A sweep budget forces sequential module driving (stage fan-out across
-	// VMs is untouched): the deadline check in CheckModule must see the full
-	// modeled spend before starting the next module, which the one-deep
-	// prefetch producer would decide concurrently and nondeterministically.
-	// The fleet engine drives its own shard schedule, so it is sequential at
-	// the module level too, and the digest-store path must consult the store
-	// from one goroutine in module order to keep eviction deterministic.
-	if !ps.c.cfg.Parallel || ps.sweepBudget > 0 || ps.fleetMode() || ps.cached() {
-		for _, m := range modules {
-			fn(ps.CheckModule(m))
-		}
-		return
-	}
-	type stage struct {
-		fetches []*fetched
-		elapsed time.Duration
-	}
-	// Capacity 1 lets the producer run exactly one module ahead of the
-	// comparison stage.
-	stages := make(chan stage, 1)
-	go func() {
-		for _, m := range modules {
-			fetches, elapsed := ps.fetchFromSnapshot(m)
-			stages <- stage{fetches, elapsed}
-		}
-		close(stages)
-	}()
-	for k := range modules {
-		st := <-stages
-		fn(ps.assembleFromFetches(modules[k], st.fetches, st.elapsed))
+	for _, m := range modules {
+		fn(ps.CheckModule(m))
 	}
 }
 

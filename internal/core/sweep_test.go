@@ -59,3 +59,31 @@ func TestPoolSweepCloseFlushesTLBs(t *testing.T) {
 		t.Errorf("second sweep after Close added no page-table walks (%d -> %d); translation cache was not flushed", walksBefore, walks)
 	}
 }
+
+// TestFullPairwiseSessionIgnoresEngineSettings pins that FullPairwise
+// selects the pairwise oracle on every session path: with a shard size,
+// lean reports or identity dedup also set, a session still charges exactly
+// the stages, elapsed time and work of a flat FullPairwise session.
+func TestFullPairwiseSessionIgnoresEngineSettings(t *testing.T) {
+	check := func(cfg Config) *PoolReport {
+		_, targets := testPool(t, 6)
+		ps, err := NewChecker(cfg).NewPoolSweep(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Close()
+		return ps.CheckModule("alpha.sys")
+	}
+	want := check(Config{FullPairwise: true})
+	for name, cfg := range map[string]Config{
+		"shard": {FullPairwise: true, ShardSize: 4},
+		"lean":  {FullPairwise: true, LeanReports: true},
+		"dedup": {FullPairwise: true, DedupIdentical: true},
+	} {
+		got := check(cfg)
+		if got.Stages != want.Stages || got.Elapsed != want.Elapsed || got.Timing != want.Timing {
+			t.Errorf("%s: stages %+v elapsed %v timing %+v, want the oracle's %+v %v %+v",
+				name, got.Stages, got.Elapsed, got.Timing, want.Stages, want.Elapsed, want.Timing)
+		}
+	}
+}

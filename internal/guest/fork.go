@@ -13,7 +13,7 @@ import "modchecker/internal/mm"
 // cursor, and disk (shared until first mutation, like cloned domains
 // already share the golden disk); its own seed drives any future load
 // decisions and resource noise. Until the clone's memory diverges, its
-// Phys().SnapshotID matches the template's — the content-identity token
+// Phys().ContentID matches the template's — the content-identity token
 // fleet sweeps use to avoid introspecting bit-identical clones twice.
 func (g *Guest) Fork(name string, seed int64) *Guest {
 	g.mu.Lock()

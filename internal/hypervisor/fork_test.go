@@ -20,14 +20,14 @@ func TestCloneFleetNamesAndSharing(t *testing.T) {
 		}
 	}
 
-	// Every domain — template or fork — advertises a snapshot identity
+	// Every domain — template or fork — advertises a content identity
 	// (forking freezes the template's image too), and a fork shares its
 	// round-robin template's identity: Dom4 forks Dom1, Dom5 Dom2, ...
 	ids := make([]uint64, len(doms))
 	for i, d := range doms {
-		id, ok := d.Guest().Phys().SnapshotID()
+		id, ok := d.Guest().Phys().ContentID()
 		if !ok {
-			t.Fatalf("%s has no snapshot identity", d.Name)
+			t.Fatalf("%s has no content identity", d.Name)
 		}
 		ids[i] = id
 	}
@@ -58,13 +58,13 @@ func TestCloneFleetNamesAndSharing(t *testing.T) {
 	if err := fork.WritePhys(0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := fork.SnapshotID(); ok {
-		t.Error("dirtied fork still advertises a snapshot identity")
+	if _, ok := fork.ContentID(); ok {
+		t.Error("dirtied fork still advertises a content identity")
 	}
-	if id, ok := doms[0].Guest().Phys().SnapshotID(); !ok || id != ids[0] {
+	if id, ok := doms[0].Guest().Phys().ContentID(); !ok || id != ids[0] {
 		t.Error("template identity disturbed by fork's write")
 	}
-	if id, ok := doms[6].Guest().Phys().SnapshotID(); !ok || id != ids[6] {
+	if id, ok := doms[6].Guest().Phys().ContentID(); !ok || id != ids[6] {
 		t.Error("sibling fork identity disturbed by fork's write")
 	}
 }
@@ -80,8 +80,8 @@ func TestCloneFleetFallsBackToFullBoots(t *testing.T) {
 			t.Fatalf("templates=%d: %d domains", templates, len(doms))
 		}
 		for _, d := range doms {
-			if _, ok := d.Guest().Phys().SnapshotID(); ok {
-				t.Errorf("templates=%d: fully booted %s advertises a snapshot identity", templates, d.Name)
+			if _, ok := d.Guest().Phys().ContentID(); ok {
+				t.Errorf("templates=%d: fully booted %s advertises a content identity", templates, d.Name)
 			}
 		}
 	}

@@ -31,14 +31,6 @@ func TestContentIDStableAcrossRebuilds(t *testing.T) {
 	if ida != idb {
 		t.Fatalf("identical images fingerprint differently: %#x vs %#x", ida, idb)
 	}
-
-	// SnapshotID, by contrast, is an allocation counter: the two rebuilds
-	// must NOT collide on it — that asymmetry is why ContentID exists.
-	sa, _ := a.SnapshotID()
-	sb, _ := b.SnapshotID()
-	if sa == sb {
-		t.Fatalf("distinct base layers share SnapshotID %#x", sa)
-	}
 }
 
 func TestContentIDTracksContent(t *testing.T) {
@@ -64,15 +56,39 @@ func TestContentIDTracksContent(t *testing.T) {
 	if idb == ida {
 		t.Fatalf("changed image kept fingerprint %#x", ida)
 	}
+
+	// Forking the dirtied memory freezes a new, distinct image.
+	if err := b.WritePhys(pfn*PageSize, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	f := b.Fork()
+	if id, ok := f.ContentID(); !ok || id == ida || id == idb {
+		t.Fatalf("re-fork id %#x (ok %v), want a fresh id", id, ok)
+	}
 }
 
 func TestContentIDSharedByForks(t *testing.T) {
-	m, _ := buildImage(t, []byte{0x11, 0x22})
+	m, pfn := buildImage(t, []byte{0x11, 0x22})
 	f := m.Fork()
+	f2 := m.Fork()
 	idm, okm := m.ContentID()
 	idf, okf := f.ContentID()
 	if !okm || !okf || idm != idf {
 		t.Fatalf("parent/fork ContentID: %#x(%v) vs %#x(%v)", idm, okm, idf, okf)
+	}
+	if refs := m.BaseRefs(); refs != 3 {
+		t.Fatalf("BaseRefs = %d, want 3", refs)
+	}
+
+	// Dirtying one fork drops only that fork's identity.
+	if err := f2.WritePhys(pfn*PageSize, []byte{0x33}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f2.ContentID(); ok {
+		t.Fatal("dirtied fork still reports a ContentID")
+	}
+	if id, ok := f.ContentID(); !ok || id != idm {
+		t.Fatalf("clean sibling lost its ContentID: %#x(%v)", id, ok)
 	}
 
 	// Sealing an unmodified fork is a no-op: same layer, same identity.

@@ -64,50 +64,6 @@ func TestForkSharesFramesUntilWrite(t *testing.T) {
 	}
 }
 
-func TestSnapshotIDTracksContentIdentity(t *testing.T) {
-	m := NewPhysMemory(64*PageSize, 7)
-	if _, ok := m.SnapshotID(); ok {
-		t.Fatal("never-forked memory has a SnapshotID")
-	}
-	pfn := mustAlloc(t, m)
-	if err := m.WritePhys(pfn*PageSize, []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-
-	f1 := m.Fork()
-	f2 := m.Fork()
-	id0, ok := m.SnapshotID()
-	if !ok {
-		t.Fatal("parent has no SnapshotID right after Fork")
-	}
-	id1, ok1 := f1.SnapshotID()
-	id2, ok2 := f2.SnapshotID()
-	if !ok1 || !ok2 || id1 != id0 || id2 != id0 {
-		t.Fatalf("fork ids %v/%v (ok %v/%v), want both %v", id1, id2, ok1, ok2, id0)
-	}
-	if refs := m.BaseRefs(); refs != 3 {
-		t.Fatalf("BaseRefs = %d, want 3", refs)
-	}
-
-	// Dirtying one fork drops only that fork's identity.
-	if err := f1.WritePhys(pfn*PageSize, []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f1.SnapshotID(); ok {
-		t.Fatal("dirtied fork still reports a SnapshotID")
-	}
-	if id, ok := f2.SnapshotID(); !ok || id != id0 {
-		t.Fatalf("clean sibling lost its SnapshotID (%v, %v)", id, ok)
-	}
-
-	// Forking the dirtied memory freezes a new, distinct image.
-	f3 := f1.Fork()
-	id3, ok := f3.SnapshotID()
-	if !ok || id3 == id0 {
-		t.Fatalf("re-fork id %v (ok %v), want a fresh id != %v", id3, ok, id0)
-	}
-}
-
 func TestForkAllocatorsStayAligned(t *testing.T) {
 	// Parent and fork share the free order: as long as neither frees
 	// frames, their allocation streams stay identical — the property that

@@ -47,11 +47,9 @@ type PhysReader interface {
 // baseLayer is a frozen, immutable memory image shared by every fork taken
 // from it. Frames in a base layer are never written after the freeze — any
 // write to a shared frame copies it into the writer's private overlay first
-// — so one layer can back an arbitrary number of clones. The id is unique
-// per frozen image and doubles as a content-identity token: two memories
-// reporting the same SnapshotID are bit-for-bit identical.
+// — so one layer can back an arbitrary number of clones, and its content
+// fingerprint doubles as a content-identity token (see ContentID).
 type baseLayer struct {
-	id     uint64
 	frames map[uint32][]byte // PFN -> 4 KiB frame; immutable after freeze
 	refs   atomic.Int64      // memories referencing this layer (informational)
 	fpOnce sync.Once
@@ -59,9 +57,8 @@ type baseLayer struct {
 }
 
 // fingerprint digests the layer's frame table — PFN, presence, and contents
-// in PFN order — into a process-stable 64-bit content identity. Unlike id,
-// which is a process-local counter, equal fingerprints name bit-identical
-// images across runs: the simulation is seed-deterministic, so the same
+// in PFN order — into a process-stable 64-bit content identity. Equal
+// fingerprints name bit-identical images, also across runs: the simulation is seed-deterministic, so the same
 // cloud built in another process freezes byte-identical layers and derives
 // the same fingerprints. Memoized; layers are immutable after the freeze.
 func (b *baseLayer) fingerprint() uint64 {
@@ -84,9 +81,6 @@ func (b *baseLayer) fingerprint() uint64 {
 	})
 	return b.fp
 }
-
-// baseIDs issues process-unique identities for frozen memory images.
-var baseIDs atomic.Uint64
 
 // PhysMemory is sparse guest-physical memory: frames are allocated on
 // demand from a fixed-size pool. The frame allocator hands out page frame
@@ -378,7 +372,7 @@ func (m *PhysMemory) freezeLocked() {
 		}
 	}
 	free = append(free, m.returned...)
-	nb := &baseLayer{id: baseIDs.Add(1), frames: frames}
+	nb := &baseLayer{frames: frames}
 	nb.refs.Store(1)
 	if m.base != nil {
 		m.base.refs.Add(-1)
@@ -422,43 +416,28 @@ func (m *PhysMemory) Fork() *PhysMemory {
 }
 
 // Seal freezes the current memory image into an immutable base layer in
-// place — Fork without the clone — and returns the layer's identity. After
-// Seal the memory reports a valid SnapshotID until its next write, which is
-// what lets independently booted guests (no CoW fleet) advertise the
-// content-identity tokens the digest cache keys on. Sealing an unmodified
-// fork is a no-op returning the existing identity; sealing after writes
-// mints a fresh layer (and therefore a fresh identity, since the content
-// changed).
-func (m *PhysMemory) Seal() uint64 {
+// place — Fork without the clone. After Seal the memory reports a valid
+// ContentID until its next write, which is what lets independently booted
+// guests (no CoW fleet) advertise the content-identity tokens the digest
+// cache keys on. Sealing an unmodified fork is a no-op; sealing after
+// writes mints a fresh layer (and therefore a fresh identity, since the
+// content changed).
+func (m *PhysMemory) Seal() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.base == nil || len(m.dirty) > 0 {
 		m.freezeLocked()
 	}
-	return m.base.id
-}
-
-// SnapshotID reports the identity of the frozen image this memory is an
-// *unmodified* fork of. Two memories returning the same id are bit-for-bit
-// identical, which Dom0 can establish from its frame table alone — the
-// content-identity token fleet sweeps use to deduplicate introspection
-// across clean clones. ok is false when the memory has never been forked
-// or has dirtied frames since.
-func (m *PhysMemory) SnapshotID() (id uint64, ok bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.base != nil && len(m.dirty) == 0 {
-		return m.base.id, true
-	}
-	return 0, false
 }
 
 // ContentID reports a process-stable identity for the frozen image this
 // memory is an unmodified fork of: a fingerprint derived from the base
-// layer's frame contents rather than from an allocation counter. Unlike
-// SnapshotID — whose ids are only unique within one process run — equal
-// ContentIDs mean equal bytes across independently built clouds, which is
-// what lets a persistent digest store survive a reopen. The fingerprint is
+// layer's frame contents rather than from an allocation counter. Two
+// memories returning the same id are bit-for-bit identical, which Dom0 can
+// establish from its frame table alone — the content-identity token fleet
+// sweeps use to deduplicate introspection across clean clones. Equal
+// ContentIDs mean equal bytes across independently built clouds too, which
+// is what lets a persistent digest store survive a reopen. The fingerprint is
 // computed lazily on first request and memoized on the (immutable) base
 // layer, so CoW siblings share one computation. ok is false when the
 // memory has never been frozen or has dirtied frames since.

@@ -434,16 +434,12 @@ func WithParallel() CheckerOption {
 	return func(c *core.Config) { c.Parallel = true }
 }
 
-// WithWorkers bounds the goroutines of the parallel fetch and compare
-// stages (the default is 8, the paper's 8-thread host).
-func WithWorkers(n int) CheckerOption {
-	return func(c *core.Config) { c.Workers = n }
-}
-
-// WithFullPairwise forces pool checks onto the legacy O(n²) comparison path
-// instead of digest pre-clustering. Results are identical; this exists for
-// benchmarking the two paths against each other and as a paper-faithful
-// reference.
+// WithFullPairwise runs every pool check — CheckPool, ClusterPool and
+// scanner sweeps — as the paper's O(n²) oracle, comparing every healthy
+// pair instead of digest clusters. Results are identical; this exists as
+// the paper-faithful reference and for benchmarking the two against each
+// other. The sweep engine's settings (WithShardSize, WithLeanReports,
+// WithIdentityDedup, WithDigestCache) do not apply to the oracle.
 func WithFullPairwise() CheckerOption {
 	return func(c *core.Config) { c.FullPairwise = true }
 }
@@ -473,20 +469,23 @@ func WithQuorum(q QuorumPolicy) CheckerOption {
 	return func(c *core.Config) { c.Quorum = q }
 }
 
-// WithShardSize makes pool sweeps process VMs in shards of at most n,
-// bounding resident module copies to O(n + clusters) instead of O(pool).
-// Because every shard digests against the same pool-wide reference, the
-// composed result — reports, traces, simulated costs — is byte-identical to
-// the flat clustered path; n only caps memory and intra-shard parallelism.
+// WithShardSize sets the sweep engine's shard size: it fetches and digests
+// VMs in shards of at most n, bounding resident module copies to
+// O(n + clusters) instead of O(pool). Every shard digests against the same
+// pool-wide reference, so reports, traces and simulated costs are
+// byte-identical for any n (the default is the whole pool, one shard); n
+// only caps memory and intra-shard parallelism.
 func WithShardSize(n int) CheckerOption {
 	return func(c *core.Config) { c.ShardSize = n }
 }
 
-// WithLeanReports derives pool verdicts from digest-cluster structure in
-// O(clusters² + pool) and materializes ModuleReports only for non-clean VMs.
-// Verdicts, alerts, counts, and simulated costs are unchanged; the per-pair
-// detail lists (Pairs, MismatchedVMs) that grow O(pool) per VM are omitted.
-// Required reading for 100k-VM sweeps; pointless below a few hundred.
+// WithLeanReports makes the sweep engine derive its reports from
+// digest-cluster structure in O(clusters² + pool), materializing
+// ModuleReports only for non-clean VMs. The engine's work is unchanged:
+// verdicts, alerts, counts and simulated costs stay the same, and only the
+// per-pair detail lists (Pairs, MismatchedVMs) that grow O(pool) per VM are
+// omitted. Required reading for 100k-VM sweeps; pointless below a few
+// hundred.
 func WithLeanReports() CheckerOption {
 	return func(c *core.Config) { c.LeanReports = true }
 }
@@ -543,8 +542,9 @@ func (cfg CloudConfig) CacheFingerprint() string {
 	return fmt.Sprintf("modcas/v1 vms=%d templates=%d seed=%d mem=%d", vms, cfg.Templates, cfg.Seed, mem)
 }
 
-// WithDigestCache routes pool sweeps through a cross-sweep digest store: a
-// VM whose content token matches a stored entry replays its digest cluster
+// WithDigestCache gives the sweep engine a cross-sweep digest store, looked
+// up when VMs are classified and filled at the end of each module: a VM
+// whose content token matches a stored entry replays its digest cluster
 // key for the cost of one index probe instead of a fetch+parse+digest, and
 // cluster pairs whose comparison outcome is cached skip the comparison. A
 // steady-state sweep over an unchanged pool fetches nothing; an infected VM
