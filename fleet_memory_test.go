@@ -98,3 +98,43 @@ func TestStreamingSweepBoundsMemory(t *testing.T) {
 			retStream256, retBase256)
 	}
 }
+
+// warmScannerSweepAlloc returns the bytes one warm Scanner.Sweep allocates
+// over a clean vms-VM fleet behind a digest cache: the cold sweep fills the
+// store, and the measured sweep replays every VM from it.
+func warmScannerSweepAlloc(t *testing.T, vms int) uint64 {
+	t.Helper()
+	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cloud.NewScanner(WithDigestCache(NewDigestStore(0)))
+	if _, err := sc.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := sc.Sweep()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("warm sweep of a clean %d-VM fleet not clean: %+v", vms, rep.Alerts)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmScannerSweepAllocatesLinearly: a warm scanner sweep does O(pool)
+// work per module (a store lookup per VM, a verdict per cluster), so
+// quadrupling the fleet should roughly quadruple its allocation. Deriving a
+// per-pair report for every VM would grow it about 16x instead.
+func TestWarmScannerSweepAllocatesLinearly(t *testing.T) {
+	a64 := warmScannerSweepAlloc(t, 64)
+	a256 := warmScannerSweepAlloc(t, 256)
+	t.Logf("warm sweep alloc: 64 VMs %d B, 256 VMs %d B (%.1fx)", a64, a256, float64(a256)/float64(a64))
+	if a256 >= 6*a64 {
+		t.Errorf("warm 256-VM sweep allocated %d B, want < 6x the 64-VM sweep's %d B", a256, a64)
+	}
+}

@@ -130,7 +130,8 @@ type Config struct {
 	// and hashed independently instead of digest clusters. The results are
 	// identical — the differential tests pin that — so this exists as the
 	// paper-faithful reference and for benchmarking. ShardSize,
-	// LeanReports, DedupIdentical and DigestCache do not apply to it.
+	// DedupIdentical and DigestCache do not apply to it; LeanReports does,
+	// since it only chooses how reports are derived from the result.
 	FullPairwise bool
 	// Retry governs how fetches respond to transient introspection faults.
 	// The zero value means one attempt, no verification.
@@ -149,6 +150,8 @@ type Config struct {
 	// inconclusive, errored) a ModuleReport — without the Pairs and
 	// MismatchedVMs lists, which are O(pool) each. Simulated costs, alerts
 	// and verdicts are unchanged; only the host-side report size shrinks.
+	// The facade's Scanner always sets it; it matters only to callers
+	// that open sessions with NewPoolSweep directly.
 	LeanReports bool
 	// DedupIdentical lets sweep sessions consult Target.Identity and
 	// introspect only one VM of each content-identity group, sharing its

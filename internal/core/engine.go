@@ -27,12 +27,14 @@ package core
 //     compared before replays its mismatch list. CostCASLookup is charged
 //     only on hits, so a cold store charges exactly what no store charges,
 //     in the same per-VM order. A nil store never hits and never inserts.
-//   - lean: a choice made at report derivation (deriveLean or derivePool).
+//   - lean: a choice made at report derivation (deriveLean or derivePool),
+//     a view of the result rather than an engine setting. Scanner sweeps
+//     always derive lean.
 //
 // Config.FullPairwise turns the engine into the paper's O(n²) oracle: no
 // digests, every healthy copy fronts its own cluster, so the compare stage
-// compares every healthy pair independently. Shard, dedup, store and lean
-// do not apply to the oracle.
+// compares every healthy pair independently. Shard, dedup and store do not
+// apply to the oracle; lean derivation does.
 //
 // Determinism: the store is only ever consulted from the driving
 // goroutine, in pool order. Parallel stages (fetch, digest, compare) never

@@ -103,12 +103,6 @@ func schedule(costs []time.Duration, w int) (lanes []int, starts []time.Duration
 	return lanes, starts, makespan
 }
 
-// criticalPath returns just the makespan of the deterministic list schedule.
-func criticalPath(costs []time.Duration, w int) time.Duration {
-	_, _, makespan := schedule(costs, w)
-	return makespan
-}
-
 // stageWorkers is the worker count of every stage and of its elapsed-time
 // model: the bounded pool in parallel mode, one lane sequentially.
 func (c *Checker) stageWorkers() int {

@@ -31,8 +31,8 @@ func TestCriticalPath(t *testing.T) {
 		{[]time.Duration{d(1), d(2)}, 0, d(3)},
 	}
 	for i, c := range cases {
-		if got := criticalPath(c.costs, c.w); got != c.want {
-			t.Errorf("case %d: criticalPath(%v, %d) = %v, want %v", i, c.costs, c.w, got, c.want)
+		if _, _, got := schedule(c.costs, c.w); got != c.want {
+			t.Errorf("case %d: schedule(%v, %d) makespan = %v, want %v", i, c.costs, c.w, got, c.want)
 		}
 	}
 }

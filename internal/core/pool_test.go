@@ -2,8 +2,12 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
+	"modchecker/internal/faults"
+	"modchecker/internal/guest"
 	"modchecker/internal/rootkit"
 )
 
@@ -269,4 +273,127 @@ func TestCheckPoolAllFetchesFail(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLeanDerivationMatchesFull feeds one engine outcome through both report
+// derivations. Lean must agree with full on the pool-level count and lists,
+// and every non-clean VM's lean report must equal its full report minus the
+// O(pool) Pairs and MismatchedVMs lists. Scanner sweeps always derive lean,
+// so this is what keeps their alerts, health and JSON equal to what full
+// derivation would produce.
+func TestLeanDerivationMatchesFull(t *testing.T) {
+	infect := func(t *testing.T, g *guest.Guest) {
+		if err := rootkit.InfectDiskAndReload(g, "alpha.sys", func(img []byte) ([]byte, error) {
+			out, _, err := rootkit.OpcodeReplace(img)
+			return out, err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail := func(guests []*guest.Guest, targets []Target, vms ...int) {
+		p := faults.NewPlan(1)
+		for _, i := range vms {
+			p.FailForever(guests[i].Name(), 0)
+			targets[i] = planTarget(guests[i], p)
+		}
+	}
+	scenarios := []struct {
+		name                           string
+		cfg                            Config
+		prepare                        func(t *testing.T, guests []*guest.Guest, targets []Target)
+		flagged, inconclusive, errored int
+		// peerOnly names a component the flagged VM's copy lacks but its
+		// peers carry.
+		peerOnly string
+	}{
+		{name: "clean"},
+		{name: "one-infected", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[3]) },
+			flagged: 1},
+		// 2 of 5 infected: each clean VM matches 2 of 4 peers, a tie.
+		{name: "split-vote", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[0]); infect(t, g[1]) },
+			flagged: 2, inconclusive: 3},
+		{name: "quorum-degraded", cfg: Config{Quorum: QuorumPolicy{MinPeers: 3}},
+			prepare:      func(_ *testing.T, g []*guest.Guest, ts []Target) { fail(g, ts, 3, 4) },
+			inconclusive: 3, errored: 2},
+		{name: "fetch-faulted", prepare: func(_ *testing.T, g []*guest.Guest, ts []Target) { fail(g, ts, 1) },
+			errored: 1},
+		{name: "all-errored", prepare: func(_ *testing.T, g []*guest.Guest, ts []Target) { fail(g, ts, 0, 1, 2, 3, 4) },
+			errored: 5},
+		// Built without imports, vm3's copy has no INIT section.
+		{name: "peer-only-component", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) {
+			if err := rootkit.InfectDiskAndReload(g[2], "alpha.sys", func([]byte) ([]byte, error) {
+				return guest.BuildImage(guest.ModuleSpec{Name: "alpha.sys", TextSize: 16 << 10, DataSize: 4 << 10,
+					RdataSize: 2 << 10, PreferredBase: 0x10000, Marker: true})
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}, flagged: 1, peerOnly: "INIT"},
+		{name: "full-pairwise", cfg: Config{FullPairwise: true},
+			prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[3]) }, flagged: 1},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			guests, targets := testPool(t, 5)
+			if sc.prepare != nil {
+				sc.prepare(t, guests, targets)
+			}
+			c := NewChecker(sc.cfg)
+			o := c.poolEngine(targets).check("alpha.sys")
+			// Both derivations fill o.rep in place, so the lean one gets
+			// its own copy of the engine's not-yet-derived report.
+			leanRep := *o.rep
+			lo := *o
+			lo.rep = &leanRep
+			c.derivePool(o, "alpha.sys", targets)
+			c.deriveLean(&lo, "alpha.sys", targets)
+			full, lean := o.rep, lo.rep
+
+			if len(full.Flagged) != sc.flagged || len(full.Inconclusive) != sc.inconclusive || len(full.Errored) != sc.errored {
+				t.Fatalf("scenario yields flagged=%v inconclusive=%v errored=%v, want %d/%d/%d",
+					full.Flagged, full.Inconclusive, full.Errored, sc.flagged, sc.inconclusive, sc.errored)
+			}
+			if lean.Healthy != full.Healthy || !reflect.DeepEqual(lean.Flagged, full.Flagged) ||
+				!reflect.DeepEqual(lean.Inconclusive, full.Inconclusive) || !reflect.DeepEqual(lean.Errored, full.Errored) {
+				t.Errorf("lean healthy=%d flagged=%v inconclusive=%v errored=%v, full %d %v %v %v",
+					lean.Healthy, lean.Flagged, lean.Inconclusive, lean.Errored,
+					full.Healthy, full.Flagged, full.Inconclusive, full.Errored)
+			}
+			var nonClean int
+			for _, r := range full.VMReports {
+				if r.Verdict != VerdictClean {
+					nonClean++
+				}
+			}
+			if len(lean.VMReports) != nonClean {
+				t.Errorf("lean has %d reports, want one per non-clean VM (%d)", len(lean.VMReports), nonClean)
+			}
+			for _, lr := range lean.VMReports {
+				fr := full.Report(lr.TargetVM)
+				if fr == nil {
+					t.Errorf("%s: lean report has no full counterpart", lr.TargetVM)
+					continue
+				}
+				if got, want := withoutPerPair(lr), withoutPerPair(fr); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: lean report\n%+v\nwant full minus per-pair lists\n%+v", lr.TargetVM, got, want)
+				}
+				if sc.peerOnly != "" && lr.Verdict == VerdictAltered {
+					if !slices.Contains(lr.MismatchedComponents(), sc.peerOnly) {
+						t.Errorf("%s: mismatched %v, want the peer-only %s", lr.TargetVM, lr.MismatchedComponents(), sc.peerOnly)
+					}
+				}
+			}
+		})
+	}
+}
+
+// withoutPerPair copies a VM report without its Pairs and MismatchedVMs
+// lists, the per-pair detail lean derivation omits.
+func withoutPerPair(r *ModuleReport) ModuleReport {
+	out := *r
+	out.Pairs, out.Components = nil, nil
+	for _, ct := range r.Components {
+		ct.MismatchedVMs = nil
+		out.Components = append(out.Components, ct)
+	}
+	return out
 }

@@ -96,9 +96,9 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 		listErr: make([]error, len(vms)),
 		leader:  identityLeaders(cfg.DedupIdentical && !cfg.FullPairwise, vms),
 	}
-	ps.eng = &engine{c: c, vms: vms, ps: ps, leader: ps.leader}
+	ps.eng = &engine{c: c, vms: vms, ps: ps, leader: ps.leader, lean: cfg.LeanReports}
 	if !cfg.FullPairwise {
-		ps.eng.shard, ps.eng.store, ps.eng.lean = cfg.ShardSize, cfg.DigestCache, cfg.LeanReports
+		ps.eng.shard, ps.eng.store = cfg.ShardSize, cfg.DigestCache
 	}
 	costs := make([]time.Duration, len(vms))
 	listOne := func(i int) {
@@ -270,7 +270,8 @@ func (ps *PoolSweep) CheckModule(module string) *PoolReport {
 // always on the calling goroutine. This is the streaming form of
 // CheckModules: the caller folds each report into its own aggregate and
 // drops it, so a sweep never holds more than one module's reports at once
-// (with Config.LeanReports, not even one module's clean VM reports).
+// (with Config.LeanReports, which scanner sweeps always set, not even one
+// module's clean VM reports).
 // Modules run one after another on the calling goroutine: that keeps the
 // sweep-budget check at module boundaries exact and the digest store's
 // insert order deterministic, while each module's stages still fan out

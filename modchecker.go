@@ -438,8 +438,10 @@ func WithParallel() CheckerOption {
 // scanner sweeps — as the paper's O(n²) oracle, comparing every healthy
 // pair instead of digest clusters. Results are identical; this exists as
 // the paper-faithful reference and for benchmarking the two against each
-// other. The sweep engine's settings (WithShardSize, WithLeanReports,
-// WithIdentityDedup, WithDigestCache) do not apply to the oracle.
+// other. The sweep engine's settings (WithShardSize, WithIdentityDedup,
+// WithDigestCache) do not apply to the oracle. Lean report derivation
+// still does: scanner sweeps always derive lean, and WithLeanReports
+// applies to direct NewPoolSweep sessions, oracle or not.
 func WithFullPairwise() CheckerOption {
 	return func(c *core.Config) { c.FullPairwise = true }
 }
@@ -479,13 +481,13 @@ func WithShardSize(n int) CheckerOption {
 	return func(c *core.Config) { c.ShardSize = n }
 }
 
-// WithLeanReports makes the sweep engine derive its reports from
-// digest-cluster structure in O(clusters² + pool), materializing
-// ModuleReports only for non-clean VMs. The engine's work is unchanged:
-// verdicts, alerts, counts and simulated costs stay the same, and only the
-// per-pair detail lists (Pairs, MismatchedVMs) that grow O(pool) per VM are
-// omitted. Required reading for 100k-VM sweeps; pointless below a few
-// hundred.
+// WithLeanReports makes sweep sessions opened directly with
+// Checker.NewPoolSweep derive their reports from digest-cluster structure
+// in O(clusters² + pool), materializing ModuleReports only for non-clean
+// VMs. The engine's work is unchanged: verdicts, alerts, counts and
+// simulated costs stay the same, and only the per-pair detail lists (Pairs,
+// MismatchedVMs) that grow O(pool) per VM are omitted. Scanner sweeps
+// always derive lean reports, with or without this option.
 func WithLeanReports() CheckerOption {
 	return func(c *core.Config) { c.LeanReports = true }
 }

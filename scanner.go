@@ -221,8 +221,16 @@ type Scanner struct {
 // NewScanner creates a scanner over the whole cloud. Checker options
 // (WithParallel, WithRetry, ...) apply to every sweep. Restricting to
 // specific modules is possible with SetModules.
+//
+// Scanner sweeps always derive lean reports: the sweep reads only each
+// module's healthy count and its non-clean VMs' verdicts, reasons and
+// mismatched components, all of which lean derivation computes exactly as
+// full derivation does, so the O(pool²) per-pair detail is never built.
 func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 	reg := c.Metrics()
+	// Clipped to its length, so the append copies instead of writing into
+	// spare capacity of the caller's slice.
+	opts = append(opts[:len(opts):len(opts)], WithLeanReports())
 	return &Scanner{
 		cloud:   c,
 		checker: c.NewChecker(opts...),

@@ -136,3 +136,14 @@ func TestScannerParallel(t *testing.T) {
 		t.Errorf("parallel sweep missed rustock.b: %+v", rep.Alerts)
 	}
 }
+
+// TestNewScannerLeavesCallerOptions: the scanner adds its own option to the
+// caller's list and must not write it into the caller's spare capacity.
+func TestNewScannerLeavesCallerOptions(t *testing.T) {
+	opts := make([]CheckerOption, 1, 2)
+	opts[0] = WithParallel()
+	testCloud(t, 2, 71).NewScanner(opts...)
+	if spare := opts[:2]; spare[1] != nil {
+		t.Error("NewScanner appended into the caller's option slice")
+	}
+}
