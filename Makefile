@@ -77,6 +77,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep15|BenchmarkFig7RuntimeIdle|BenchmarkFig8RuntimeLoaded|BenchmarkDetect' \
 		-benchtime $(BENCHTIME) -benchmem . > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep' -benchtime 1x -benchmem . >> bench.out
+	$(GO) test -run '^$$' -bench 'BenchmarkScannerSweep' -benchtime $(BENCHTIME) -benchmem . >> bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCachedSweep' -benchtime 1x -benchmem . >> bench.out
 	$(GO) run ./cmd/benchjson -out $(BENCHOUT) < bench.out
 	@rm -f bench.out
@@ -89,11 +90,13 @@ bench-smoke:
 	$(GO) run ./cmd/benchjson -baseline none < bench-smoke.out
 	@rm -f bench-smoke.out
 
-# One-iteration 1000-VM fleet sweep (-short skips the 10k/100k curve): fails
-# if the copy-on-write fleet path errors or flags a clean pool, not on
-# performance. The full scaling curve ships with `make bench` ($(BENCHOUT)).
+# One-iteration 1000-VM fleet sweep, checker and scanner legs (-short skips
+# the 10k/100k curve): fails if the copy-on-write fleet path errors or flags
+# a clean pool, not on performance. The full scaling curve ships with
+# `make bench` ($(BENCHOUT)).
 fleet-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetSweep/vms=1000$$' -benchtime 1x -benchmem -short . > fleet-smoke.out
+	$(GO) test -run '^$$' -bench '^BenchmarkScannerSweep/vms=1000$$' -benchtime 1x -benchmem -short . >> fleet-smoke.out
 	$(GO) run ./cmd/benchjson -baseline none < fleet-smoke.out
 	@rm -f fleet-smoke.out
 

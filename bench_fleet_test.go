@@ -1,9 +1,11 @@
 package modchecker_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"modchecker"
 )
@@ -77,6 +79,73 @@ func BenchmarkFleetSweep(b *testing.B) {
 				b.Skipf("%d VMs skipped in short mode", n)
 			}
 			benchFleetSweep(b, n)
+		})
+	}
+}
+
+// benchScannerSweep times what `modchecker -watch -json` repeats: one
+// Scanner.Sweep plus its JSON report. Unlike BenchmarkFleetSweep, which
+// times only the checker, this includes the scanner's own per-VM
+// bookkeeping — partition, target opening, the health machine — and the
+// report render. One untimed sweep first settles the health machine.
+//
+// Reported metrics: sim-ms/op (simulated testbed time per sweep) and
+// report-B/op (size of the rendered JSON report).
+func benchScannerSweep(b *testing.B, sc *modchecker.Scanner) {
+	var buf bytes.Buffer
+	sweep := func() *modchecker.SweepReport {
+		rep, err := sc.Sweep()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Clean() {
+			b.Fatalf("clean sweep %d: %d alerts, %d errors", rep.Sweep, len(rep.Alerts), len(rep.Errors))
+		}
+		buf.Reset()
+		if err := rep.WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+		return rep
+	}
+	sweep()
+	var sim time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim += sweep().Simulated
+	}
+	b.StopTimer()
+	b.ReportMetric(sim.Seconds()*1e3/float64(b.N), "sim-ms/op")
+	b.ReportMetric(float64(buf.Len()), "report-B/op")
+}
+
+// BenchmarkScannerSweep is the scanner leg of the fleet curve: the paper's
+// 15-VM testbed (every module discovered, 7 x 15), then fleets of 1k and
+// 100k VMs in the configuration of BenchmarkFleetSweep. 1k runs everywhere
+// (make fleet-smoke runs it once); 100k is skipped in -short mode.
+func BenchmarkScannerSweep(b *testing.B) {
+	b.Run("paper15", func(b *testing.B) {
+		benchScannerSweep(b, mustCloud(b, 15, 42).NewScanner())
+	})
+	for _, n := range []int{1000, 100000} {
+		n := n
+		b.Run(fmt.Sprintf("vms=%d", n), func(b *testing.B) {
+			if testing.Short() && n > 1000 {
+				b.Skipf("%d VMs skipped in short mode", n)
+			}
+			cloud, err := modchecker.NewCloud(modchecker.CloudConfig{
+				VMs: n, Templates: 4, Seed: 42, Cores: 8 * ((n + 999) / 1000),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc := cloud.NewScanner(
+				modchecker.WithShardSize(256),
+				modchecker.WithLeanReports(),
+				modchecker.WithIdentityDedup(),
+			)
+			sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
+			benchScannerSweep(b, sc)
 		})
 	}
 }

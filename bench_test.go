@@ -270,22 +270,6 @@ func BenchmarkBaselineVsModChecker(b *testing.B) {
 	})
 }
 
-// BenchmarkScannerSweep measures one full cloud sweep (7 modules x 15 VMs).
-func BenchmarkScannerSweep(b *testing.B) {
-	cloud := mustCloud(b, 15, 42)
-	sc := cloud.NewScanner()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := sc.Sweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Clean() {
-			b.Fatal("clean cloud alerted")
-		}
-	}
-}
-
 // BenchmarkSearcherListModules measures the raw loaded-module-list walk.
 func BenchmarkSearcherListModules(b *testing.B) {
 	cloud := mustCloud(b, 2, 42)

@@ -75,14 +75,21 @@ func schedule(costs []time.Duration, w int) (lanes []int, starts []time.Duration
 	if len(costs) == 0 {
 		return nil, nil, 0
 	}
+	lanes = make([]int, len(costs))
+	starts = make([]time.Duration, len(costs))
+	return lanes, starts, listSchedule(costs, w, lanes, starts)
+}
+
+// listSchedule runs schedule's model and returns the makespan. It records
+// each task's lane and start offset only when lanes and starts are non-nil,
+// so an untraced stage pays for the makespan alone.
+func listSchedule(costs []time.Duration, w int, lanes []int, starts []time.Duration) time.Duration {
 	if w < 1 {
 		w = 1
 	}
 	if w > len(costs) {
 		w = len(costs)
 	}
-	lanes = make([]int, len(costs))
-	starts = make([]time.Duration, len(costs))
 	loads := make([]time.Duration, w)
 	for k, c := range costs {
 		min := 0
@@ -91,16 +98,19 @@ func schedule(costs []time.Duration, w int) (lanes []int, starts []time.Duration
 				min = i
 			}
 		}
-		lanes[k] = min
-		starts[k] = loads[min]
+		if lanes != nil {
+			lanes[k] = min
+			starts[k] = loads[min]
+		}
 		loads[min] += c
 	}
+	var makespan time.Duration
 	for _, l := range loads {
 		if l > makespan {
 			makespan = l
 		}
 	}
-	return lanes, starts, makespan
+	return makespan
 }
 
 // stageWorkers is the worker count of every stage and of its elapsed-time
@@ -126,11 +136,11 @@ func (c *Checker) stageWorkers() int {
 // tracing off, and building a per-task label slice per stage per module is
 // pure allocator churn there.
 func (c *Checker) traceStage(stage, module string, nameFn func(int) string, costs []time.Duration) time.Duration {
-	lanes, starts, elapsed := schedule(costs, c.stageWorkers())
 	tr := c.cfg.Tracer
 	if tr == nil || len(costs) == 0 {
-		return elapsed
+		return listSchedule(costs, c.stageWorkers(), nil, nil)
 	}
+	lanes, starts, elapsed := schedule(costs, c.stageWorkers())
 	base := tr.Cursor()
 	args := []trace.Arg{{Key: "tasks", Val: strconv.Itoa(len(costs))}}
 	if module != "" {

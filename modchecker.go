@@ -358,9 +358,14 @@ func (c *Cloud) Target(name string) (core.Target, error) {
 	if d == nil {
 		return core.Target{}, fmt.Errorf("modchecker: no VM %q", name)
 	}
+	return c.target(d), nil
+}
+
+// target opens an introspection target on an already resolved domain.
+func (c *Cloud) target(d *hypervisor.Domain) core.Target {
 	g := d.Guest()
-	h := vmi.Open(name, c.reader(d), g.CR3(), c.profile, c.handleOptions(d)...)
-	t := core.Target{Name: name, Handle: h}
+	h := vmi.Open(d.Name, c.reader(d), g.CR3(), c.profile, c.handleOptions(d)...)
+	t := core.Target{Name: d.Name, Handle: h}
 	if c.plan == nil {
 		// Identity lets WithIdentityDedup treat copy-on-write forks that
 		// still share their template's frozen image as one VM. A fault plan
@@ -384,7 +389,7 @@ func (c *Cloud) Target(name string) (core.Target, error) {
 		// fault-plan installation hooks) bump it, retiring stale entries.
 		t.Epoch = d.MappingEpoch
 	}
-	return t, nil
+	return t
 }
 
 // OpenVMI opens a raw introspection handle on the named VM with every

@@ -3,6 +3,9 @@ package modchecker
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -226,5 +229,49 @@ func TestTraceDisabledPathUnchanged(t *testing.T) {
 	var buf bytes.Buffer
 	if err := cloudOff.Tracer().WriteChromeJSON(&buf); err == nil {
 		t.Error("nil tracer export did not error")
+	}
+}
+
+// TestMetricsDocumented: every series a cloud registers — with a scanner,
+// a fault plan and a control-plane fault so the lazily registered faults/*
+// counters exist — is named in docs/observability.md's series table.
+func TestMetricsDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "observability.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cloud := testCloud(t, 3, 181)
+	plan := NewFaultPlan(67)
+	plan.FailReads("Dom3", 0, 1)
+	plan.FailOps("Dom2", OpSnapshot, 0, 1)
+	cloud.InstallFaultPlan(plan)
+	if err := cloud.Domain("Dom2").TakeSnapshot("cp"); err == nil {
+		t.Fatal("scheduled snapshot fault did not fire")
+	}
+	sc := cloud.NewScanner()
+	sc.SetModules([]string{"hal.dll"})
+	if _, err := sc.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	snap := cloud.Metrics().Snapshot()
+	var names []string
+	for _, c := range snap.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range snap.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range snap.Histograms {
+		names = append(names, h.Name)
+	}
+	for _, want := range []string{"faults/injected", "faults/control_injected", "scanner/sweeps"} {
+		if !slices.Contains(names, want) {
+			t.Fatalf("scenario did not register %s; registered: %v", want, names)
+		}
+	}
+	for _, name := range names {
+		if !bytes.Contains(doc, []byte("`"+name+"`")) {
+			t.Errorf("metric %s is registered but missing from docs/observability.md", name)
+		}
 	}
 }

@@ -3,8 +3,10 @@ package modchecker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"modchecker/internal/core"
@@ -91,14 +93,33 @@ func DefaultBreakerPolicy() BreakerPolicy {
 	return BreakerPolicy{TripAfter: 2}
 }
 
-// vmHealth is the per-VM health-machine state.
+// vmHealth is one roster VM's scanner state: its place in the health
+// machine, plus what the current sweep has learned about it.
 type vmHealth struct {
 	state         HealthState
 	strikes       int // consecutive failing sweeps
 	quarantinedAt int // sweep number of the (latest) quarantine decision
 	permStrikes   int // consecutive permanent-class failing sweeps
 	breakerOpen   bool
+
+	// The current sweep's marks, reset by partition.
+	role sweepRole
+	// overBudget: the per-VM budget dropped the VM mid-sweep.
+	overBudget bool
+	// failed is the worst fault class of the VM's VerdictErrors against a
+	// pool that still had healthy members (permanent outranks transient;
+	// permanent classes feed the breaker). Zero: no such failure.
+	failed FaultClass
 }
+
+// sweepRole is how the current sweep treats a VM.
+type sweepRole uint8
+
+const (
+	roleSkipped sweepRole = iota // destroyed, breaker tripped, or sitting out quarantine
+	roleChecked                  // checked normally
+	roleProbe                    // quarantined, checked as a readmission probe
+)
 
 // Alert is one integrity finding from a scanner sweep: a module on a VM
 // that a majority of peers dispute, that produced no majority, or that could
@@ -132,6 +153,10 @@ type SweepReport struct {
 	Errors []ModuleError
 	// Health is each tracked VM's state after this sweep.
 	Health map[string]HealthState
+	// healthOrder is Health's keys in sorted order, as the scanner built
+	// them: the scanner's own read-only roster slice, shared by every
+	// report. Nil for reports built elsewhere.
+	healthOrder []string
 	// Quarantined lists VMs quarantined as of the end of this sweep;
 	// Readmitted lists VMs whose probe succeeded this sweep; Skipped lists
 	// quarantined VMs excluded from this sweep entirely.
@@ -197,7 +222,13 @@ type Scanner struct {
 	policy  HealthPolicy
 	budget  BudgetPolicy
 	breaker BreakerPolicy
-	health  map[string]*vmHealth
+	// The roster: the cloud's VMs, fixed at NewCloud. vms[i] is the state
+	// of the i-th VM in creation (pool) order; names holds the same VMs
+	// sorted by name, and order[k] is the vms index of names[k]. Sweeps walk
+	// these instead of re-sorting or re-keying the fleet every time.
+	vms   []vmHealth
+	names []string
+	order []int32
 	// checkpoint is the sorted remainder of a budget-cut sweep; the next
 	// Sweep checks it (and only it) before returning to full coverage.
 	checkpoint []string
@@ -231,12 +262,25 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 	// Clipped to its length, so the append copies instead of writing into
 	// spare capacity of the caller's slice.
 	opts = append(opts[:len(opts):len(opts)], WithLeanReports())
+	order := make([]int32, len(c.domains))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return strings.Compare(c.domains[a].Name, c.domains[b].Name)
+	})
+	names := make([]string, len(order))
+	for k, i := range order {
+		names[k] = c.domains[i].Name
+	}
 	return &Scanner{
 		cloud:   c,
 		checker: c.NewChecker(opts...),
 		policy:  DefaultHealthPolicy(),
 		breaker: DefaultBreakerPolicy(),
-		health:  make(map[string]*vmHealth),
+		vms:     make([]vmHealth, len(c.domains)),
+		names:   names,
+		order:   order,
 
 		mSweeps:       reg.Counter("scanner/sweeps"),
 		mAborted:      reg.Counter("scanner/aborted_sweeps"),
@@ -295,32 +339,37 @@ func (s *Scanner) Sweeps() int { return s.sweeps }
 
 // Health returns the named VM's current health state.
 func (s *Scanner) Health(vm string) HealthState {
-	if h, ok := s.health[vm]; ok {
+	if h := s.slot(vm); h != nil {
 		return h.state
 	}
 	return HealthHealthy
 }
 
-func (s *Scanner) healthOf(vm string) *vmHealth {
-	h, ok := s.health[vm]
+// slot finds the named VM's roster state by binary search over the sorted
+// names, or returns nil for a name outside the roster.
+func (s *Scanner) slot(vm string) *vmHealth {
+	k, ok := slices.BinarySearch(s.names, vm)
 	if !ok {
-		h = &vmHealth{}
-		s.health[vm] = h
+		return nil
 	}
-	return h
+	return &s.vms[s.order[k]]
 }
 
-// partition splits the cloud's VMs for sweep number `sweep`: eligible VMs
-// (healthy, suspect, and quarantined VMs due for a readmission probe)
-// versus skipped quarantined VMs. Destroyed domains go straight to
-// quarantine and into Skipped — there is nothing left to probe, but the
-// operator should still see them accounted. A destroyed domain that is
-// later re-created under the same name re-enters through the normal
+// partition assigns every roster VM its role in sweep number `sweep` and
+// opens a target, in pool order, on each VM the sweep checks: healthy and
+// suspect VMs, and quarantined VMs due for a readmission probe. Skipped
+// quarantined VMs open nothing. Destroyed domains go straight to
+// quarantine and are skipped — there is nothing left to probe, but the
+// operator should still see them accounted. Each name is resolved against
+// the hypervisor afresh every sweep, so a destroyed domain that is later
+// re-created under the same name re-enters through the normal
 // readmission-probe path once its timer expires.
-func (s *Scanner) partition(rep *SweepReport, sweep int) (eligible []string, probing map[string]bool) {
-	probing = make(map[string]bool)
-	for _, name := range s.cloud.VMNames() {
-		h := s.healthOf(name)
+func (s *Scanner) partition(sweep int) []core.Target {
+	targets := make([]core.Target, 0, len(s.vms))
+	for i, dom := range s.cloud.domains {
+		name := dom.Name
+		h := &s.vms[i]
+		h.role, h.overBudget, h.failed = roleSkipped, false, 0
 		d := s.cloud.Domain(name)
 		if d == nil || d.Destroyed() {
 			if h.state != HealthQuarantined {
@@ -329,7 +378,6 @@ func (s *Scanner) partition(rep *SweepReport, sweep int) (eligible []string, pro
 				s.mQuarantines.Inc()
 				s.traceHealth(name, "destroyed", HealthQuarantined)
 			}
-			rep.Skipped = append(rep.Skipped, name)
 			continue
 		}
 		if h.state != HealthQuarantined && d.ControlFailures() >= s.breaker.TripAfter {
@@ -342,26 +390,25 @@ func (s *Scanner) partition(rep *SweepReport, sweep int) (eligible []string, pro
 			s.mQuarantines.Inc()
 			s.mBreakerTrips.Inc()
 			s.traceHealth(name, "breaker open", HealthQuarantined)
-			rep.Skipped = append(rep.Skipped, name)
 			continue
 		}
 		if h.state == HealthQuarantined {
-			if sweep-h.quarantinedAt >= s.policy.ReadmitAfter {
-				probing[name] = true
-				eligible = append(eligible, name)
-			} else {
-				rep.Skipped = append(rep.Skipped, name)
+			if sweep-h.quarantinedAt < s.policy.ReadmitAfter {
+				continue
 			}
-			continue
+			h.role = roleProbe
+		} else {
+			h.role = roleChecked
 		}
-		eligible = append(eligible, name)
+		targets = append(targets, s.cloud.target(d))
 	}
-	return eligible, probing
+	return targets
 }
 
 // traceHealth records one health-machine transition on the scanner track.
-// Callers run on the sweep driver goroutine and iterate VMs in sorted
-// order, so emission order is deterministic.
+// Callers run on the sweep driver goroutine and walk the roster in a fixed
+// order (pool order in partition, name order in updateHealth), so emission
+// order is deterministic.
 func (s *Scanner) traceHealth(vm, cause string, to HealthState) {
 	tr := s.cloud.Tracer()
 	if tr == nil {
@@ -376,11 +423,11 @@ func (s *Scanner) traceHealth(vm, cause string, to HealthState) {
 // discoverModules finds the module set to sweep from the session's
 // module-table snapshot: the first eligible VM whose list walk succeeded —
 // a faulty reference VM must not blind the whole sweep.
-func (s *Scanner) discoverModules(session *PoolSweep, eligible []string) ([]string, error) {
+func (s *Scanner) discoverModules(session *PoolSweep, eligible int) ([]string, error) {
 	modules, err := session.Modules()
 	if err != nil {
 		return nil, fmt.Errorf("modchecker: scanner discovery failed on all %d eligible VMs: %w",
-			len(eligible), err)
+			eligible, err)
 	}
 	return modules, nil
 }
@@ -404,18 +451,18 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	tr.AlignTo(start)
 	base := tr.Cursor()
 
-	eligible, probing := s.partition(rep, sweep)
-	rep.VMs = len(eligible)
-	if len(eligible) < 2 {
+	targets := s.partition(sweep)
+	rep.VMs = len(targets)
+	if len(targets) < 2 {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf(
-			"modchecker: sweep %d has %d eligible VMs, need at least 2", sweep, len(eligible)))
+			"modchecker: sweep %d has %d eligible VMs, need at least 2", sweep, len(targets)))
 	}
 
 	// One session per sweep: every eligible VM's LDR list is walked exactly
 	// once and the snapshot (plus warm introspection handles) is reused for
 	// every module below. A module loaded between sweeps is observed by the
 	// next sweep's fresh snapshot.
-	session, err := s.checker.NewPoolSweep(eligible...)
+	session, err := s.checker.inner.NewPoolSweep(targets)
 	if err != nil {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf("modchecker: sweep %d: %w", sweep, err))
 	}
@@ -432,7 +479,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 		rep.Resumed = true
 		s.mResumed.Inc()
 	} else if modules = s.modules; modules == nil {
-		if modules, err = s.discoverModules(session, eligible); err != nil {
+		if modules, err = s.discoverModules(session, len(targets)); err != nil {
 			return nil, s.abortSweep(tr, sweep, err)
 		}
 	}
@@ -446,17 +493,6 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	// before. Every abort point is above this line, so the span is released
 	// on the single remaining exit.
 	span := tr.StartSpan("sweep "+strconv.Itoa(sweep), "scanner", trace.PIDPipeline, 0, base)
-
-	// failed maps VMs that produced at least one VerdictError against a
-	// pool that still had healthy members — evidence the VM (not the
-	// module or the pool) is the problem — to the worst fault class seen
-	// (permanent outranks transient; permanent classes feed the breaker).
-	failed := make(map[string]FaultClass)
-	participated := make(map[string]bool)
-	overBudget := make(map[string]bool)
-	for _, vm := range eligible {
-		participated[vm] = true
-	}
 
 	// Stream per-module reports as they complete instead of collecting them
 	// all first: each PoolReport is folded into the sweep report and dropped,
@@ -486,14 +522,14 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 				// exactly like a sweep-budget skip.
 				rep.Remaining = append(rep.Remaining, module)
 				for _, r := range pool.VMReports {
-					overBudget[r.TargetVM] = true
+					s.slot(r.TargetVM).overBudget = true
 				}
 				return
 			}
 			// Nothing could fetch this module: a module-level problem, not
 			// evidence against any VM. Record once and move on.
 			rep.Errors = append(rep.Errors, ModuleError{Module: module,
-				Err: fmt.Errorf("modchecker: %s unreadable on all %d VMs", module, len(eligible))})
+				Err: fmt.Errorf("modchecker: %s unreadable on all %d VMs", module, len(targets))})
 			s.mModuleErrors.Inc()
 			return
 		}
@@ -503,13 +539,16 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 				continue
 			}
 			if r.Verdict == VerdictError {
+				h := s.slot(r.TargetVM)
 				if errors.Is(r.Err, core.ErrVMBudget) {
 					// Out of time, not out of order: no alert, no strike.
-					overBudget[r.TargetVM] = true
+					h.overBudget = true
 					continue
 				}
-				if class := r.ErrClass; class > failed[r.TargetVM] {
-					failed[r.TargetVM] = class
+				// A failure against a pool that still had healthy members:
+				// evidence the VM, not the module or the pool, is the problem.
+				if r.ErrClass > h.failed {
+					h.failed = r.ErrClass
 				}
 			}
 			rep.Alerts = append(rep.Alerts, Alert{
@@ -524,18 +563,8 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	})
 	rep.Timing.Work.Searcher += session.ListTiming
 
-	// Account budget outcomes. Modules never reached become the checkpoint
-	// the next sweep resumes from; VMs dropped by the per-VM budget are
-	// reported but accrue no health movement at all — skipping their health
-	// update keeps readmission probes armed for a sweep that actually
-	// reaches them.
-	for vm := range overBudget {
-		rep.BudgetExceeded = append(rep.BudgetExceeded, vm)
-		delete(participated, vm)
-		delete(probing, vm)
-	}
-	sort.Strings(rep.BudgetExceeded)
-	s.mVMBudget.Add(uint64(len(rep.BudgetExceeded)))
+	// Modules never reached become the checkpoint the next sweep resumes
+	// from. (VMs dropped by the per-VM budget are accounted in updateHealth.)
 	if len(rep.Remaining) > 0 {
 		rep.Partial = true
 		s.checkpoint = make([]string, len(rep.Remaining))
@@ -544,19 +573,12 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	} else {
 		s.checkpoint = nil
 	}
-	if rep.ModulesChecked == 0 {
-		// The sweep established nothing about anyone: freeze the health
-		// machine entirely so probes re-fire and strikes neither grow nor
-		// reset on zero evidence.
-		participated = map[string]bool{}
-		probing = map[string]bool{}
-	}
 
 	// The sweep completed: only now does the health clock advance.
 	s.sweeps = sweep
 	s.mSweeps.Inc()
 	s.mAlerts.Add(uint64(len(rep.Alerts)))
-	s.updateHealth(rep, failed, participated, probing)
+	s.updateHealth(rep)
 	rep.Simulated = s.cloud.Hypervisor().Clock().Now() - start
 	s.hSweepSim.ObserveDuration(rep.Simulated)
 	span.End(
@@ -596,82 +618,33 @@ func allOverVMBudget(pool *PoolReport) bool {
 	return true
 }
 
-// updateHealth advances the health machine after a completed sweep. VMs are
-// visited in sorted order — map iteration order must never leak into the
-// trace's emission sequence.
-func (s *Scanner) updateHealth(rep *SweepReport, failed map[string]FaultClass, participated, probing map[string]bool) {
+// updateHealth advances the health machine after a completed sweep and
+// fills the report's per-VM accounting. It walks the roster in name order,
+// so every list comes out sorted and map iteration order never leaks into
+// the trace's emission sequence. VMs dropped by the per-VM budget are
+// reported but accrue no health movement at all — skipping their update
+// keeps readmission probes armed for a sweep that actually reaches them.
+func (s *Scanner) updateHealth(rep *SweepReport) {
 	quarantineAfter := s.policy.QuarantineAfter
 	if quarantineAfter < 1 {
 		quarantineAfter = 1
 	}
-	vms := make([]string, 0, len(participated))
-	for vm := range participated {
-		vms = append(vms, vm)
-	}
-	sort.Strings(vms)
-	for _, vm := range vms {
-		h := s.healthOf(vm)
-		was := h.state
-		if class, bad := failed[vm]; bad {
-			h.strikes++
-			if class == FaultPermanent {
-				h.permStrikes++
-			} else {
-				h.permStrikes = 0
-			}
-			trip := h.permStrikes >= s.breaker.TripAfter
-			switch {
-			case probing[vm] || h.strikes >= quarantineAfter || trip:
-				// A failed probe re-quarantines immediately; repeat
-				// offenders graduate from suspect; a run of permanent
-				// failures trips the breaker without waiting for either.
-				h.state = HealthQuarantined
-				h.quarantinedAt = s.sweeps
-				s.mQuarantines.Inc()
-				cause := "failed sweep"
-				if trip {
-					cause = "breaker open"
-					if !h.breakerOpen {
-						s.mBreakerTrips.Inc()
-					}
-					h.breakerOpen = true
-				}
-				s.traceHealth(vm, cause, h.state)
-			default:
-				h.state = HealthSuspect
-				if was != HealthSuspect {
-					s.traceHealth(vm, "failed sweep", h.state)
-				}
-			}
-			continue
+	// A sweep that checked no module established nothing about anyone:
+	// freeze the health machine entirely so probes re-fire and strikes
+	// neither grow nor reset on zero evidence.
+	frozen := rep.ModulesChecked == 0
+	rep.Health = make(map[string]HealthState, len(s.vms))
+	rep.healthOrder = s.names
+	for k, i := range s.order {
+		vm, h := s.names[k], &s.vms[i]
+		switch {
+		case h.role == roleSkipped:
+			rep.Skipped = append(rep.Skipped, vm)
+		case h.overBudget:
+			rep.BudgetExceeded = append(rep.BudgetExceeded, vm)
+		case !frozen:
+			s.advance(rep, vm, h, quarantineAfter)
 		}
-		if probing[vm] {
-			rep.Readmitted = append(rep.Readmitted, vm)
-			s.mReadmissions.Inc()
-		}
-		h.state = HealthHealthy
-		h.strikes = 0
-		h.permStrikes = 0
-		if h.breakerOpen {
-			// The half-open probe came back clean: close the breaker and
-			// forgive the domain's control-plane failure streak.
-			h.breakerOpen = false
-			if d := s.cloud.Domain(vm); d != nil {
-				d.ResetControlFailures()
-			}
-			s.traceHealth(vm, "breaker close", h.state)
-		} else if was != HealthHealthy {
-			s.traceHealth(vm, "clean sweep", h.state)
-		}
-	}
-	rep.Health = make(map[string]HealthState, len(s.health))
-	tracked := make([]string, 0, len(s.health))
-	for vm := range s.health {
-		tracked = append(tracked, vm)
-	}
-	sort.Strings(tracked)
-	for _, vm := range tracked {
-		h := s.health[vm]
 		rep.Health[vm] = h.state
 		if h.state == HealthQuarantined {
 			rep.Quarantined = append(rep.Quarantined, vm)
@@ -680,6 +653,62 @@ func (s *Scanner) updateHealth(rep *SweepReport, failed map[string]FaultClass, p
 			rep.BreakerOpen = append(rep.BreakerOpen, vm)
 		}
 	}
-	sort.Strings(rep.Readmitted)
-	sort.Strings(rep.Skipped)
+	s.mVMBudget.Add(uint64(len(rep.BudgetExceeded)))
+}
+
+// advance moves one VM the sweep checked through the health machine.
+func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAfter int) {
+	was := h.state
+	probing := h.role == roleProbe
+	if class := h.failed; class != 0 {
+		h.strikes++
+		if class == FaultPermanent {
+			h.permStrikes++
+		} else {
+			h.permStrikes = 0
+		}
+		trip := h.permStrikes >= s.breaker.TripAfter
+		switch {
+		case probing || h.strikes >= quarantineAfter || trip:
+			// A failed probe re-quarantines immediately; repeat
+			// offenders graduate from suspect; a run of permanent
+			// failures trips the breaker without waiting for either.
+			h.state = HealthQuarantined
+			h.quarantinedAt = s.sweeps
+			s.mQuarantines.Inc()
+			cause := "failed sweep"
+			if trip {
+				cause = "breaker open"
+				if !h.breakerOpen {
+					s.mBreakerTrips.Inc()
+				}
+				h.breakerOpen = true
+			}
+			s.traceHealth(vm, cause, h.state)
+		default:
+			h.state = HealthSuspect
+			if was != HealthSuspect {
+				s.traceHealth(vm, "failed sweep", h.state)
+			}
+		}
+		return
+	}
+	if probing {
+		rep.Readmitted = append(rep.Readmitted, vm)
+		s.mReadmissions.Inc()
+	}
+	h.state = HealthHealthy
+	h.strikes = 0
+	h.permStrikes = 0
+	if h.breakerOpen {
+		// The half-open probe came back clean: close the breaker and
+		// forgive the domain's control-plane failure streak.
+		h.breakerOpen = false
+		if d := s.cloud.Domain(vm); d != nil {
+			d.ResetControlFailures()
+		}
+		s.traceHealth(vm, "breaker close", h.state)
+	} else if was != HealthHealthy {
+		s.traceHealth(vm, "clean sweep", h.state)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // sweepAlertJSON is the stable JSON shape of one sweep alert.
@@ -35,33 +36,97 @@ type sweepTimingJSON struct {
 // omitempty) so downstream tooling can threshold on them without probing
 // for the field.
 type sweepJSON struct {
-	Sweep          int               `json:"sweep"`
-	ModulesChecked int               `json:"modules_checked"`
-	VMs            int               `json:"vms"`
-	Clean          bool              `json:"clean"`
-	Partial        bool              `json:"partial"`
-	Resumed        bool              `json:"resumed"`
-	Alerts         []sweepAlertJSON  `json:"alerts,omitempty"`
-	Errors         []sweepErrorJSON  `json:"errors,omitempty"`
-	Health         map[string]string `json:"health,omitempty"`
-	Quarantined    []string          `json:"quarantined,omitempty"`
-	Readmitted     []string          `json:"readmitted,omitempty"`
-	Skipped        []string          `json:"skipped,omitempty"`
-	SkippedCount   int               `json:"skipped_count"`
-	Remaining      []string          `json:"remaining_modules,omitempty"`
-	RemainingCount int               `json:"remaining_count"`
-	BudgetExceeded []string          `json:"budget_exceeded,omitempty"`
-	BudgetCount    int               `json:"budget_exceeded_count"`
-	BreakerOpen    []string          `json:"breaker_open,omitempty"`
-	SimulatedMS    float64           `json:"simulated_ms"`
-	Timing         sweepTimingJSON   `json:"timing"`
+	Sweep          int              `json:"sweep"`
+	ModulesChecked int              `json:"modules_checked"`
+	VMs            int              `json:"vms"`
+	Clean          bool             `json:"clean"`
+	Partial        bool             `json:"partial"`
+	Resumed        bool             `json:"resumed"`
+	Alerts         []sweepAlertJSON `json:"alerts,omitempty"`
+	Errors         []sweepErrorJSON `json:"errors,omitempty"`
+	Health         *healthJSON      `json:"health,omitempty"`
+	Quarantined    []string         `json:"quarantined,omitempty"`
+	Readmitted     []string         `json:"readmitted,omitempty"`
+	Skipped        []string         `json:"skipped,omitempty"`
+	SkippedCount   int              `json:"skipped_count"`
+	Remaining      []string         `json:"remaining_modules,omitempty"`
+	RemainingCount int              `json:"remaining_count"`
+	BudgetExceeded []string         `json:"budget_exceeded,omitempty"`
+	BudgetCount    int              `json:"budget_exceeded_count"`
+	BreakerOpen    []string         `json:"breaker_open,omitempty"`
+	SimulatedMS    float64          `json:"simulated_ms"`
+	Timing         sweepTimingJSON  `json:"timing"`
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// WriteJSON emits the sweep report as indented JSON. Map keys are sorted by
-// the encoder and every list is already sorted by the scanner, so the bytes
-// are identical across identically seeded runs.
+// healthJSON renders SweepReport.Health as a JSON object whose keys are in
+// sorted order — byte for byte what encoding/json produces for the
+// equivalent map[string]string — without the encoder's reflective key sort.
+type healthJSON struct {
+	vms    []string // sorted keys of health
+	health map[string]HealthState
+}
+
+// MarshalJSON implements json.Marshaler.
+func (h *healthJSON) MarshalJSON() ([]byte, error) {
+	buf := make([]byte, 0, 32*len(h.vms))
+	buf = append(buf, '{')
+	for i, vm := range h.vms {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendJSONString(buf, vm)
+		buf = append(buf, ':')
+		buf = appendJSONString(buf, h.health[vm].String())
+	}
+	return append(buf, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json renders a string with HTML
+// escaping on (the Encoder default). Printable ASCII that needs no escape —
+// every name the testbed generates — is copied through; any other string is
+// rendered by encoding/json itself, so the bytes match by construction.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// sortedHealthVMs returns Health's keys in sorted order: the scanner's
+// roster when the map still holds exactly those names, otherwise (a report
+// built or edited outside the scanner) a fresh sort of the keys.
+func (r *SweepReport) sortedHealthVMs() []string {
+	if len(r.healthOrder) == len(r.Health) && hasAllKeys(r.Health, r.healthOrder) {
+		return r.healthOrder
+	}
+	vms := make([]string, 0, len(r.Health))
+	for vm := range r.Health {
+		vms = append(vms, vm)
+	}
+	sort.Strings(vms)
+	return vms
+}
+
+func hasAllKeys(m map[string]HealthState, keys []string) bool {
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// WriteJSON emits the sweep report as indented JSON. Health renders in
+// sorted key order and every list is already sorted by the scanner, so the
+// bytes are identical across identically seeded runs.
 //
 //moddet:sink sweep JSON must be byte-identical across runs
 func (r *SweepReport) WriteJSON(w io.Writer) error {
@@ -99,10 +164,7 @@ func (r *SweepReport) WriteJSON(w io.Writer) error {
 		out.Errors = append(out.Errors, sweepErrorJSON{Module: e.Module, Error: e.Err.Error()})
 	}
 	if len(r.Health) > 0 {
-		out.Health = make(map[string]string, len(r.Health))
-		for vm, st := range r.Health {
-			out.Health[vm] = st.String()
-		}
+		out.Health = &healthJSON{vms: r.sortedHealthVMs(), health: r.Health}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -163,23 +225,25 @@ func (r *SweepReport) WriteText(w io.Writer) error {
 	if len(r.Quarantined) > 0 {
 		fmt.Fprintf(w, "  quarantined: %s\n", strings.Join(r.Quarantined, ", "))
 	}
-	if len(r.Health) > 0 {
-		vms := make([]string, 0, len(r.Health))
-		notable := 0
-		for vm, st := range r.Health {
-			vms = append(vms, vm)
-			if st != HealthHealthy {
-				notable++
-			}
-		}
-		if notable > 0 {
-			sort.Strings(vms)
-			parts := make([]string, 0, len(vms))
-			for _, vm := range vms {
-				parts = append(parts, vm+"="+r.Health[vm].String())
-			}
-			fmt.Fprintf(w, "  health: %s\n", strings.Join(parts, " "))
+	notable := false
+	for _, st := range r.Health {
+		if st != HealthHealthy {
+			notable = true
+			break
 		}
 	}
-	return nil
+	if !notable {
+		return nil
+	}
+	var b strings.Builder
+	b.WriteString("  health:")
+	for _, vm := range r.sortedHealthVMs() {
+		b.WriteByte(' ')
+		b.WriteString(vm)
+		b.WriteByte('=')
+		b.WriteString(r.Health[vm].String())
+	}
+	b.WriteByte('\n')
+	_, err := io.WriteString(w, b.String())
+	return err
 }
