@@ -1,7 +1,10 @@
 GO ?= go
 FUZZTIME ?= 10s
 BENCHTIME ?= 5x
-BENCHOUT ?= BENCH_9.json
+# make bench writes its record under the ignored .bench_build/, never over a
+# committed BENCH_<n>.json; name a new record explicitly to keep it, e.g.
+# make bench BENCHOUT=BENCH_16.json.
+BENCHOUT ?= .bench_build/bench.json
 CHAOS_SEEDS ?= 20
 
 .PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile
@@ -72,14 +75,17 @@ chaos-poison:
 # The benchmark trajectory: the paper's Figure 7/8 runtime curves, the
 # Section V-B detection scenarios, and the Fig7Sweep15 legacy-vs-pipeline
 # headline pair, rendered to $(BENCHOUT) by cmd/benchjson (host ns/op,
-# sim-ms/op, allocs/op, ptwalks/op, plus the baseline comparison).
+# sim-ms/op, allocs/op, ptwalks/op, plus the comparison against the newest
+# committed BENCH_<n>.json).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep15|BenchmarkFig7RuntimeIdle|BenchmarkFig8RuntimeLoaded|BenchmarkDetect' \
 		-benchtime $(BENCHTIME) -benchmem . > bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep' -benchtime 1x -benchmem . >> bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkScannerSweep' -benchtime $(BENCHTIME) -benchmem . >> bench.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCachedSweep' -benchtime 1x -benchmem . >> bench.out
-	$(GO) run ./cmd/benchjson -out $(BENCHOUT) < bench.out
+	@mkdir -p $(dir $(BENCHOUT))
+	$(GO) run ./cmd/benchjson -out $(BENCHOUT) \
+		-baseline "$$(ls BENCH_*.json 2>/dev/null | grep -vx '$(BENCHOUT)' | sort -t_ -k2 -n | tail -n 1)" < bench.out
 	@rm -f bench.out
 	@echo "wrote $(BENCHOUT)"
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/md5"
 	"fmt"
 	"sort"
@@ -578,13 +579,21 @@ func (c *Checker) compareComponent(a, b *fetched, compA, compB *Component) (bool
 		sb := getScratch(len(dataB))
 		copy(*sa, dataA)
 		copy(*sb, dataB)
-		normalizePairInPlace(*sa, *sb, a.info.Base, b.info.Base)
+		normalizePairInPlace(*sa, *sb, a.info.Base, b.info.Base, nil)
 		dataA, dataB = *sa, *sb
 		defer putScratch(sa)
 		defer putScratch(sb)
 	}
+	// The charge is the nominal hashing of both sides; the host hashes only
+	// when the verdict depends on it. Unequal lengths never match, and
+	// equal bytes always do; only unequal bytes of equal length need the
+	// MD5 comparison, which keeps its semantics exact, collisions included.
 	cost += perKB(len(dataA)+len(dataB), hashCostPerKB)
-	ha := md5.Sum(dataA)
-	hb := md5.Sum(dataB)
-	return len(compA.Data) == len(compB.Data) && ha == hb, cost
+	if len(compA.Data) != len(compB.Data) {
+		return false, cost
+	}
+	if bytes.Equal(dataA, dataB) {
+		return true, cost
+	}
+	return md5.Sum(dataA) == md5.Sum(dataB), cost
 }

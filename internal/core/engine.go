@@ -209,11 +209,17 @@ func (e *engine) run(module string) (*outcome, bool) {
 			}
 		}
 	}
+	// memo holds the reference's normalized sides for the whole run; it is
+	// made only once a shard has something to digest.
+	var memo *refMemo
 	// Cluster copies outlive their shard; every other buffer is released
 	// as soon as its VM is clustered.
 	defer func() {
 		for _, cl := range o.clusters {
 			c.releaseFetched(cl.f)
+		}
+		if memo != nil {
+			memo.release()
 		}
 	}()
 	byKey := map[string]int{"": 0} // only store hits of the reference's own token carry ""
@@ -332,11 +338,14 @@ func (e *engine) run(module string) (*outcome, bool) {
 		}
 
 		// Digest the shard's healthy copies against the reference.
+		if len(toDigest) > 0 && memo == nil {
+			memo = newRefMemo(o.clusters[0].f)
+		}
 		first := len(digestCosts)
 		digestCosts = append(digestCosts, make([]time.Duration, len(toDigest))...)
 		runBounded("digest", len(toDigest), c.stageWorkers(), func(k int) {
 			s := &sl[toDigest[k]-lo]
-			key, cost := c.digestAgainst(o.clusters[0].f, s.f)
+			key, cost := c.digestAgainst(o.clusters[0].f, s.f, memo)
 			s.key = key
 			digestCosts[first+k] = c.charge(cost)
 		})

@@ -32,12 +32,16 @@ func FuzzParseModule(f *testing.F) {
 	})
 }
 
-// FuzzNormalizePair checks the Algorithm 2 implementation never panics and
-// never produces out-of-bounds rewrites for arbitrary input pairs.
+// FuzzNormalizePair is a differential fuzzer of Algorithm 2: the word-at-
+// a-time scan must rewrite exactly the bytes, and report exactly the sites,
+// of the byte-at-a-time reference loop, and never rewrite out of bounds.
 func FuzzNormalizePair(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 2, 9, 9, 5, 6, 7, 8}, uint32(0xF8CC2000), uint32(0xF8D0C000))
 	f.Add([]byte{}, []byte{}, uint32(0), uint32(0))
 	f.Add([]byte{1}, []byte{2}, uint32(1), uint32(2))
+	for _, s := range normalizeSeeds(f) {
+		f.Add(s.d1, s.d2, s.b1, s.b2)
+	}
 	f.Fuzz(func(t *testing.T, d1, d2 []byte, b1, b2 uint32) {
 		n1, n2, sites := NormalizePair(d1, d2, b1, b2)
 		if len(n1) != len(d1) || len(n2) != len(d2) {
@@ -52,5 +56,6 @@ func FuzzNormalizePair(f *testing.F) {
 				t.Fatalf("site %#x beyond comparable range %#x", s, limit)
 			}
 		}
+		checkAgainstBytewise(t, d1, d2, b1, b2)
 	})
 }

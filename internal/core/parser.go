@@ -66,12 +66,20 @@ type ParsedModule struct {
 
 // Component returns the named component, or nil.
 func (m *ParsedModule) Component(name string) *Component {
-	for i := range m.Components {
-		if m.Components[i].Name == name {
-			return &m.Components[i]
-		}
+	if i := m.componentIndex(name); i >= 0 {
+		return &m.Components[i]
 	}
 	return nil
+}
+
+// componentIndex returns the index of the named component, or -1.
+func (m *ParsedModule) componentIndex(name string) int {
+	for i := range m.Components {
+		if m.Components[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // parseCostPerKB is the nominal CPU cost of parsing a module, charged per

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"modchecker/internal/pe"
@@ -60,14 +61,23 @@ func putScratch(p *[]byte) {
 func NormalizePair(data1, data2 []byte, base1, base2 uint32) (n1, n2 []byte, sites []uint32) {
 	n1 = append([]byte(nil), data1...)
 	n2 = append([]byte(nil), data2...)
-	sites = normalizePairInPlace(n1, n2, base1, base2)
+	normalizePairInPlace(n1, n2, base1, base2, &sites)
 	return n1, n2, sites
 }
 
 // normalizePairInPlace is Algorithm 2 operating directly on the two
 // buffers (which it mutates). NormalizePair wraps it with copies; the
-// checker's hot path runs it on pooled scratch buffers instead.
-func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32) (sites []uint32) {
+// checker's hot path runs it on pooled scratch buffers instead. Each
+// rewritten field's offset is appended to *sites when sites is non-nil;
+// the hot path passes nil and allocates nothing.
+//
+// Runs of equal bytes are skipped a word at a time: the XOR of two 8-byte
+// words is zero when they match, and otherwise its trailing zero bits count
+// the equal bytes before the first difference (little-endian loads keep
+// memory order). Every differing byte is therefore visited exactly as the
+// byte-at-a-time loop of the pseudocode visits it, so the rewrites and
+// sites are the same.
+func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, sites *[]uint32) {
 	// Algorithm 2 lines 1-9: find the first differing byte of the bases.
 	le := binary.LittleEndian
 	var b1, b2 [4]byte
@@ -83,18 +93,24 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32) (sites []uint32) {
 	if offset < 0 {
 		// Identical bases: relocated addresses are identical too; any byte
 		// difference is a genuine modification. Nothing to rewrite.
-		return nil
+		return
 	}
 
-	limit := len(n1)
-	if len(n2) < limit {
-		limit = len(n2)
-	}
+	limit := min(len(n1), len(n2))
+	n1, n2 = n1[:limit], n2[:limit]
 	for j := 0; j < limit; {
-		if n1[j] == n2[j] {
+		if j+8 <= limit {
+			x := le.Uint64(n1[j:]) ^ le.Uint64(n2[j:])
+			if x == 0 {
+				j += 8
+				continue
+			}
+			j += bits.TrailingZeros64(x) >> 3
+		} else if n1[j] == n2[j] {
 			j++
 			continue
 		}
+		// n1[j] != n2[j].
 		start := j - offset
 		if start >= 0 && start+4 <= limit {
 			a1 := le.Uint32(n1[start:])
@@ -104,7 +120,9 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32) (sites []uint32) {
 			if rva1 == rva2 {
 				le.PutUint32(n1[start:], rva1)
 				le.PutUint32(n2[start:], rva2)
-				sites = append(sites, uint32(start))
+				if sites != nil {
+					*sites = append(*sites, uint32(start))
+				}
 				j = start + 4
 				continue
 			}
@@ -113,7 +131,6 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32) (sites []uint32) {
 		// Leave the byte and keep scanning.
 		j++
 	}
-	return sites
 }
 
 // NormalizeWithRelocs is the ablation alternative (A2) to the diff scan: it

@@ -4,11 +4,192 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"modchecker/internal/codegen"
 	"modchecker/internal/pe"
 )
+
+// normalizePairBytewise is Algorithm 2 as the pseudocode states it: the scan
+// visits one byte at a time. It is the reference the word-at-a-time scan in
+// normalizePairInPlace must reproduce exactly — same rewrites, same sites —
+// checked by TestNormalizePairMatchesBytewise and FuzzNormalizePair.
+func normalizePairBytewise(n1, n2 []byte, base1, base2 uint32) (sites []uint32) {
+	// Algorithm 2 lines 1-9: find the first differing byte of the bases.
+	le := binary.LittleEndian
+	var b1, b2 [4]byte
+	le.PutUint32(b1[:], base1)
+	le.PutUint32(b2[:], base2)
+	offset := -1
+	for i := 0; i < 4; i++ {
+		if b1[i] != b2[i] {
+			offset = i
+			break
+		}
+	}
+	if offset < 0 {
+		// Identical bases: relocated addresses are identical too; any byte
+		// difference is a genuine modification. Nothing to rewrite.
+		return nil
+	}
+
+	limit := len(n1)
+	if len(n2) < limit {
+		limit = len(n2)
+	}
+	for j := 0; j < limit; {
+		if n1[j] == n2[j] {
+			j++
+			continue
+		}
+		start := j - offset
+		if start >= 0 && start+4 <= limit {
+			a1 := le.Uint32(n1[start:])
+			a2 := le.Uint32(n2[start:])
+			rva1 := a1 - base1
+			rva2 := a2 - base2
+			if rva1 == rva2 {
+				le.PutUint32(n1[start:], rva1)
+				le.PutUint32(n2[start:], rva2)
+				sites = append(sites, uint32(start))
+				j = start + 4
+				continue
+			}
+		}
+		// Not a consistent relocation: a genuine content difference.
+		// Leave the byte and keep scanning.
+		j++
+	}
+	return sites
+}
+
+// checkAgainstBytewise fails t unless NormalizePair and the byte-at-a-time
+// reference agree on both normalized buffers and the site list.
+func checkAgainstBytewise(t *testing.T, d1, d2 []byte, base1, base2 uint32) {
+	t.Helper()
+	n1, n2, sites := NormalizePair(d1, d2, base1, base2)
+	w1 := append([]byte(nil), d1...)
+	w2 := append([]byte(nil), d2...)
+	want := normalizePairBytewise(w1, w2, base1, base2)
+	if !bytes.Equal(n1, w1) || !bytes.Equal(n2, w2) {
+		t.Fatalf("bases %#x/%#x, lengths %d/%d: normalized bytes differ from the byte-at-a-time scan",
+			base1, base2, len(d1), len(d2))
+	}
+	if !slices.Equal(sites, want) {
+		t.Fatalf("bases %#x/%#x: sites %v, byte-at-a-time scan %v", base1, base2, sites, want)
+	}
+}
+
+// normalizeSeed is one input pair for the word-scan differential.
+type normalizeSeed struct {
+	name   string
+	d1, d2 []byte
+	b1, b2 uint32
+}
+
+// normalizeSeeds returns the edge cases of the word-at-a-time scan: word
+// boundaries, short tails, every base offset, rewrite windows reaching back
+// behind the cursor, and a relocation-dense generated code section.
+func normalizeSeeds(t testing.TB) []normalizeSeed {
+	const base1, base2 = 0xF8CC2000, 0xF8D0C000 // first differing byte: 2
+	le := binary.LittleEndian
+	// pair lays addresses at the given offsets into two n-byte sections.
+	pair := func(n int, b1, b2 uint32, offs ...int) ([]byte, []byte) {
+		d1, d2 := make([]byte, n), make([]byte, n)
+		for i := range d1 {
+			d1[i] = byte(i*7 + 1)
+			d2[i] = d1[i]
+		}
+		for k, off := range offs {
+			rva := uint32(0x1234 + 0x100*k)
+			le.PutUint32(d1[off:], b1+rva)
+			le.PutUint32(d2[off:], b2+rva)
+		}
+		return d1, d2
+	}
+	var seeds []normalizeSeed
+	add := func(name string, d1, d2 []byte, b1, b2 uint32) {
+		seeds = append(seeds, normalizeSeed{name, d1, d2, b1, b2})
+	}
+
+	// The address field's differing bytes straddle the 8-byte boundary.
+	d1, d2 := pair(24, base1, base2, 6)
+	add("straddles word boundary", d1, d2, base1, base2)
+	d1, d2 = pair(24, 0xF8CC2000, 0xF8CC9000, 7) // differs at byte 1: 8
+	add("straddles word boundary at offset 1", d1, d2, 0xF8CC2000, 0xF8CC9000)
+	// Tails of 1-7 bytes past the last whole word, an address ending the section.
+	for tail := 1; tail <= 7; tail++ {
+		n := 16 + tail
+		d1, d2 = pair(n, base1, base2, 2, n-4)
+		add("tail", d1, d2, base1, base2)
+	}
+	// Bases whose first differing byte is 1, 2 and 3 (and 0, unaligned).
+	for _, b := range [][2]uint32{
+		{0xF8CC2001, 0xF8CC2002},
+		{0xF8CC2000, 0xF8CC9000},
+		{0xF8CC2000, 0xF8D02000},
+		{0xF8CC2000, 0xF9CC2000},
+	} {
+		d1, d2 = pair(40, b[0], b[1], 0, 4, 13, 27, 36)
+		add("base offset", d1, d2, b[0], b[1])
+	}
+	// A genuine difference right after a rewritten field: its window starts
+	// at 2, inside the field the cursor has just passed.
+	d1, d2 = pair(32, base1, base2, 0)
+	d1[4] ^= 0x5A
+	add("window behind cursor", d1, d2, base1, base2)
+	// Two genuine differences a few bytes apart whose windows overlap.
+	d1, d2 = pair(32, base1, base2, 16)
+	d1[9] ^= 1
+	d2[11] ^= 2
+	add("overlapping windows", d1, d2, base1, base2)
+
+	// A generated code section relocated to two bases, one abs32 operand
+	// every few dozen bytes, with one byte tampered next to a site.
+	const pref, codeRVA = 0x10000, 0x1000
+	prog, err := codegen.New(11).Generate(codegen.GenerateParams{
+		Size: 4096, CodeVA: pref + codeRVA, DataVA: pref + 0x8000, DataSize: 0x1000, MinCave: 4, MaxCave: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relocate := func(base uint32) []byte {
+		out := append([]byte(nil), prog.Code...)
+		for _, off := range prog.RelocOffsets {
+			le.PutUint32(out[off:], le.Uint32(out[off:])-pref+base)
+		}
+		return out
+	}
+	add("codegen section", relocate(base1), relocate(base2), base1, base2)
+	d1 = relocate(base1)
+	d1[prog.RelocOffsets[len(prog.RelocOffsets)/2]+4] ^= 0x90
+	add("codegen section, byte after a site tampered", d1, relocate(base2), base1, base2)
+	return seeds
+}
+
+// TestNormalizePairMatchesBytewise checks the word-at-a-time scan against
+// the byte-at-a-time reference on the edge-case seeds and on random pairs
+// at every base offset, clean and tampered, equal and unequal lengths.
+func TestNormalizePairMatchesBytewise(t *testing.T) {
+	for _, s := range normalizeSeeds(t) {
+		t.Run(s.name, func(t *testing.T) { checkAgainstBytewise(t, s.d1, s.d2, s.b1, s.b2) })
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		base1 := rng.Uint32()
+		base2 := base1 ^ uint32(1+rng.Intn(0xFF))<<(8*rng.Intn(4))
+		d1, d2, _ := buildPair(int64(i), 128+rng.Intn(256), 1+rng.Intn(8), base1, base2)
+		for k := rng.Intn(4); k > 0; k-- {
+			d1[rng.Intn(len(d1))] ^= byte(1 + rng.Intn(255))
+		}
+		if i%5 == 0 {
+			d2 = d2[:rng.Intn(len(d2))]
+		}
+		checkAgainstBytewise(t, d1, d2, base1, base2)
+	}
+}
 
 // buildPair lays one synthetic section out at two bases: identical RVAs,
 // relocated absolute addresses, optional tampering applied to copy 1.

@@ -1,0 +1,231 @@
+package modchecker
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// simcostLedger renders one line per measured step of the simcost
+// scenarios: the exact simulated time, its fetch/digest/compare split, and
+// the introspection and digest-store work the step did.
+type simcostLedger struct {
+	buf   bytes.Buffer
+	cloud *Cloud
+	store *DigestStore // nil: cas_hits stays 0
+	walks uint64
+	read  uint64
+	hits  uint64
+}
+
+// begin snapshots the counters a step's deltas are taken against.
+func (l *simcostLedger) begin(cloud *Cloud, store *DigestStore) {
+	l.cloud, l.store = cloud, store
+	st := cloud.IntrospectionStats()
+	l.walks, l.read, l.hits = st.PTWalks, st.BytesRead, 0
+	if store != nil {
+		l.hits = store.Stats().Hits
+	}
+}
+
+// record writes one step's line and re-snapshots the counters.
+func (l *simcostLedger) record(step string, sim, fetch, digest, compare time.Duration, alerts int) {
+	st := l.cloud.IntrospectionStats()
+	var hits uint64
+	if l.store != nil {
+		hits = l.store.Stats().Hits - l.hits
+	}
+	fmt.Fprintf(&l.buf, "%s sim_ns=%d fetch_ns=%d digest_ns=%d compare_ns=%d pt_walks=%d bytes_read=%d cas_hits=%d alerts=%d\n",
+		step, sim.Nanoseconds(), fetch.Nanoseconds(), digest.Nanoseconds(), compare.Nanoseconds(),
+		st.PTWalks-l.walks, st.BytesRead-l.read, hits, alerts)
+	l.begin(l.cloud, l.store)
+}
+
+// sweep runs one scanner sweep and records it.
+func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
+	t.Helper()
+	rep, err := sc.Sweep()
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	l.record(step, rep.Simulated, rep.Timing.Fetch, rep.Timing.Digest, rep.Timing.Compare, len(rep.Alerts))
+}
+
+// simcostRun drives every simcost scenario once at a fixed seed, each on a
+// fresh cloud, and returns the ledger. The scenarios mirror the benchmarks
+// whose simulated time must not drift under host-side optimizations:
+//
+//   - paper15: perfbench's paper15 workload at seed 1 — 15 booted clones,
+//     WithParallel, TCPIRPHOOK in tcpip.sys and Rustock.B in ntfs.sys on
+//     seed-chosen VMs — swept twice by the scanner.
+//   - fig7-legacy / fig7-pipeline: one BenchmarkFig7Sweep15 iteration each
+//     (15 VMs, seed 42): the sequential full-pairwise CheckPool per module
+//     without translation caches, and the parallel clustered PoolSweep.
+//   - fleet1k: one BenchmarkFleetSweep/vms=1000 iteration.
+//   - cached15: BenchmarkCachedSweep/vms=15, its cold sweep and one warm one.
+//   - churn32: fleet256-churn's revert+patch step on a 32-VM fleet behind a
+//     digest store — a cold sweep, a sweep after patching hal.dll on 4 VMs,
+//     and one after reverting them and patching 4 others.
+func simcostRun(t *testing.T) []byte {
+	t.Helper()
+	var l simcostLedger
+
+	cloud := testCloud(t, 15, 1)
+	names := cloud.VMNames()
+	perm := rand.New(rand.NewSource(1)).Perm(len(names))
+	for i, preset := range []string{"tcpirphook", "rustock.b"} {
+		if err := InfectPreset(cloud, names[perm[i]], preset); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := cloud.NewScanner(WithParallel())
+	l.begin(cloud, nil)
+	l.sweep(t, "paper15 sweep=1", sc)
+	l.sweep(t, "paper15 sweep=2", sc)
+
+	for _, legacy := range []bool{true, false} {
+		cloud, err := NewCloud(CloudConfig{VMs: 15, Seed: 42, NoTranslationCache: legacy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, step := WithParallel(), "fig7-pipeline"
+		if legacy {
+			opt, step = WithFullPairwise(), "fig7-legacy"
+		}
+		checker := cloud.NewChecker(opt)
+		mods, err := checker.ListModules("Dom1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.begin(cloud, nil)
+		var sim time.Duration
+		var stages StageTiming
+		flagged := 0
+		add := func(rep *PoolReport) {
+			sim += rep.Elapsed
+			stages.Fetch += rep.Stages.Fetch
+			stages.Digest += rep.Stages.Digest
+			stages.Compare += rep.Stages.Compare
+			flagged += len(rep.Flagged)
+		}
+		if legacy {
+			for _, m := range mods {
+				rep, err := checker.CheckPool(m.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				add(rep)
+			}
+		} else {
+			sweep, err := checker.NewPoolSweep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim += sweep.ListElapsed
+			modules := make([]string, len(mods))
+			for i, m := range mods {
+				modules[i] = m.Name
+			}
+			for _, rep := range sweep.CheckModules(modules) {
+				add(rep)
+			}
+		}
+		l.record(step, sim, stages.Fetch, stages.Digest, stages.Compare, flagged)
+	}
+
+	fleet, err := NewCloud(CloudConfig{VMs: 1000, Templates: 4, Seed: 42, Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fleet.NewChecker(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	l.begin(fleet, nil)
+	sweep, err := fc.NewPoolSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := sweep.ListElapsed
+	var stages StageTiming
+	flagged := 0
+	sweep.CheckModulesFunc([]string{"dummy.sys", "hal.dll", "ndis.sys"}, func(rep *PoolReport) {
+		sim += rep.Elapsed
+		stages.Fetch += rep.Stages.Fetch
+		stages.Digest += rep.Stages.Digest
+		stages.Compare += rep.Stages.Compare
+		flagged += len(rep.Flagged)
+	})
+	sweep.Close()
+	l.record("fleet1k", sim, stages.Fetch, stages.Digest, stages.Compare, flagged)
+
+	cached, err := NewCloud(CloudConfig{VMs: 15, Templates: 4, Seed: 42, Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewDigestStore(0)
+	sc = cached.NewScanner(WithDigestCache(store))
+	l.begin(cached, store)
+	l.sweep(t, "cached15 cold", sc)
+	l.sweep(t, "cached15 warm", sc)
+
+	churn, err := NewCloud(CloudConfig{VMs: 32, Templates: 4, Seed: 3, Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names = churn.VMNames()
+	for _, vm := range names {
+		if err := churn.Domain(vm).TakeSnapshot("boot"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store = NewDigestStore(0)
+	sc = churn.NewScanner(WithDigestCache(store))
+	l.begin(churn, store)
+	l.sweep(t, "churn32 cold", sc)
+	// Never the first VM: it is the sweep's reference (see perfbench).
+	order := rand.New(rand.NewSource(3)).Perm(len(names) - 1)
+	var patched []string
+	for step := 1; step <= 2; step++ {
+		for _, vm := range patched {
+			if err := churn.Domain(vm).Revert("boot"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		patched = patched[:0]
+		for _, k := range order[4*(step-1) : 4*step] {
+			patched = append(patched, names[1+k])
+		}
+		for _, vm := range patched {
+			if err := InfectOpcode(churn, vm, "hal.dll"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.sweep(t, fmt.Sprintf("churn32 step=%d", step), sc)
+	}
+	return l.buf.Bytes()
+}
+
+// TestSimCostGolden byte-compares the simulated cost of the simcost
+// scenarios with testdata/simcost.golden, generated before the leaf-layer
+// optimizations of Algorithm 2 and MD5 (see testdata/README.md for the
+// exact commands). Host-side optimizations must leave every simulated
+// nanosecond, stage split, page-table walk, byte read and store hit as it
+// was; any drift shows up here.
+func TestSimCostGolden(t *testing.T) {
+	got := simcostRun(t)
+	path := filepath.Join("testdata", "simcost.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("simulated costs differ from %s:\n got: %s\nwant: %s", path, got, want)
+	}
+}
