@@ -1,9 +1,11 @@
 // Command modlint runs the project's static-analysis suite (internal/lint)
 // over the module: rules the Go compiler cannot enforce but the simulation
-// depends on — simulated-clock discipline, mutex conventions, guest-memory
-// aliasing, error prefixes, goroutine hygiene, and the whole-program
-// audits: moddet (determinism), modsafe (soundness), and modown
-// (ownership). See docs/static-analysis.md.
+// depends on — simulated-clock discipline, guest-memory aliasing, error
+// prefixes, goroutine hygiene, and the whole-program audits: moddet
+// (determinism, and "// guarded by" fields held across calls), modsafe
+// (soundness: lock order, locks and annotated resources released on every
+// path, charged work), and modown (ownership). Copied mutexes are left to
+// go vet's copylocks check. See docs/static-analysis.md.
 //
 // Usage:
 //
@@ -19,17 +21,19 @@
 // code scanning ingests.
 //
 // -run restricts the run to an exact comma-separated list of rule names
-// (as printed by -list): only analyzers owning a named rule execute, and
-// only findings under the named rules are reported. A name that matches
-// no rule is a usage error — a typo must not silently pass CI.
+// (as printed by -list): only analyzers and passes owning a named rule
+// execute, and only findings under the named rules are reported.
+// //modlint:ignore directives naming any other rule stay valid. A name
+// that matches no rule is a usage error — a typo must not silently pass CI.
 //
 // The moddet/modsafe/modown whole-program passes need to see every package
 // at once, so they run only when the whole module is loaded (the "./..."
-// default); explicit package-directory runs get the per-package rules
-// alone. Whole-program analysis degrades gracefully on type-check
-// failures: affected packages drop out of the interprocedural passes, the
-// substrate errors go to stderr, and a run with errors but no findings
-// exits 2 rather than reporting a clean bill it cannot back.
+// default), over one type-check and one call graph (modgraph.Suite);
+// explicit package-directory runs get the per-package rules alone.
+// Whole-program analysis degrades gracefully on type-check failures:
+// affected packages drop out of the interprocedural passes, the substrate
+// errors go to stderr, and a run with errors but no findings exits 2
+// rather than reporting a clean bill it cannot back.
 package main
 
 import (
@@ -37,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,122 +49,105 @@ import (
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/moddet"
+	"modchecker/internal/lint/modgraph"
 	"modchecker/internal/lint/modown"
 	"modchecker/internal/lint/modsafe"
 )
 
-// moduleAnalyzers constructs the whole-program analyzer set for a module
-// path ("" is fine for rule listing).
-func moduleAnalyzers(modulePath string) []lint.ModuleAnalyzer {
-	return []lint.ModuleAnalyzer{
-		moddet.New(modulePath),
-		modsafe.New(modulePath),
-		modown.New(modulePath),
-	}
-}
-
-// knownRules is a non-running ModuleAnalyzer whose only job is to keep the
-// unselected rules resolvable under -run: //modlint:ignore directives
-// naming a deselected rule must stay valid, not become findings.
-type knownRules struct{ names []string }
-
-func (k knownRules) Name() string    { return "known-rules" }
-func (k knownRules) Doc() string     { return "rule names registered for suppression resolution only" }
-func (k knownRules) Rules() []string { return k.names }
-func (k knownRules) CheckModule([]*lint.Package, lint.SuppressionSet) []lint.Finding {
-	return nil
-}
+// passes is the whole-program pass set, in -list order.
+var passes = []modgraph.Pass{moddet.Pass, modsafe.Pass, modown.Pass}
 
 func main() {
-	list := flag.Bool("list", false, "list the rules and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	sarifOut := flag.String("sarif", "", "also write a SARIF 2.1.0 log to this `file`")
-	runFilter := flag.String("run", "", "run only these exact `rule,...` names (see -list); an unknown name is an error")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: modlint [-list] [-json] [-sarif file] [-run rule,...] [./... | package dirs]\n")
-		flag.PrintDefaults()
+	wd, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "modlint:", err)
+		os.Exit(2)
 	}
-	flag.Parse()
+	os.Exit(run(wd, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the driver: it lints the module containing wd as args direct and
+// returns the exit code (0 clean, 1 findings, 2 usage or load error).
+func run(wd string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("modlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the rules and exit")
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text lines")
+	sarifOut := fs.String("sarif", "", "also write a SARIF 2.1.0 log to this `file`")
+	runFilter := fs.String("run", "", "run only these exact `rule,...` names (see -list); an unknown name is an error")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: modlint [-list] [-json] [-sarif file] [-run rule,...] [./... | package dirs]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "modlint:", err)
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-18s %s\n", a.Name(), a.Doc())
+			fmt.Fprintf(stdout, "%-18s %s\n", a.Name(), a.Doc())
 		}
-		for _, m := range moduleAnalyzers("") {
-			for _, r := range m.Rules() {
-				fmt.Printf("%-18s %s\n", r, m.Name()+": "+m.Doc())
+		for _, p := range passes {
+			for _, r := range p.Rules {
+				fmt.Fprintf(stdout, "%-18s %s\n", r, p.Name+": "+p.Doc)
 			}
 		}
-		return
+		return 0
 	}
 
-	selected, err := parseRunFilter(*runFilter, analyzers)
+	only, err := parseRunFilter(*runFilter, analyzers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "modlint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	root, err := moduleRoot()
+	root, err := moduleRoot(wd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "modlint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	pkgs, wholeModule, err := load(root, flag.Args())
+	pkgs, wholeModule, err := load(root, wd, fs.Args())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "modlint:", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	var modAnalyzers []lint.ModuleAnalyzer
+	var mod lint.ModuleAnalyzer
 	if wholeModule {
-		modAnalyzers = moduleAnalyzers(moddet.ReadModulePath(root))
+		mod = modgraph.Suite{Path: modgraph.ReadModulePath(root), Passes: passes}
 	}
 
-	if selected != nil {
-		analyzers, modAnalyzers = applyRunFilter(selected, analyzers, modAnalyzers)
-	}
-
-	findings, errs := lint.RunAllErrs(pkgs, analyzers, modAnalyzers)
+	findings, errs := lint.RunAll(pkgs, analyzers, mod, only)
 	for _, e := range errs {
-		fmt.Fprintln(os.Stderr, "modlint: substrate:", e)
-	}
-	if selected != nil {
-		kept := findings[:0]
-		for _, f := range findings {
-			if selected[f.Rule] {
-				kept = append(kept, f)
-			}
-		}
-		findings = kept
+		fmt.Fprintln(stderr, "modlint: substrate:", e)
 	}
 	relativize(root, findings)
 	if *sarifOut != "" {
 		if err := writeSARIFFile(*sarifOut, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "modlint:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	}
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "modlint:", err)
-			os.Exit(2)
+		if err := writeJSON(stdout, findings); err != nil {
+			return fail(err)
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "modlint: %d finding(s)\n", len(findings))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "modlint: %d finding(s)\n", len(findings))
+		return 1
 	}
 	if len(errs) > 0 {
 		// No findings, but parts of the module never got analyzed: that is
 		// not a clean bill.
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // parseRunFilter validates a -run spec against the full rule universe
@@ -170,87 +158,23 @@ func parseRunFilter(spec string, analyzers []lint.Analyzer) (map[string]bool, er
 	if spec == "" {
 		return nil, nil
 	}
-	known := make(map[string]bool)
+	known := modgraph.Suite{Passes: passes}.Rules()
 	for _, a := range analyzers {
-		known[a.Name()] = true
+		known = append(known, a.Name())
 	}
-	for _, m := range moduleAnalyzers("") {
-		for _, r := range m.Rules() {
-			known[r] = true
-		}
-	}
+	sort.Strings(known)
 	selected := make(map[string]bool)
 	for _, name := range strings.Split(spec, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			return nil, fmt.Errorf("-run: empty rule name in %q", spec)
 		}
-		if !known[name] {
-			all := make([]string, 0, len(known))
-			for r := range known {
-				all = append(all, r)
-			}
-			sort.Strings(all)
-			return nil, fmt.Errorf("-run: unknown rule %q (known rules: %s)", name, strings.Join(all, ", "))
+		if i := sort.SearchStrings(known, name); i == len(known) || known[i] != name {
+			return nil, fmt.Errorf("-run: unknown rule %q (known rules: %s)", name, strings.Join(known, ", "))
 		}
 		selected[name] = true
 	}
 	return selected, nil
-}
-
-// applyRunFilter keeps the per-package analyzers named by the filter and
-// the whole-program analyzers owning at least one selected rule. The
-// deselected rule names ride along in a knownRules stub so existing
-// //modlint:ignore directives naming them still resolve.
-func applyRunFilter(selected map[string]bool, analyzers []lint.Analyzer, modAnalyzers []lint.ModuleAnalyzer) ([]lint.Analyzer, []lint.ModuleAnalyzer) {
-	var keptA []lint.Analyzer
-	var rest []string
-	for _, a := range analyzers {
-		if selected[a.Name()] {
-			keptA = append(keptA, a)
-		} else {
-			rest = append(rest, a.Name())
-		}
-	}
-	var keptM []lint.ModuleAnalyzer
-	for _, m := range modAnalyzers {
-		keep := false
-		for _, r := range m.Rules() {
-			if selected[r] {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			keptM = append(keptM, m)
-		} else {
-			rest = append(rest, m.Rules()...)
-		}
-	}
-	// Rules the stub must also cover even when no module analyzers run
-	// (package-dir invocations): the whole-program rule names.
-	seen := make(map[string]bool, len(rest))
-	for _, r := range rest {
-		seen[r] = true
-	}
-	for _, m := range moduleAnalyzers("") {
-		for _, r := range m.Rules() {
-			covered := seen[r]
-			for _, k := range keptM {
-				for _, kr := range k.Rules() {
-					if kr == r {
-						covered = true
-					}
-				}
-			}
-			if !covered {
-				seen[r] = true
-				rest = append(rest, r)
-			}
-		}
-	}
-	sort.Strings(rest)
-	return keptA, append(keptM, knownRules{names: rest})
 }
 
 // relativize rewrites finding paths to be module-root-relative, the form CI
@@ -274,7 +198,7 @@ type jsonFinding struct {
 }
 
 // writeJSON renders findings as an indented JSON array ("[]" when clean).
-func writeJSON(w *os.File, findings []lint.Finding) error {
+func writeJSON(w io.Writer, findings []lint.Finding) error {
 	out := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
 		out = append(out, jsonFinding{
@@ -293,11 +217,7 @@ func writeJSON(w *os.File, findings []lint.Finding) error {
 
 // moduleRoot walks up from the working directory to the directory holding
 // go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
+func moduleRoot(dir string) (string, error) {
 	for {
 		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 			return dir, nil
@@ -314,7 +234,7 @@ func moduleRoot() (string, error) {
 // module; any other argument is a package directory, with a trailing
 // "/..." loading it recursively. The second result reports whether the
 // whole module was loaded (the precondition for the moddet passes).
-func load(root string, patterns []string) ([]*lint.Package, bool, error) {
+func load(root, wd string, patterns []string) ([]*lint.Package, bool, error) {
 	fset := token.NewFileSet()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -340,7 +260,7 @@ func load(root string, patterns []string) ([]*lint.Package, bool, error) {
 			wholeModule = true
 			add(ps)
 		case strings.HasSuffix(pat, "/..."):
-			dir, err := resolveDir(root, strings.TrimSuffix(pat, "/..."))
+			dir, err := resolveDir(root, wd, strings.TrimSuffix(pat, "/..."))
 			if err != nil {
 				return nil, false, err
 			}
@@ -361,7 +281,7 @@ func load(root string, patterns []string) ([]*lint.Package, bool, error) {
 			}
 			add(ps)
 		default:
-			dir, err := resolveDir(root, pat)
+			dir, err := resolveDir(root, wd, pat)
 			if err != nil {
 				return nil, false, err
 			}
@@ -385,7 +305,7 @@ func load(root string, patterns []string) ([]*lint.Package, bool, error) {
 	return pkgs, wholeModule, nil
 }
 
-func resolveDir(root, pat string) (string, error) {
+func resolveDir(root, wd, pat string) (string, error) {
 	dir := pat
 	if !filepath.IsAbs(dir) {
 		wd, err := os.Getwd()

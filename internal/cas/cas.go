@@ -98,12 +98,12 @@ type storeKey struct {
 // Store is the two-tier content-addressed store.
 type Store struct {
 	mu         sync.Mutex
-	digests    map[string]Entry
-	mismatches map[string][]string
-	order      []storeKey // insertion order across both maps, for FIFO eviction
-	max        int
-	stats      Stats
-	log        *logFile // nil: in-memory only
+	digests    map[string]Entry    // guarded by mu
+	mismatches map[string][]string // guarded by mu
+	order      []storeKey          // guarded by mu; insertion order across both maps, for FIFO eviction
+	max        int                 // guarded by mu
+	stats      Stats               // guarded by mu
+	log        *logFile            // guarded by mu; nil: in-memory only
 }
 
 // NewStore creates an in-memory store. maxEntries bounds the total entry

@@ -87,12 +87,12 @@ type Plan struct {
 	seed int64
 
 	mu          sync.Mutex
-	vms         map[string]*vmPlan
-	ctl         map[string]*vmControl
-	hangLatency time.Duration
-	onEvent     func(vm string, ev Event)
-	onInject    func(vm string, idx uint64, kind string)
-	onControl   func(vm string, op Op, idx uint64, kind string)
+	vms         map[string]*vmPlan                              // guarded by mu
+	ctl         map[string]*vmControl                           // guarded by mu
+	hangLatency time.Duration                                   // guarded by mu
+	onEvent     func(vm string, ev Event)                       // guarded by mu
+	onInject    func(vm string, idx uint64, kind string)        // guarded by mu
+	onControl   func(vm string, op Op, idx uint64, kind string) // guarded by mu
 }
 
 // NewPlan creates an empty plan. All rate-based decisions derive from seed;

@@ -25,6 +25,7 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 		seed:         seed,
 		phys:         phys,
 		as:           as,
+		res:          idleResources(seed),
 		nextModuleVA: g.nextModuleVA,
 		disk:         g.disk,
 		modules:      make(map[string]*LoadedModule, len(g.modules)),
@@ -36,6 +37,5 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 		c.modules[k] = v
 	}
 	c.pool = &poolAllocator{as: as, next: g.pool.next, mappedEnd: g.pool.mappedEnd, limit: g.pool.limit}
-	c.res.init(seed)
 	return c
 }

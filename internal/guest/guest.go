@@ -76,12 +76,12 @@ type Guest struct {
 	res resourceState // independently synchronized
 
 	mu   sync.Mutex
-	rng  *rand.Rand // lazily created from seed; forks never pay for one
-	pool *poolAllocator
+	rng  *rand.Rand     // guarded by mu; New seeds it, forks create it lazily (see bootRNG)
+	pool *poolAllocator // guarded by mu
 	// nextModuleVA is the bump pointer for module load addresses.
-	nextModuleVA uint32
-	modules      map[string]*LoadedModule // lowercase name -> record
-	disk         map[string][]byte        // swapped whole on mutation (copy-on-write)
+	nextModuleVA uint32                   // guarded by mu
+	modules      map[string]*LoadedModule // guarded by mu; lowercase name -> record
+	disk         map[string][]byte        // guarded by mu; swapped whole on mutation (copy-on-write)
 }
 
 // LoadedModule records where a module was mapped and where its loader
@@ -117,11 +117,12 @@ func New(cfg Config) (*Guest, error) {
 		seed:    cfg.BootSeed,
 		phys:    phys,
 		as:      as,
+		res:     idleResources(cfg.BootSeed),
+		rng:     rand.New(rand.NewSource(cfg.BootSeed)), // booting draws from it at once
+		pool:    newPoolAllocator(as, poolBaseVA, poolEndVA),
 		disk:    cfg.Disk,
 		modules: make(map[string]*LoadedModule),
 	}
-	g.pool = newPoolAllocator(as, poolBaseVA, poolEndVA)
-	g.res.init(cfg.BootSeed)
 
 	// Map the kernel-globals page and initialize the empty module list
 	// (head points at itself).
@@ -137,7 +138,7 @@ func New(cfg Config) (*Guest, error) {
 	// jitter, so clones load the same modules at different addresses
 	// (real XP bases drift with boot-time pool state and device
 	// enumeration order).
-	g.nextModuleVA = driverAreaVA + uint32(g.bootRNG().Intn(256))*mm.PageSize
+	g.nextModuleVA = driverAreaVA + uint32(g.rng.Intn(256))*mm.PageSize
 
 	names := make([]string, 0, len(cfg.Disk))
 	for name := range cfg.Disk {
@@ -237,7 +238,7 @@ func foldName(s string) string {
 // bootRNG returns the guest's seeded boot/loader RNG, creating it on first
 // use. Laziness matters at fleet scale: a rand.Rand costs ~5 KiB, and a
 // forked clone that never loads another module never needs one. Callers
-// must hold g.mu (or be inside New, before the guest is shared).
+// must hold g.mu.
 func (g *Guest) bootRNG() *rand.Rand {
 	if g.rng == nil {
 		g.rng = rand.New(rand.NewSource(g.seed))

@@ -32,22 +32,24 @@ type ResourceSample struct {
 // loads); out-of-band VMI reads of guest-physical memory do not touch it —
 // which is precisely the property Figure 9 demonstrates.
 type resourceState struct {
-	mu   sync.Mutex
-	seed int64
-	rng  *rand.Rand // lazily created from seed on first Sample (~5 KiB each)
+	seed int64 // set at construction, immutable after
 
-	uptimeMS uint64
-	cpuLoad  float64 // demanded CPU fraction [0,1]
-	memLoad  float64 // fraction of memory the workload claims
-	diskLoad float64 // disk demand fraction [0,1]
-	netLoad  float64
+	mu  sync.Mutex
+	rng *rand.Rand // guarded by mu; lazily created from seed on first Sample (~5 KiB each)
 
-	faultBurst float64 // transient page-fault pressure (decays per tick)
+	uptimeMS uint64  // guarded by mu
+	cpuLoad  float64 // guarded by mu; demanded CPU fraction [0,1]
+	memLoad  float64 // guarded by mu; fraction of memory the workload claims
+	diskLoad float64 // guarded by mu; disk demand fraction [0,1]
+	netLoad  float64 // guarded by mu
+
+	faultBurst float64 // guarded by mu; transient page-fault pressure (decays per tick)
 }
 
-func (r *resourceState) init(seed int64) {
-	r.seed = seed
-	r.cpuLoad, r.memLoad, r.diskLoad, r.netLoad = 0.01, 0.05, 0.01, 0.01
+// idleResources returns the resource state of a freshly started guest,
+// which keeps small default demand levels until a workload sets them.
+func idleResources(seed int64) resourceState {
+	return resourceState{seed: seed, cpuLoad: 0.01, memLoad: 0.05, diskLoad: 0.01, netLoad: 0.01}
 }
 
 // SetLoad sets the workload demand levels (clamped to [0,1]). The stress

@@ -1,12 +1,17 @@
 // Package lint is modlint's engine: a stdlib-only static-analysis
-// framework that loads every package in the module and runs a set of
-// project-specific analyzers over their syntax trees.
+// framework that loads every package in the module, runs the per-package
+// analyzers over their syntax trees, and hands the whole package set to
+// one whole-program analyzer (modgraph.Suite, which runs the moddet,
+// modsafe and modown passes over a single type-check and call graph).
 //
-// The rules encode invariants of the ModChecker simulation that the Go
-// compiler cannot check — the simulated-clock discipline, the "mutex
-// guards the fields below it" convention, the no-aliasing rule for guest
-// memory, the error-prefix convention, and goroutine hygiene. Each rule
-// is documented in docs/static-analysis.md.
+// The per-package rules encode invariants of the ModChecker simulation
+// that the Go compiler cannot check — the simulated-clock discipline, the
+// no-aliasing rule for guest memory, the error-prefix convention, and
+// goroutine hygiene. Lock discipline is whole-program: "// guarded by"
+// fields (moddet's lockflow), Lock/Unlock pairing (modsafe's
+// releasetrack) and lock order (lockorder); mutex copies are left to
+// go vet's copylocks check. Each rule is documented in
+// docs/static-analysis.md.
 //
 // Findings can be suppressed with a trailing or preceding comment of the
 // form
@@ -80,41 +85,26 @@ type Analyzer interface {
 	Check(p *Package) []Finding
 }
 
-// ModuleAnalyzer is a whole-program rule: it sees every package of the
-// module at once, so it can reason across call boundaries (the moddet
-// determinism auditor). Module analyzers receive the run's suppression set
-// up front — interprocedural passes need to know a site is suppressed
-// *before* propagating facts from it, not merely filter the final report.
+// ModuleAnalyzer is the whole-program half of a run (modgraph.Suite): it
+// sees every package of the module at once, so it can reason across call
+// boundaries. It receives the run's suppression set up front —
+// interprocedural passes need to know a site is suppressed *before*
+// propagating facts from it, not merely filter the final report.
 type ModuleAnalyzer interface {
-	// Name identifies the analyzer in -list output.
-	Name() string
-	// Doc is a one-line description for -list output.
-	Doc() string
-	// Rules lists every rule identifier the analyzer can report (one module
-	// analyzer may own several rules); ignore directives naming any of them
-	// are valid.
+	// Rules lists every rule identifier the analyzer can report; ignore
+	// directives naming any of them are valid whether or not they run.
 	Rules() []string
-	// CheckModule inspects the whole package set and returns raw findings;
-	// RunAll applies suppression to whatever is returned, but the analyzer
-	// should consult sup for sites whose facts must not propagate.
-	CheckModule(pkgs []*Package, sup SuppressionSet) []Finding
-}
-
-// ModuleAnalyzerErrs is the optional error-aware face of a ModuleAnalyzer:
-// CheckModuleErrs returns findings together with the substrate's soft
-// load/type-check errors, so a broken package in one module cannot
-// silently shrink the findings of another. RunAllErrs uses it when the
-// analyzer implements it and falls back to CheckModule otherwise.
-type ModuleAnalyzerErrs interface {
-	ModuleAnalyzer
-	CheckModuleErrs(pkgs []*Package, sup SuppressionSet) ([]Finding, []error)
+	// CheckModule inspects the whole package set, running only the work
+	// that owns a rule in only (all of it when only is nil). It returns raw
+	// findings, which RunAll filters through sup, plus the soft
+	// load/type-check errors that made packages drop out of the analysis.
+	CheckModule(pkgs []*Package, sup SuppressionSet, only map[string]bool) ([]Finding, []error)
 }
 
 // Analyzers returns the full rule set in reporting order.
 func Analyzers() []Analyzer {
 	return []Analyzer{
 		clockDiscipline{},
-		lockDiscipline{},
 		sliceEscape{},
 		errPrefix{},
 		goroutineCapture{},
@@ -229,65 +219,66 @@ func LoadModule(fset *token.FileSet, root string) ([]*Package, error) {
 // suppressed findings, and returns the rest sorted by position. Ignore
 // directives that lack a reason are reported as findings themselves.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
-	return RunAll(pkgs, analyzers, nil)
-}
-
-// RunAll executes the per-package analyzers and then the whole-program
-// analyzers over the package set, applies //modlint:ignore suppression to
-// everything, and returns the surviving findings sorted by position.
-// Substrate load errors are dropped; drivers that must distinguish "clean"
-// from "could not analyze" use RunAllErrs.
-func RunAll(pkgs []*Package, analyzers []Analyzer, modAnalyzers []ModuleAnalyzer) []Finding {
-	out, _ := RunAllErrs(pkgs, analyzers, modAnalyzers)
+	out, _ := RunAll(pkgs, analyzers, nil, nil)
 	return out
 }
 
-// RunAllErrs is RunAll plus the substrate errors the module analyzers hit
-// on the way: soft type-check failures that made a package drop out of
-// whole-program analysis. Findings and errors are distinct results — a
-// broken package in one corner of the module reduces coverage there but
-// must not mask findings elsewhere, and a non-empty error list means the
-// finding list is a lower bound, not a verdict. Errors are deduplicated
-// by message (several analyzers type-check the same substrate) and sorted.
-func RunAllErrs(pkgs []*Package, analyzers []Analyzer, modAnalyzers []ModuleAnalyzer) ([]Finding, []error) {
+// RunAll executes the per-package analyzers and then the whole-program
+// analyzer mod (nil when the whole module is not loaded) over the package
+// set, applies //modlint:ignore suppression to everything, and returns the
+// surviving findings sorted by position. only, when non-nil, is the set of
+// rules to run and report; ignore directives naming any other rule the
+// analyzers own stay valid.
+//
+// The second result is the substrate errors mod hit on the way: soft
+// type-check failures that made a package drop out of whole-program
+// analysis. Findings and errors are distinct results — a broken package in
+// one corner of the module reduces coverage there but must not mask
+// findings elsewhere, and a non-empty error list means the finding list is
+// a lower bound, not a verdict. Errors are deduplicated by message and
+// sorted.
+func RunAll(pkgs []*Package, analyzers []Analyzer, mod ModuleAnalyzer, only map[string]bool) ([]Finding, []error) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name()] = true
 	}
-	for _, m := range modAnalyzers {
-		for _, r := range m.Rules() {
+	if mod != nil {
+		for _, r := range mod.Rules() {
 			known[r] = true
 		}
 	}
 	sup, out := CollectSuppressions(pkgs, known)
+	if only != nil {
+		out = nil // directive hygiene is not a selectable rule
+	}
+	keep := func(f Finding) bool {
+		return (only == nil || only[f.Rule]) && !sup.Suppressed(f.Pos.Filename, f.Pos.Line, f.Rule)
+	}
 	for _, p := range pkgs {
 		for _, a := range analyzers {
+			if only != nil && !only[a.Name()] {
+				continue
+			}
 			for _, f := range a.Check(p) {
-				if !sup.Suppressed(f.Pos.Filename, f.Pos.Line, f.Rule) {
+				if keep(f) {
 					out = append(out, f)
 				}
 			}
 		}
 	}
-	seenErr := make(map[string]bool)
 	var errs []error
-	for _, m := range modAnalyzers {
-		var fs []Finding
-		if me, ok := m.(ModuleAnalyzerErrs); ok {
-			var es []error
-			fs, es = me.CheckModuleErrs(pkgs, sup)
-			for _, e := range es {
-				if e != nil && !seenErr[e.Error()] {
-					seenErr[e.Error()] = true
-					errs = append(errs, e)
-				}
-			}
-		} else {
-			fs = m.CheckModule(pkgs, sup)
-		}
+	if mod != nil {
+		fs, es := mod.CheckModule(pkgs, sup, only)
 		for _, f := range fs {
-			if !sup.Suppressed(f.Pos.Filename, f.Pos.Line, f.Rule) {
+			if keep(f) {
 				out = append(out, f)
+			}
+		}
+		seenErr := make(map[string]bool)
+		for _, e := range es {
+			if e != nil && !seenErr[e.Error()] {
+				seenErr[e.Error()] = true
+				errs = append(errs, e)
 			}
 		}
 	}
@@ -454,17 +445,6 @@ func exprString(e ast.Expr) string {
 	return ""
 }
 
-// isSyncSelector reports whether t is the type sync.<name> as written in
-// source (the sync package imported under its default name or an alias).
-func isSyncSelector(t ast.Expr, syncName, typeName string) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == syncName && sel.Sel.Name == typeName
-}
-
 // funcsOf yields every function and method declaration in the file.
 func funcsOf(f *ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
@@ -476,32 +456,20 @@ func funcsOf(f *ast.File) []*ast.FuncDecl {
 	return out
 }
 
-// recvTypeName returns the receiver's named type ("" for functions).
-func recvTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.ParenExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name
-		default:
-			return ""
-		}
-	}
-}
-
 // recvName returns the receiver variable name ("" when anonymous).
 func recvName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
 		return ""
 	}
 	return fd.Recv.List[0].Names[0].Name
+}
+
+// inspectScope walks n in source order, skipping nested function literals.
+func inspectScope(n ast.Node, fn func(ast.Node) bool) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		if _, ok := m.(*ast.FuncLit); ok {
+			return false
+		}
+		return fn(m)
+	})
 }

@@ -73,7 +73,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}{
 		{"clockdiscipline", "clockdiscipline", "internal/clockfix"},
 		{"clockdiscipline", "clockstrict", "internal/trace"},
-		{"lockdiscipline", "lockdiscipline", "internal/lockfix"},
 		{"sliceescape", "sliceescape", "internal/mm"},
 		{"errprefix", "errprefix", "internal/errfix"},
 		{"goroutinecapture", "goroutinecapture", "internal/gofix"},
@@ -159,7 +158,6 @@ func TestKnownBadCorpusFails(t *testing.T) {
 	dirs := []struct{ dir, relDir string }{
 		{"clockdiscipline", "internal/clockfix"},
 		{"clockstrict", "internal/trace"},
-		{"lockdiscipline", "internal/lockfix"},
 		{"sliceescape", "internal/mm"},
 		{"errprefix", "internal/errfix"},
 		{"goroutinecapture", "internal/gofix"},
@@ -213,7 +211,8 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
 	}
-	for _, f := range RunAll(pkgs, Analyzers(), []ModuleAnalyzer{downstreamRules{}}) {
+	findings, _ := RunAll(pkgs, Analyzers(), downstreamRules{}, nil)
+	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 }
@@ -222,11 +221,9 @@ func TestRepoIsClean(t *testing.T) {
 // exercising RunAll's merge behavior without real packages.
 type emitStub struct{ fs []Finding }
 
-func (e emitStub) Name() string    { return "emit" }
-func (e emitStub) Doc() string     { return "test emitter" }
 func (e emitStub) Rules() []string { return []string{"emit"} }
-func (e emitStub) CheckModule([]*Package, SuppressionSet) []Finding {
-	return e.fs
+func (e emitStub) CheckModule([]*Package, SuppressionSet, map[string]bool) ([]Finding, []error) {
+	return e.fs, nil
 }
 
 // TestRunAllOrdersAndDedupes pins the merged stream's contract: findings are
@@ -252,7 +249,7 @@ func TestRunAllOrdersAndDedupes(t *testing.T) {
 		at("a.go", 9, 4, "aaa", "later column loses to earlier column despite rule order"),
 		at("b.go", 1, 1, "aaa", "second file sorts last"),
 	}
-	got := RunAll(nil, nil, []ModuleAnalyzer{emitStub{fs: in}})
+	got, _ := RunAll(nil, nil, emitStub{fs: in}, nil)
 	if len(got) != len(want) {
 		t.Fatalf("RunAll returned %d findings, want %d: %v", len(got), len(want), got)
 	}
@@ -263,18 +260,17 @@ func TestRunAllOrdersAndDedupes(t *testing.T) {
 	}
 }
 
-// downstreamRules registers the rule names of the module analyzers the
-// cmd/modlint driver adds (moddet, modsafe) without importing them — they
-// depend on this package, so the real constructors cannot ride along here.
+// downstreamRules registers the rule names of the whole-program passes the
+// cmd/modlint driver adds (moddet, modsafe, modown) without importing them
+// — they depend on this package, so the real suite cannot ride along here.
 // Registering the names keeps ignore directives targeting those rules from
 // tripping the ignore-directive hygiene check under this reduced run.
 type downstreamRules struct{}
 
-func (downstreamRules) Name() string { return "downstream" }
-func (downstreamRules) Doc() string {
-	return "rule names owned by the moddet and modsafe module analyzers"
-}
 func (downstreamRules) Rules() []string {
-	return []string{"moddet", "maporder", "lockflow", "lockorder", "releasetrack", "chargeflow", "modsafe"}
+	return []string{"moddet", "maporder", "lockflow", "lockorder", "releasetrack", "chargeflow", "modsafe",
+		"poolflow", "atomicfield", "aliasfree", "modown"}
 }
-func (downstreamRules) CheckModule([]*Package, SuppressionSet) []Finding { return nil }
+func (downstreamRules) CheckModule([]*Package, SuppressionSet, map[string]bool) ([]Finding, []error) {
+	return nil, nil
+}

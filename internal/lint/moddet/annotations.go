@@ -4,82 +4,38 @@ import (
 	"go/ast"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/modgraph"
 )
 
-// sinkDirective is the annotation that declares a determinism-critical
-// function: anything transitively reachable from its body must be free of
-// nondeterminism roots. It goes in the function's doc comment:
+// sinkVerbs is the //moddet: annotation table. A sink declares a
+// determinism-critical function: anything transitively reachable from its
+// body must be free of nondeterminism roots. It goes in the function's doc
+// comment:
 //
 //	//moddet:sink trace export must stay byte-identical across runs
 //	func (t *Tracer) WriteChromeJSON(w io.Writer) error { ... }
-const sinkDirective = "moddet:sink"
+var sinkVerbs = map[string]modgraph.Verb{"sink": {}}
 
-// sink is one annotated determinism-critical function.
-type sink struct {
-	obj    *types.Func
-	decl   *ast.FuncDecl
-	pkg    *lint.Package
-	reason string
-}
-
-// collectSinks scans every function doc comment for //moddet:sink
-// directives. Directives attached to declarations the type-checker could
-// not resolve are reported rather than silently dropped.
-func collectSinks(m *modgraph.Module) ([]*sink, []lint.Finding) {
-	var sinks []*sink
-	var bad []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				reason, found := sinkReason(fd.Doc)
-				if !found {
-					continue
-				}
-				obj, ok := m.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					bad = append(bad, lint.Finding{
-						Pos:  p.Fset.Position(fd.Pos()),
-						Rule: "moddet",
-						Msg:  "//moddet:sink directive on a declaration the type-checker could not resolve",
-					})
-					continue
-				}
-				if fd.Body == nil {
-					bad = append(bad, lint.Finding{
-						Pos:  p.Fset.Position(fd.Pos()),
-						Rule: "moddet",
-						Msg:  "//moddet:sink directive on a bodyless declaration has nothing to audit",
-					})
-					continue
-				}
-				sinks = append(sinks, &sink{obj: obj, decl: fd, pkg: p, reason: reason})
-			}
+// collectSinks parses the //moddet:sink directives. Directives the
+// type-checker could not resolve, and sinks without a body to audit, are
+// reported rather than silently dropped.
+func collectSinks(m *modgraph.Module) ([]*modgraph.Directive, []lint.Finding) {
+	dirs, bad := modgraph.Directives(m, "moddet", sinkVerbs)
+	var sinks []*modgraph.Directive
+	for _, d := range dirs {
+		if d.Decl.Body == nil {
+			bad = append(bad, lint.Finding{
+				Pos:  d.Pkg.Fset.Position(d.Decl.Pos()),
+				Rule: "moddet",
+				Msg:  "//moddet:sink directive on a bodyless declaration has nothing to audit",
+			})
+			continue
 		}
+		sinks = append(sinks, d)
 	}
 	return sinks, bad
-}
-
-// sinkReason extracts the trailing free-text reason from a doc comment's
-// //moddet:sink line.
-func sinkReason(doc *ast.CommentGroup) (string, bool) {
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, ok := strings.CutPrefix(text, sinkDirective); ok {
-			return strings.TrimSpace(rest), true
-		}
-	}
-	return "", false
 }
 
 // guardRE matches the field annotation "// guarded by <mutexField>" in a

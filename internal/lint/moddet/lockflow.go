@@ -9,10 +9,10 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// The lockflow pass checks "// guarded by <mu>" field annotations across
-// function boundaries. The per-package lockdiscipline rule can only insist
-// that *exported* methods lock before touching guarded state; real code
-// factors the locked region into unexported helpers that rely on the caller
+// The lockflow pass is modlint's one guarded-field rule: a field is guarded
+// exactly when it carries a "// guarded by <mu>" annotation, and the pass
+// checks those annotations across function boundaries. Real code factors
+// the locked region into unexported helpers that rely on the caller
 // holding the mutex, and whether that contract holds is a whole-program
 // question. Here a function that touches an annotated field without
 // acquiring the mutex itself is acceptable only when every call chain that
@@ -44,8 +44,8 @@ func checkGuard(g *modgraph.Graph, gf *guardedField) []lint.Finding {
 	m := g.Mod
 
 	// Classify every function: does it touch the field, does it acquire the
-	// mutex? Acquisition anywhere in the body counts (the intraprocedural
-	// Lock/Unlock pairing rule already polices release paths).
+	// mutex? Acquisition anywhere in the body counts (releasetrack's
+	// built-in lock obligations police release paths).
 	acquires := make(map[*modgraph.FuncNode]bool)
 	var accessors []*accessInfo
 	for _, n := range g.Funcs {

@@ -16,9 +16,9 @@
 //   - maporder: map-range iteration order must not escape into slices,
 //     writers, digests or channels without an intervening sort (reported at
 //     the site whether or not a sink reaches it).
-//   - lockflow: "// guarded by <mu>" field annotations hold across function
-//     boundaries — a lock-free accessor is fine only while every call chain
-//     into it acquires the mutex first.
+//   - lockflow: the one guarded-field rule — "// guarded by <mu>" field
+//     annotations hold across function boundaries; a lock-free accessor is
+//     fine only while every call chain into it acquires the mutex first.
 //
 // Findings are suppressed like every modlint rule, with
 // //modlint:ignore <rule> <reason>; suppressing a maporder site also stops
@@ -33,57 +33,21 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the moddet module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Pass is the moddet pass library, run by modgraph.Suite.
+var Pass = modgraph.Pass{
+	Name:  "moddet",
+	Doc:   "whole-program determinism audit: nondeterminism roots must not reach //moddet:sink functions; map order must not escape unsorted; // guarded by holds across calls",
+	Rules: []string{"moddet", "maporder", "lockflow"},
+	Run:   run,
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see ReadModulePath). Import paths under it
-// resolve to the loaded package set; everything else is treated as external.
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
-
-// ReadModulePath extracts the module path from root/go.mod ("" when absent
-// or unparsable); it forwards to the shared substrate.
-func ReadModulePath(root string) string { return modgraph.ReadModulePath(root) }
-
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "moddet" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program determinism audit: nondeterminism roots must not reach //moddet:sink functions; map order must not escape unsorted; // guarded by holds across calls"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string { return []string{"moddet", "maporder", "lockflow"} }
-
-// CheckModule type-checks the package set and runs the three passes. It
-// degrades gracefully on partial type information (fuzzed or broken input):
-// whatever could not be resolved is simply not analyzed.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
-	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
-	var out []lint.Finding
-	sinks, bad := collectSinks(m)
-	out = append(out, bad...)
+// run collects the annotations and runs the three passes. Whatever the
+// type-checker could not resolve is simply not analyzed.
+func run(g *modgraph.Graph, sup lint.SuppressionSet) []lint.Finding {
+	m := g.Mod
+	sinks, out := collectSinks(m)
 	guards, bad := collectGuards(m)
 	out = append(out, bad...)
-
-	g := modgraph.Build(m)
 	roots := collectRoots(g)
 
 	// maporder: report every site, and seed taint from the unsuppressed
@@ -100,5 +64,5 @@ func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet
 
 	out = append(out, taintFindings(g, sinks, roots, mapRoots)...)
 	out = append(out, lockFlow(g, guards)...)
-	return out, m.Errs
+	return out
 }

@@ -31,7 +31,7 @@ type taintFinding struct {
 
 // taintFindings runs one BFS per sink over the call graph and merges the
 // results per root site.
-func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNode][]root, mapRoots map[*types.Func][]root) []lint.Finding {
+func taintFindings(g *modgraph.Graph, sinks []*modgraph.Directive, roots map[*modgraph.FuncNode][]root, mapRoots map[*types.Func][]root) []lint.Finding {
 	byPos := make(map[token.Position]*taintFinding)
 	var order []token.Position
 
@@ -43,7 +43,7 @@ func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNod
 	}
 
 	for _, s := range sinks {
-		start, ok := g.Node[s.obj]
+		start, ok := g.Node[s.Fn]
 		if !ok {
 			continue
 		}
@@ -62,7 +62,7 @@ func taintFindings(g *modgraph.Graph, sinks []*sink, roots map[*modgraph.FuncNod
 					byPos[pos] = tf
 					order = append(order, pos)
 				}
-				name := modgraph.ShortFuncName(g.Mod.Path, s.obj)
+				name := modgraph.ShortFuncName(g.Mod.Path, s.Fn)
 				if !containsString(tf.sinks, name) {
 					tf.sinks = append(tf.sinks, name)
 				}

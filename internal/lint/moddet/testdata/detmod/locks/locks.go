@@ -49,3 +49,28 @@ type Bad struct {
 
 // touch keeps x referenced so the fixture stays vet-plausible.
 func (b *Bad) touch() int { return b.x }
+
+// Tally carries explicit annotations on every field the mutex guards;
+// limit is above the mutex and unannotated, so it is not guarded.
+type Tally struct {
+	limit int
+
+	mu      sync.Mutex
+	n       int   // guarded by mu
+	history []int // guarded by mu
+}
+
+// Peek reads a guarded field with no lock.
+func (t *Tally) Peek() int {
+	return t.n // want lockflow "(*locks.Tally).Peek touches Tally.n"
+}
+
+// Drain reads and writes guarded fields with no lock.
+func (t *Tally) Drain() []int {
+	out := t.history // want lockflow "(*locks.Tally).Drain touches Tally.history"
+	t.n = 0          // want lockflow "(*locks.Tally).Drain touches Tally.n"
+	return out
+}
+
+// Limit touches only unguarded state.
+func (t *Tally) Limit() int { return t.limit }

@@ -1,7 +1,10 @@
 // Package modgraph is the whole-program analysis substrate shared by
-// modlint's module analyzers (moddet, modsafe): a go/types type-check of
-// every non-test file in the module plus a conservative call graph over the
-// result — stdlib go/ast + go/types only, no x/tools.
+// modlint's pass libraries (moddet, modsafe, modown): a go/types
+// type-check of every non-test file in the module plus a conservative call
+// graph over the result — stdlib go/ast + go/types only, no x/tools. Suite
+// runs every pass over one type-check and one call graph, and Directives
+// is the one parser for the passes' //<pass>:<verb> doc-comment
+// annotations.
 //
 // The substrate never fails hard. Packages that cannot be type-checked
 // contribute soft errors and partial (or no) type information, and every

@@ -123,8 +123,8 @@ func (w *afWalker) borrowOf(e ast.Expr) (borrow, bool) {
 			if w.sup.Suppressed(pos.Filename, pos.Line, "aliasfree") {
 				return borrow{}, false // a suppressed producer site propagates no facts
 			}
-			_, dual := w.ann.poolGet[d.fn]
-			return borrow{src: d.fn.Name(), line: pos.Line, dual: dual}, true
+			_, dual := w.ann.poolGet[d.Fn]
+			return borrow{src: d.Fn.Name(), line: pos.Line, dual: dual}, true
 		}
 	}
 	return borrow{}, false
@@ -220,7 +220,7 @@ func (w *afWalker) call(call *ast.CallExpr) {
 	if d := calleeDirective(w.m, w.ann.poolPut, call); d != nil {
 		for _, a := range call.Args {
 			if b, bor := w.borrowOf(a); bor && !b.dual {
-				w.report(a.Pos(), fmt.Sprintf("borrowed buffer from %s (line %d) recycled into the %s pool; the pool would hand guest-owned memory to the next caller", b.src, b.line, d.kind))
+				w.report(a.Pos(), fmt.Sprintf("borrowed buffer from %s (line %d) recycled into the %s pool; the pool would hand guest-owned memory to the next caller", b.src, b.line, d.Kind))
 			}
 		}
 		return

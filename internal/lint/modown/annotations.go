@@ -1,12 +1,10 @@
 package modown
 
 import (
+	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
-	"strings"
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/modgraph"
@@ -41,21 +39,11 @@ import (
 // but no put (or the reverse): a one-sided pool is a contract nothing can
 // satisfy.
 
-const directivePrefix = "modown:"
-
-// kindRE constrains pool kinds to lowercase kebab-case so typos don't
-// silently create a new resource class.
-var kindRE = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
-
-// directive is one parsed //modown: annotation bound to its function.
-type directive struct {
-	fn   *types.Func
-	decl *ast.FuncDecl
-	pkg  *lint.Package
-	verb string // "pool", "transfer", "borrowed"
-	kind string // pool/transfer resource kind; "" for borrowed
-	role string // "get" or "put" for pool directives
-	pos  token.Pos
+// verbs is the //modown: annotation table.
+var verbs = map[string]modgraph.Verb{
+	"pool":     {Kind: true, Example: "fetch-buf get", Roles: []string{"get", "put"}},
+	"transfer": {Kind: true, Example: "fetch-buf"},
+	"borrowed": {},
 }
 
 // annotations indexes every directive in the module. The iface maps extend
@@ -63,161 +51,79 @@ type directive struct {
 // carry it, so calls through an interface (s.h.MapRange) resolve the same
 // as direct calls.
 type annotations struct {
-	poolGet  map[*types.Func]*directive
-	poolPut  map[*types.Func]*directive
-	transfer map[*types.Func]*directive
-	borrowed map[*types.Func]*directive
+	poolGet  map[*types.Func]*modgraph.Directive
+	poolPut  map[*types.Func]*modgraph.Directive
+	transfer map[*types.Func]*modgraph.Directive
+	borrowed map[*types.Func]*modgraph.Directive
 	// annotated marks declarations carrying any pool directive; their
 	// bodies implement the contract and are exempt from intrinsic
 	// sync.Pool tracking.
 	annotated map[*ast.FuncDecl]bool
-	order     []*directive // deterministic (load) order
+	order     []*modgraph.Directive // deterministic (load) order
 }
 
 // collectDirectives parses every //modown: line in function doc comments
 // and runs the pairing hygiene check.
 func collectDirectives(m *modgraph.Module) (*annotations, []lint.Finding) {
 	ann := &annotations{
-		poolGet:   make(map[*types.Func]*directive),
-		poolPut:   make(map[*types.Func]*directive),
-		transfer:  make(map[*types.Func]*directive),
-		borrowed:  make(map[*types.Func]*directive),
+		poolGet:   make(map[*types.Func]*modgraph.Directive),
+		poolPut:   make(map[*types.Func]*modgraph.Directive),
+		transfer:  make(map[*types.Func]*modgraph.Directive),
+		borrowed:  make(map[*types.Func]*modgraph.Directive),
 		annotated: make(map[*ast.FuncDecl]bool),
 	}
-	var bad []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, directivePrefix)
-					if !ok {
-						continue
-					}
-					dir, msg := parseDirective(rest)
-					if msg != "" {
-						bad = append(bad, lint.Finding{
-							Pos:  p.Fset.Position(c.Pos()),
-							Rule: "modown",
-							Msg:  msg,
-						})
-						continue
-					}
-					fn, _ := m.Info.Defs[fd.Name].(*types.Func)
-					if fn == nil {
-						bad = append(bad, lint.Finding{
-							Pos:  p.Fset.Position(c.Pos()),
-							Rule: "modown",
-							Msg:  "//modown:" + dir.verb + " directive on a declaration the type-checker could not resolve",
-						})
-						continue
-					}
-					dir.fn, dir.decl, dir.pkg, dir.pos = fn, fd, p, c.Pos()
-					ann.add(dir)
-				}
-			}
+	dirs, bad := modgraph.Directives(m, "modown", verbs)
+	for _, d := range dirs {
+		switch {
+		case d.Verb == "pool" && d.Role == "get":
+			ann.poolGet[d.Fn] = d
+			ann.annotated[d.Decl] = true
+		case d.Verb == "pool":
+			ann.poolPut[d.Fn] = d
+			ann.annotated[d.Decl] = true
+		case d.Verb == "transfer":
+			ann.transfer[d.Fn] = d
+		case d.Verb == "borrowed":
+			ann.borrowed[d.Fn] = d
 		}
 	}
-	bad = append(bad, ann.pairingCheck(m)...)
+	ann.order = dirs
+	bad = append(bad, ann.pairingCheck()...)
 	extendToInterfaces(m, ann)
 	return ann, bad
 }
 
-// parseDirective splits the text after "modown:" into a directive, or an
-// error message for the finding.
-func parseDirective(rest string) (*directive, string) {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return nil, "empty //modown: directive"
-	}
-	verb := fields[0]
-	switch verb {
-	case "pool":
-		if len(fields) < 3 {
-			return nil, "//modown:pool needs a kind and a role (e.g. //modown:pool fetch-buf get)"
-		}
-		kind, role := fields[1], fields[2]
-		if !kindRE.MatchString(kind) {
-			return nil, "//modown:pool kind " + quote(kind) + " must be lowercase kebab-case"
-		}
-		if role != "get" && role != "put" {
-			return nil, "//modown:pool role " + quote(role) + ` must be "get" or "put"`
-		}
-		return &directive{verb: verb, kind: kind, role: role}, ""
-	case "transfer":
-		if len(fields) < 2 {
-			return nil, "//modown:transfer needs a pool kind (e.g. //modown:transfer fetch-buf)"
-		}
-		kind := fields[1]
-		if !kindRE.MatchString(kind) {
-			return nil, "//modown:transfer kind " + quote(kind) + " must be lowercase kebab-case"
-		}
-		return &directive{verb: verb, kind: kind}, ""
-	case "borrowed":
-		return &directive{verb: verb}, ""
-	default:
-		return nil, "unknown //modown: directive " + quote(verb)
-	}
-}
-
-// quote wraps a token for an error message.
-func quote(s string) string { return `"` + s + `"` }
-
-func (a *annotations) add(d *directive) {
-	switch d.verb {
-	case "pool":
-		if d.role == "get" {
-			a.poolGet[d.fn] = d
-		} else {
-			a.poolPut[d.fn] = d
-		}
-		a.annotated[d.decl] = true
-	case "transfer":
-		a.transfer[d.fn] = d
-	case "borrowed":
-		a.borrowed[d.fn] = d
-	}
-	a.order = append(a.order, d)
-}
-
 // pairingCheck flags pool kinds declared with only one side of the
 // get/put pair, and transfer kinds that name no declared pool.
-func (a *annotations) pairingCheck(m *modgraph.Module) []lint.Finding {
+func (a *annotations) pairingCheck() []lint.Finding {
 	gets := make(map[string]bool)
 	puts := make(map[string]bool)
 	for _, d := range a.poolGet {
-		gets[d.kind] = true
+		gets[d.Kind] = true
 	}
 	for _, d := range a.poolPut {
-		puts[d.kind] = true
+		puts[d.Kind] = true
 	}
 	var bad []lint.Finding
 	for _, d := range a.order {
 		switch {
-		case d.verb == "pool" && d.role == "get" && !puts[d.kind]:
+		case d.Verb == "pool" && d.Role == "get" && !puts[d.Kind]:
 			bad = append(bad, lint.Finding{
-				Pos:  d.pkg.Fset.Position(d.pos),
+				Pos:  d.Pkg.Fset.Position(d.Pos),
 				Rule: "modown",
-				Msg:  "pool kind " + quote(d.kind) + " has a get accessor but no //modown:pool " + d.kind + " put",
+				Msg:  fmt.Sprintf("pool kind %q has a get accessor but no //modown:pool %s put", d.Kind, d.Kind),
 			})
-		case d.verb == "pool" && d.role == "put" && !gets[d.kind]:
+		case d.Verb == "pool" && d.Role == "put" && !gets[d.Kind]:
 			bad = append(bad, lint.Finding{
-				Pos:  d.pkg.Fset.Position(d.pos),
+				Pos:  d.Pkg.Fset.Position(d.Pos),
 				Rule: "modown",
-				Msg:  "pool kind " + quote(d.kind) + " has a put accessor but no //modown:pool " + d.kind + " get",
+				Msg:  fmt.Sprintf("pool kind %q has a put accessor but no //modown:pool %s get", d.Kind, d.Kind),
 			})
-		case d.verb == "transfer" && !gets[d.kind]:
+		case d.Verb == "transfer" && !gets[d.Kind]:
 			bad = append(bad, lint.Finding{
-				Pos:  d.pkg.Fset.Position(d.pos),
+				Pos:  d.Pkg.Fset.Position(d.Pos),
 				Rule: "modown",
-				Msg:  "//modown:transfer names pool kind " + quote(d.kind) + ", which has no get accessor",
+				Msg:  fmt.Sprintf("//modown:transfer names pool kind %q, which has no get accessor", d.Kind),
 			})
 		}
 	}
@@ -253,7 +159,7 @@ func extendToInterfaces(m *modgraph.Module, ann *annotations) {
 			}
 		}
 	}
-	extend := func(dst map[*types.Func]*directive) {
+	extend := func(dst map[*types.Func]*modgraph.Directive) {
 		var fns []*types.Func
 		for fn := range dst {
 			fns = append(fns, fn)

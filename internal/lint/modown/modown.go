@@ -30,49 +30,18 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the modown module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Pass is the modown pass library, run by modgraph.Suite.
+var Pass = modgraph.Pass{
+	Name:  "modown",
+	Doc:   "whole-program ownership audit: //modown:pool values recycled exactly once; sync/atomic locations accessed atomically everywhere; //modown:borrowed zero-copy buffers never mutated or recycled",
+	Rules: []string{"poolflow", "atomicfield", "aliasfree", "modown"},
+	Run:   run,
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see modgraph.ReadModulePath).
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
-
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "modown" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program ownership audit: //modown:pool values recycled exactly once; sync/atomic locations accessed atomically everywhere; //modown:borrowed zero-copy buffers never mutated or recycled"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string {
-	return []string{"poolflow", "atomicfield", "aliasfree", "modown"}
-}
-
-// CheckModule type-checks the package set and runs the three passes,
-// degrading gracefully on partial type information.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
+func run(g *modgraph.Graph, sup lint.SuppressionSet) []lint.Finding {
+	ann, out := collectDirectives(g.Mod)
+	out = append(out, poolFlow(g.Mod, ann, sup)...)
+	out = append(out, atomicField(g.Mod, sup)...)
+	out = append(out, aliasFree(g.Mod, ann, sup)...)
 	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
-	ann, out := collectDirectives(m)
-	out = append(out, poolFlow(m, ann, sup)...)
-	out = append(out, atomicField(m, sup)...)
-	out = append(out, aliasFree(m, ann, sup)...)
-	return out, m.Errs
 }

@@ -13,6 +13,7 @@ import (
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/moddet"
+	"modchecker/internal/lint/modgraph"
 	"modchecker/internal/lint/modown"
 	"modchecker/internal/lint/modsafe"
 )
@@ -38,7 +39,47 @@ func loadFixture(t *testing.T) []*lint.Package {
 func runFixture(t *testing.T) []lint.Finding {
 	t.Helper()
 	pkgs := loadFixture(t)
-	return lint.RunAll(pkgs, nil, []lint.ModuleAnalyzer{modown.New(fixtureModule)})
+	findings, _ := check(fixtureModule, pkgs)
+	return findings
+}
+
+// check runs the modown pass alone over pkgs, through the modgraph.Suite entry
+// point cmd/modlint uses (one type-check, one call graph).
+func check(modulePath string, pkgs []*lint.Package) ([]lint.Finding, []error) {
+	return lint.RunAll(pkgs, nil, modgraph.Suite{Path: modulePath, Passes: []modgraph.Pass{modown.Pass}}, nil)
+}
+
+// repoFindings runs every whole-program pass over the real module, as
+// cmd/modlint does, and reports only the modown rules.
+func repoFindings(t *testing.T) []lint.Finding {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Skipf("module root not found at %s", root)
+	}
+	pkgs, err := lint.LoadModule(token.NewFileSet(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 10 {
+		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+	}
+	all := modgraph.Suite{
+		Path:   modgraph.ReadModulePath(root),
+		Passes: []modgraph.Pass{moddet.Pass, modsafe.Pass, modown.Pass},
+	}
+	only := make(map[string]bool)
+	for _, r := range modown.Pass.Rules {
+		only[r] = true
+	}
+	findings, errs := lint.RunAll(pkgs, lint.Analyzers(), all, only)
+	for _, e := range errs {
+		t.Errorf("substrate: %v", e)
+	}
+	return findings
 }
 
 // wantRE mirrors the moddet/modsafe fixture convention:
@@ -84,7 +125,7 @@ func parseWants(t *testing.T, pkgs []*lint.Package) map[string][]*expectation {
 func TestModownFixtures(t *testing.T) {
 	pkgs := loadFixture(t)
 	wants := parseWants(t, pkgs)
-	findings := lint.RunAll(pkgs, nil, []lint.ModuleAnalyzer{modown.New(fixtureModule)})
+	findings, _ := check(fixtureModule, pkgs)
 
 	perRule := make(map[string]int)
 	for _, f := range findings {
@@ -109,7 +150,7 @@ func TestModownFixtures(t *testing.T) {
 			}
 		}
 	}
-	for _, rule := range modown.New(fixtureModule).Rules() {
+	for _, rule := range modown.Pass.Rules {
 		if perRule[rule] == 0 {
 			t.Errorf("fixture corpus produced no %s finding", rule)
 		}
@@ -244,7 +285,7 @@ func f() {
 }
 
 // runInline type-checks a single synthetic source file through the full
-// RunAll pipeline, as the interplay tests in moddet and modsafe do.
+// RunAll pipeline, as the interplay tests in modsafe do.
 func runInline(t *testing.T, name, src string) []lint.Finding {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -259,22 +300,21 @@ func runInline(t *testing.T, name, src string) []lint.Finding {
 		Fset:  fset,
 		Files: []*lint.SourceFile{{Path: name + ".go", AST: af}},
 	}
-	return lint.RunAll([]*lint.Package{p}, nil,
-		[]lint.ModuleAnalyzer{modown.New(name)})
+	findings, _ := check(name, []*lint.Package{p})
+	return findings
 }
 
 // TestRunAllErrsSeparatesFindingsFromErrors loads the deliberately broken
 // fixture module: the good package carries a real atomicfield defect, the
 // bad package does not type-check. Findings and substrate errors must both
-// surface — before RunAllErrs, the type-check failure could silently mask
-// every finding from the healthy packages.
+// surface — a type-check failure must not silently mask every finding
+// from the healthy packages.
 func TestRunAllErrsSeparatesFindingsFromErrors(t *testing.T) {
 	pkgs, err := lint.LoadModule(token.NewFileSet(), filepath.Join("testdata", "brokenmod"))
 	if err != nil {
 		t.Fatalf("loading broken fixture module: %v", err)
 	}
-	findings, errs := lint.RunAllErrs(pkgs, nil,
-		[]lint.ModuleAnalyzer{modown.New("brokenmod")})
+	findings, errs := check("brokenmod", pkgs)
 
 	sawAtomic := false
 	for _, f := range findings {
@@ -293,11 +333,6 @@ func TestRunAllErrsSeparatesFindingsFromErrors(t *testing.T) {
 			t.Errorf("unexpected substrate error: %v", e)
 		}
 	}
-
-	// The error-dropping wrapper still reports the findings.
-	if got := lint.RunAll(pkgs, nil, []lint.ModuleAnalyzer{modown.New("brokenmod")}); len(got) != len(findings) {
-		t.Errorf("RunAll returned %d findings, RunAllErrs %d", len(got), len(findings))
-	}
 }
 
 // TestRepoIsCleanModown runs the whole-program ownership audit over the
@@ -305,30 +340,8 @@ func TestRunAllErrsSeparatesFindingsFromErrors(t *testing.T) {
 // producers must stay clean. A legitimate exception needs a
 // //modlint:ignore directive with a reason.
 func TestRepoIsCleanModown(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Skipf("module root not found at %s", root)
-	}
-	pkgs, err := lint.LoadModule(token.NewFileSet(), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
-	}
-	// The full analyzer set rides along so ignore directives naming
-	// per-package, moddet, or modsafe rules resolve, exactly as cmd/modlint
-	// runs.
-	modulePath := moddet.ReadModulePath(root)
-	mods := []lint.ModuleAnalyzer{moddet.New(modulePath), modsafe.New(modulePath), modown.New(modulePath)}
-	for _, f := range lint.RunAll(pkgs, lint.Analyzers(), mods) {
-		switch f.Rule {
-		case "poolflow", "atomicfield", "aliasfree", "modown":
-			t.Errorf("%s", f)
-		}
+	for _, f := range repoFindings(t) {
+		t.Errorf("%s", f)
 	}
 }
 
@@ -364,6 +377,6 @@ func FuzzModown(f *testing.F) {
 			Fset:  fset,
 			Files: []*lint.SourceFile{{Path: "fuzz.go", AST: af}},
 		}
-		lint.RunAll([]*lint.Package{p}, nil, []lint.ModuleAnalyzer{modown.New("fuzzmod")})
+		check("fuzzmod", []*lint.Package{p})
 	})
 }

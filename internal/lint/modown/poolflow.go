@@ -144,10 +144,10 @@ func checkFunc(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet, p 
 	}
 	if fn, _ := m.Info.Defs[fd.Name].(*types.Func); fn != nil {
 		if d := ann.poolGet[fn]; d != nil {
-			w.getKinds[d.kind] = true
+			w.getKinds[d.Kind] = true
 		}
 		if d := ann.transfer[fn]; d != nil {
-			w.transferKinds[d.kind] = true
+			w.transferKinds[d.Kind] = true
 		}
 	}
 	st := make(pathState)
@@ -182,7 +182,7 @@ func (w *pfWalker) line(pos token.Pos) int { return w.pkg.Fset.Position(pos).Lin
 
 // calleeDirective resolves call's callee through the annotation maps
 // (direct or via a module interface method).
-func calleeDirective(m *modgraph.Module, dm map[*types.Func]*directive, call *ast.CallExpr) *directive {
+func calleeDirective(m *modgraph.Module, dm map[*types.Func]*modgraph.Directive, call *ast.CallExpr) *modgraph.Directive {
 	fn := m.CalleeOf(call)
 	if fn == nil {
 		return nil
@@ -227,7 +227,7 @@ func (w *pfWalker) rawPool(call *ast.CallExpr) (types.Object, string) {
 // getCall classifies a call as a pooled-value producer.
 func (w *pfWalker) getCall(call *ast.CallExpr) (poolKind, string, bool) {
 	if d := calleeDirective(w.m, w.ann.poolGet, call); d != nil {
-		return poolKind{name: d.kind}, d.fn.Name(), true
+		return poolKind{name: d.Kind}, d.Fn.Name(), true
 	}
 	if w.accessor {
 		return poolKind{}, "", false
@@ -241,7 +241,7 @@ func (w *pfWalker) getCall(call *ast.CallExpr) (poolKind, string, bool) {
 // putCall classifies a call as a pooled-value recycler.
 func (w *pfWalker) putCall(call *ast.CallExpr) (poolKind, bool) {
 	if d := calleeDirective(w.m, w.ann.poolPut, call); d != nil {
-		return poolKind{name: d.kind}, true
+		return poolKind{name: d.Kind}, true
 	}
 	if w.accessor {
 		return poolKind{}, false
@@ -853,7 +853,7 @@ func (w *pfWalker) expr(e ast.Expr, st pathState) {
 			return
 		}
 		if d := calleeDirective(w.m, w.ann.transfer, t); d != nil {
-			w.transferCall(t, d.kind, st)
+			w.transferCall(t, d.Kind, st)
 			return
 		}
 		if kind, src, ok := w.getCall(t); ok {
@@ -1037,7 +1037,7 @@ func (w *pfWalker) deferCall(call *ast.CallExpr, st pathState) {
 		return
 	}
 	if d := calleeDirective(w.m, w.ann.transfer, call); d != nil {
-		w.transferCall(call, d.kind, st)
+		w.transferCall(call, d.Kind, st)
 		return
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
@@ -1112,7 +1112,7 @@ func (w *pfWalker) postDischarge(lit *ast.FuncLit) {
 			kind, isPut := w.putCall(n)
 			var transferKind string
 			if d := calleeDirective(w.m, w.ann.transfer, n); d != nil {
-				transferKind = d.kind
+				transferKind = d.Kind
 			}
 			if !isPut && transferKind == "" {
 				return true

@@ -1,11 +1,7 @@
 package modsafe
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
-	"regexp"
-	"strings"
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/modgraph"
@@ -33,132 +29,54 @@ import (
 //	    walks, TLB fills) without charging; reaching it from a charged root
 //	    through uncharging functions is a finding.
 //
+// Lock/RLock on a sync.Mutex or sync.RWMutex needs no annotation: it is a
+// built-in acquires (see releasetrack.go).
+//
 // Malformed directives — unknown verbs, a missing kind, or a directive on a
 // declaration the type-checker could not resolve — are findings under the
 // "modsafe" rule rather than silently ignored annotations.
 
-const directivePrefix = "modsafe:"
-
-// kindRE constrains resource kinds to lowercase kebab-case so typos like a
-// stray colon or capitalized kind don't silently create a new resource class.
-var kindRE = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
-
-// directive is one parsed //modsafe: annotation bound to its function.
-type directive struct {
-	fn   *types.Func
-	decl *ast.FuncDecl
-	pkg  *lint.Package
-	verb string // "acquires", "releases", "charged", "charges", "spends"
-	kind string // resource kind; "" for the chargeflow verbs
-	pos  token.Pos
+// verbs is the //modsafe: annotation table.
+var verbs = map[string]modgraph.Verb{
+	"acquires": {Kind: true, Example: "sweep-session"},
+	"releases": {Kind: true, Example: "sweep-session"},
+	"charged":  {},
+	"charges":  {},
+	"spends":   {},
 }
 
 // annotations indexes every directive in the module by verb.
 type annotations struct {
 	// acquires/releases map each annotated function to its resource kind.
-	acquires map[*types.Func]*directive
-	releases map[*types.Func]*directive
-	charged  []*directive // deterministic (load) order
+	acquires map[*types.Func]*modgraph.Directive
+	releases map[*types.Func]*modgraph.Directive
+	charged  []*modgraph.Directive // deterministic (load) order
 	charges  map[*types.Func]bool
 	spends   map[*types.Func]bool
-}
-
-func (a *annotations) empty() bool {
-	return len(a.acquires) == 0 && len(a.releases) == 0 &&
-		len(a.charged) == 0 && len(a.charges) == 0 && len(a.spends) == 0
 }
 
 // collectDirectives parses every //modsafe: line in function doc comments.
 func collectDirectives(m *modgraph.Module) (*annotations, []lint.Finding) {
 	ann := &annotations{
-		acquires: make(map[*types.Func]*directive),
-		releases: make(map[*types.Func]*directive),
+		acquires: make(map[*types.Func]*modgraph.Directive),
+		releases: make(map[*types.Func]*modgraph.Directive),
 		charges:  make(map[*types.Func]bool),
 		spends:   make(map[*types.Func]bool),
 	}
-	var bad []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, directivePrefix)
-					if !ok {
-						continue
-					}
-					dir, msg := parseDirective(rest)
-					if msg != "" {
-						bad = append(bad, lint.Finding{
-							Pos:  p.Fset.Position(c.Pos()),
-							Rule: "modsafe",
-							Msg:  msg,
-						})
-						continue
-					}
-					fn, _ := m.Info.Defs[fd.Name].(*types.Func)
-					if fn == nil {
-						bad = append(bad, lint.Finding{
-							Pos:  p.Fset.Position(c.Pos()),
-							Rule: "modsafe",
-							Msg:  "//modsafe:" + dir.verb + " directive on a declaration the type-checker could not resolve",
-						})
-						continue
-					}
-					dir.fn, dir.decl, dir.pkg, dir.pos = fn, fd, p, c.Pos()
-					ann.add(dir)
-				}
-			}
+	dirs, bad := modgraph.Directives(m, "modsafe", verbs)
+	for _, d := range dirs {
+		switch d.Verb {
+		case "acquires":
+			ann.acquires[d.Fn] = d
+		case "releases":
+			ann.releases[d.Fn] = d
+		case "charged":
+			ann.charged = append(ann.charged, d)
+		case "charges":
+			ann.charges[d.Fn] = true
+		case "spends":
+			ann.spends[d.Fn] = true
 		}
 	}
 	return ann, bad
-}
-
-// parseDirective splits the text after "modsafe:" into a directive, or an
-// error message for the finding.
-func parseDirective(rest string) (*directive, string) {
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return nil, "empty //modsafe: directive"
-	}
-	verb := fields[0]
-	switch verb {
-	case "acquires", "releases":
-		if len(fields) < 2 {
-			return nil, "//modsafe:" + verb + " needs a resource kind (e.g. //modsafe:" + verb + " sweep-session)"
-		}
-		kind := fields[1]
-		if !kindRE.MatchString(kind) {
-			return nil, "//modsafe:" + verb + " kind " + quote(kind) + " must be lowercase kebab-case"
-		}
-		return &directive{verb: verb, kind: kind}, ""
-	case "charged", "charges", "spends":
-		return &directive{verb: verb}, ""
-	default:
-		return nil, "unknown //modsafe: directive " + quote(verb)
-	}
-}
-
-// quote wraps a token for an error message.
-func quote(s string) string { return `"` + s + `"` }
-
-func (a *annotations) add(d *directive) {
-	switch d.verb {
-	case "acquires":
-		a.acquires[d.fn] = d
-	case "releases":
-		a.releases[d.fn] = d
-	case "charged":
-		a.charged = append(a.charged, d)
-	case "charges":
-		a.charges[d.fn] = true
-	case "spends":
-		a.spends[d.fn] = true
-	}
 }

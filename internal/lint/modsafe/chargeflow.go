@@ -53,15 +53,15 @@ func chargeFlow(g *modgraph.Graph, ann *annotations, sup lint.SuppressionSet) []
 	var out []lint.Finding
 	seen := make(map[token.Pos]bool) // one finding per spends call site
 	for _, rootDir := range ann.charged {
-		rootPos := rootDir.pkg.Fset.Position(rootDir.pos)
+		rootPos := rootDir.Pkg.Fset.Position(rootDir.Pos)
 		if sup.Suppressed(rootPos.Filename, rootPos.Line, "chargeflow") {
 			continue
 		}
-		start, ok := g.Node[rootDir.fn]
+		start, ok := g.Node[rootDir.Fn]
 		if !ok {
 			continue
 		}
-		rootName := modgraph.ShortFuncName(m.Path, rootDir.fn)
+		rootName := modgraph.ShortFuncName(m.Path, rootDir.Fn)
 
 		parent := map[*modgraph.FuncNode]*modgraph.FuncNode{start: nil}
 		queue := []*modgraph.FuncNode{start}

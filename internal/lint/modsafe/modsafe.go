@@ -8,10 +8,12 @@
 //     Lock/RLock sites with held-lock sets propagated through calls, must be
 //     acyclic — a cycle is an ABBA deadlock waiting for the right
 //     interleaving, and a self-edge is a guaranteed self-deadlock.
-//   - releasetrack: resources declared with //modsafe:acquires <kind> /
-//     //modsafe:releases <kind> annotation pairs (sweep sessions, mapped
-//     guest windows, paused domains, tracer spans) must be released on every
-//     path out of the acquiring function, error returns and panics included.
+//   - releasetrack: every Lock/RLock on a sync mutex (a built-in
+//     obligation, no annotation needed) and every resource declared with
+//     //modsafe:acquires <kind> / //modsafe:releases <kind> annotation pairs
+//     (sweep sessions, mapped guest windows, paused domains, tracer spans)
+//     must be released on every path out of the acquiring function, error
+//     returns and panics included.
 //   - chargeflow: every function reachable from a //modsafe:charged entry
 //     point that performs physical work (//modsafe:spends) must charge the
 //     simulated clock (//modsafe:charges) on the way — unpaid guest reads
@@ -29,51 +31,18 @@ import (
 	"modchecker/internal/lint/modgraph"
 )
 
-// Analyzer is the modsafe module analyzer; create it with New.
-type Analyzer struct {
-	modulePath string
+// Pass is the modsafe pass library, run by modgraph.Suite.
+var Pass = modgraph.Pass{
+	Name:  "modsafe",
+	Doc:   "whole-program soundness audit: lock acquisition order must be acyclic; locks and //modsafe:acquires resources must be released on every path; //modsafe:charged work must charge the simulated clock",
+	Rules: []string{"lockorder", "releasetrack", "chargeflow", "modsafe"},
+	Run:   run,
 }
 
-// New returns an analyzer for a module with the given module path (the
-// `module` line of its go.mod — see modgraph.ReadModulePath).
-func New(modulePath string) *Analyzer {
-	return &Analyzer{modulePath: modulePath}
-}
-
-// Name identifies the analyzer in driver listings.
-func (a *Analyzer) Name() string { return "modsafe" }
-
-// Doc is the one-line description for -list output.
-func (a *Analyzer) Doc() string {
-	return "whole-program soundness audit: lock acquisition order must be acyclic; //modsafe:acquires resources must be released on every path; //modsafe:charged work must charge the simulated clock"
-}
-
-// Rules lists the rule identifiers this analyzer reports under.
-func (a *Analyzer) Rules() []string {
-	return []string{"lockorder", "releasetrack", "chargeflow", "modsafe"}
-}
-
-// CheckModule type-checks the package set and runs the three passes. Like
-// moddet it degrades gracefully on partial type information: whatever could
-// not be resolved is simply not analyzed.
-func (a *Analyzer) CheckModule(pkgs []*lint.Package, sup lint.SuppressionSet) []lint.Finding {
-	out, _ := a.CheckModuleErrs(pkgs, sup)
-	return out
-}
-
-// CheckModuleErrs is CheckModule plus the substrate's soft type-check
-// errors, so drivers can report partial analysis instead of silently
-// under-reporting (lint.RunAllErrs).
-func (a *Analyzer) CheckModuleErrs(pkgs []*lint.Package, sup lint.SuppressionSet) ([]lint.Finding, []error) {
-	if len(pkgs) == 0 {
-		return nil, nil
-	}
-	m := modgraph.TypeCheck(a.modulePath, pkgs)
-
-	ann, out := collectDirectives(m)
-	g := modgraph.Build(m)
+func run(g *modgraph.Graph, sup lint.SuppressionSet) []lint.Finding {
+	ann, out := collectDirectives(g.Mod)
 	out = append(out, lockOrder(g, sup)...)
-	out = append(out, releaseTrack(m, ann, sup)...)
+	out = append(out, releaseTrack(g.Mod, ann, sup)...)
 	out = append(out, chargeFlow(g, ann, sup)...)
-	return out, m.Errs
+	return out
 }

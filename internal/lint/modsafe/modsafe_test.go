@@ -13,6 +13,8 @@ import (
 
 	"modchecker/internal/lint"
 	"modchecker/internal/lint/moddet"
+	"modchecker/internal/lint/modgraph"
+	"modchecker/internal/lint/modown"
 	"modchecker/internal/lint/modsafe"
 )
 
@@ -37,7 +39,47 @@ func loadFixture(t *testing.T) []*lint.Package {
 func runFixture(t *testing.T) []lint.Finding {
 	t.Helper()
 	pkgs := loadFixture(t)
-	return lint.RunAll(pkgs, nil, []lint.ModuleAnalyzer{modsafe.New(fixtureModule)})
+	findings, _ := check(fixtureModule, pkgs)
+	return findings
+}
+
+// check runs the modsafe pass alone over pkgs, through the modgraph.Suite entry
+// point cmd/modlint uses (one type-check, one call graph).
+func check(modulePath string, pkgs []*lint.Package) ([]lint.Finding, []error) {
+	return lint.RunAll(pkgs, nil, modgraph.Suite{Path: modulePath, Passes: []modgraph.Pass{modsafe.Pass}}, nil)
+}
+
+// repoFindings runs every whole-program pass over the real module, as
+// cmd/modlint does, and reports only the modsafe rules.
+func repoFindings(t *testing.T) []lint.Finding {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Skipf("module root not found at %s", root)
+	}
+	pkgs, err := lint.LoadModule(token.NewFileSet(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 10 {
+		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+	}
+	all := modgraph.Suite{
+		Path:   modgraph.ReadModulePath(root),
+		Passes: []modgraph.Pass{moddet.Pass, modsafe.Pass, modown.Pass},
+	}
+	only := make(map[string]bool)
+	for _, r := range modsafe.Pass.Rules {
+		only[r] = true
+	}
+	findings, errs := lint.RunAll(pkgs, lint.Analyzers(), all, only)
+	for _, e := range errs {
+		t.Errorf("substrate: %v", e)
+	}
+	return findings
 }
 
 // wantRE mirrors the moddet fixture convention:
@@ -83,7 +125,7 @@ func parseWants(t *testing.T, pkgs []*lint.Package) map[string][]*expectation {
 func TestModsafeFixtures(t *testing.T) {
 	pkgs := loadFixture(t)
 	wants := parseWants(t, pkgs)
-	findings := lint.RunAll(pkgs, nil, []lint.ModuleAnalyzer{modsafe.New(fixtureModule)})
+	findings, _ := check(fixtureModule, pkgs)
 
 	perRule := make(map[string]int)
 	for _, f := range findings {
@@ -108,7 +150,7 @@ func TestModsafeFixtures(t *testing.T) {
 			}
 		}
 	}
-	for _, rule := range modsafe.New(fixtureModule).Rules() {
+	for _, rule := range modsafe.Pass.Rules {
 		if perRule[rule] == 0 {
 			t.Errorf("fixture corpus produced no %s finding", rule)
 		}
@@ -231,8 +273,7 @@ func TestSuppressionInterplay(t *testing.T) {
 		Fset:  fset,
 		Files: []*lint.SourceFile{{Path: "interplay.go", AST: af}},
 	}
-	findings := lint.RunAll([]*lint.Package{p}, nil,
-		[]lint.ModuleAnalyzer{modsafe.New("interplay")})
+	findings, _ := check("interplay", []*lint.Package{p})
 
 	var leaks, others []lint.Finding
 	for _, f := range findings {
@@ -298,8 +339,7 @@ func g() {
 		Fset:  fset,
 		Files: []*lint.SourceFile{{Path: "interplay2.go", AST: af}},
 	}
-	findings := lint.RunAll([]*lint.Package{p}, nil,
-		[]lint.ModuleAnalyzer{modsafe.New("interplay2")})
+	findings, _ := check("interplay2", []*lint.Package{p})
 
 	sawCycle := false
 	for _, f := range findings {
@@ -320,28 +360,8 @@ func g() {
 // must stay clean. A legitimate exception needs a //modlint:ignore
 // directive with a reason.
 func TestRepoIsCleanModsafe(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Skipf("module root not found at %s", root)
-	}
-	pkgs, err := lint.LoadModule(token.NewFileSet(), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 10 {
-		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
-	}
-	// The full analyzer set rides along so ignore directives naming
-	// per-package or moddet rules resolve, exactly as cmd/modlint runs.
-	modulePath := moddet.ReadModulePath(root)
-	mods := []lint.ModuleAnalyzer{moddet.New(modulePath), modsafe.New(modulePath)}
-	for _, f := range lint.RunAll(pkgs, lint.Analyzers(), mods) {
-		if f.Rule == "lockorder" || f.Rule == "releasetrack" || f.Rule == "chargeflow" || f.Rule == "modsafe" {
-			t.Errorf("%s", f)
-		}
+	for _, f := range repoFindings(t) {
+		t.Errorf("%s", f)
 	}
 }
 
@@ -377,6 +397,6 @@ func FuzzModsafeLockorder(f *testing.F) {
 			Fset:  fset,
 			Files: []*lint.SourceFile{{Path: "fuzz.go", AST: af}},
 		}
-		lint.RunAll([]*lint.Package{p}, nil, []lint.ModuleAnalyzer{modsafe.New("fuzzmod")})
+		check("fuzzmod", []*lint.Package{p})
 	})
 }

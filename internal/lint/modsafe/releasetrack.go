@@ -43,6 +43,13 @@ import (
 // contract is exactly that the *caller* releases. A //modlint:ignore
 // releasetrack directive on the acquire site stops the obligation from
 // being created at all.
+//
+// Locks are built-in obligations that need no annotation, the way poolflow
+// tracks raw sync.Pool traffic: Lock on a sync.Mutex or sync.RWMutex owes
+// an Unlock on the same receiver, RLock owes an RUnlock. A lock is never
+// handed off — returning, storing, sending or capturing the guarded value
+// does not discharge it — and function literals, goroutine bodies
+// included, are checked as functions of their own.
 
 // obligation is one live acquire awaiting its release.
 type obligation struct {
@@ -52,13 +59,34 @@ type obligation struct {
 	by       string // acquiring function, for the message
 	errKey   string // error variable bound at the acquire site, "" if none
 	viaDefer bool   // a defer discharges it on every later exit
+	lock     bool   // built-in lock obligation: ownership never transfers
+}
+
+// lockMethods maps the sync.Mutex / sync.RWMutex methods to the built-in
+// obligation kind they acquire or release.
+var lockMethods = map[string]struct{ verb, kind string }{
+	"Lock":    {"acquires", "lock"},
+	"Unlock":  {"releases", "lock"},
+	"RLock":   {"acquires", "read-lock"},
+	"RUnlock": {"releases", "read-lock"},
+}
+
+// builtinLock returns the built-in directive fn carries under verb, nil
+// unless fn is one of the lockMethods of sync.Mutex or sync.RWMutex.
+func builtinLock(fn *types.Func, verb string) *modgraph.Directive {
+	lm, ok := lockMethods[fn.Name()]
+	if !ok || lm.verb != verb {
+		return nil
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil || !isMutexType(sig.Recv().Type()) {
+		return nil
+	}
+	return &modgraph.Directive{Verb: verb, Kind: lm.kind, Fn: fn}
 }
 
 // releaseTrack runs the pass over every function body in the module.
 func releaseTrack(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet) []lint.Finding {
-	if len(ann.acquires) == 0 {
-		return nil
-	}
 	var out []lint.Finding
 	for _, p := range m.Pkgs {
 		for _, sf := range p.Files {
@@ -75,7 +103,7 @@ func releaseTrack(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet)
 				fn, _ := m.Info.Defs[fd.Name].(*types.Func)
 				if fn != nil {
 					if d := ann.acquires[fn]; d != nil {
-						rt.exemptKind = d.kind
+						rt.exemptKind = d.Kind
 					}
 				}
 				rt.run()
@@ -343,12 +371,12 @@ func (rt *releaseTracker) handleCallStmt(call *ast.CallExpr, obls []obligation) 
 	}
 	// The result is dropped on the floor: nothing can ever release it.
 	pos := rt.pkg.Fset.Position(call.Pos())
-	if !rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") && d.kind != rt.exemptKind {
+	if !rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") && d.Kind != rt.exemptKind {
 		rt.out = append(rt.out, lint.Finding{
 			Pos:  pos,
 			Rule: "releasetrack",
 			Msg: fmt.Sprintf("%s from %s is discarded; the %s it acquires can never be released",
-				d.kind, modgraph.ShortFuncName(rt.m.Path, d.fn), d.kind),
+				d.Kind, modgraph.ShortFuncName(rt.m.Path, d.Fn), d.Kind),
 		})
 	}
 	return obls
@@ -360,7 +388,7 @@ func (rt *releaseTracker) handleDefer(st *ast.DeferStmt, obls []obligation) []ob
 	markDeferred := func(call *ast.CallExpr) {
 		if rd, key := rt.releaseTarget(call); rd != nil {
 			for i := range obls {
-				if !obls[i].viaDefer && obls[i].kind == rd.kind && (obls[i].key == key || key == "") {
+				if !obls[i].viaDefer && obls[i].kind == rd.Kind && (obls[i].key == key || key == "") {
 					obls[i].viaDefer = true
 				}
 			}
@@ -379,8 +407,10 @@ func (rt *releaseTracker) handleDefer(st *ast.DeferStmt, obls []obligation) []ob
 	return obls
 }
 
-// handleGo conservatively hands any captured obligation to the goroutine.
+// handleGo conservatively hands any captured obligation to the goroutine,
+// and checks a goroutine literal's body as a function of its own.
 func (rt *releaseTracker) handleGo(st *ast.GoStmt, obls []obligation) []obligation {
+	rt.walkLits(st.Call, obls)
 	return rt.dischargeMentioned(obls, st.Call)
 }
 
@@ -392,7 +422,7 @@ func (rt *releaseTracker) handleReleaseCall(call *ast.CallExpr, obls []obligatio
 	}
 	var kept []obligation
 	for _, o := range obls {
-		if o.kind == rd.kind && (o.key == key || key == "") {
+		if o.kind == rd.Kind && (o.key == key || key == "") {
 			continue
 		}
 		kept = append(kept, o)
@@ -403,12 +433,15 @@ func (rt *releaseTracker) handleReleaseCall(call *ast.CallExpr, obls []obligatio
 // releaseTarget resolves a call to a releases directive and the canonical
 // key of the value being released ("" when the expression is too complex to
 // key, which matches any obligation of the kind — conservative).
-func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*directive, string) {
+func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*modgraph.Directive, string) {
 	fn := rt.m.CalleeOf(call)
 	if fn == nil {
 		return nil, ""
 	}
 	rd := rt.ann.releases[fn]
+	if rd == nil {
+		rd = builtinLock(fn, "releases")
+	}
 	if rd == nil {
 		return nil, ""
 	}
@@ -430,11 +463,11 @@ func (rt *releaseTracker) releaseTarget(call *ast.CallExpr) (*directive, string)
 // results are all `error` (the fallible Pause() error shape): nothing the
 // call returns can hold the resource, so the receiver does. The returned
 // key canonicalizes the receiver expression ("" when it is too complex).
-func receiverResourceKey(d *directive, call *ast.CallExpr) (string, bool) {
+func receiverResourceKey(d *modgraph.Directive, call *ast.CallExpr) (string, bool) {
 	if d == nil {
 		return "", false
 	}
-	sig, _ := d.fn.Type().(*types.Signature)
+	sig, _ := d.Fn.Type().(*types.Signature)
 	if sig == nil || sig.Recv() == nil {
 		return "", false
 	}
@@ -450,22 +483,26 @@ func receiverResourceKey(d *directive, call *ast.CallExpr) (string, bool) {
 	return exprKey(sel.X), true
 }
 
-// acquireDirective resolves a call to its acquires directive, nil if the
-// callee is not annotated or the kind is exempt in this function.
-func (rt *releaseTracker) acquireDirective(call *ast.CallExpr) *directive {
+// acquireDirective resolves a call to its acquires directive (annotated or
+// a built-in lock), nil if there is none or the kind is exempt in this
+// function.
+func (rt *releaseTracker) acquireDirective(call *ast.CallExpr) *modgraph.Directive {
 	fn := rt.m.CalleeOf(call)
 	if fn == nil {
 		return nil
 	}
 	d := rt.ann.acquires[fn]
-	if d == nil || d.kind == rt.exemptKind {
+	if d == nil {
+		d = builtinLock(fn, "acquires")
+	}
+	if d == nil || d.Kind == rt.exemptKind {
 		return nil
 	}
 	return d
 }
 
 // createObligation keys a new obligation off the assignment destinations.
-func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st *ast.AssignStmt, obls []obligation) []obligation {
+func (rt *releaseTracker) createObligation(d *modgraph.Directive, call *ast.CallExpr, st *ast.AssignStmt, obls []obligation) []obligation {
 	key, errKey := "", ""
 	if st != nil {
 		for _, lhs := range st.Lhs {
@@ -498,7 +535,7 @@ func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st 
 				Pos:  pos,
 				Rule: "releasetrack",
 				Msg: fmt.Sprintf("%s from %s is discarded; the %s it acquires can never be released",
-					d.kind, modgraph.ShortFuncName(rt.m.Path, d.fn), d.kind),
+					d.Kind, modgraph.ShortFuncName(rt.m.Path, d.Fn), d.Kind),
 			})
 		}
 		return obls
@@ -509,17 +546,18 @@ func (rt *releaseTracker) createObligation(d *directive, call *ast.CallExpr, st 
 	return rt.addObligation(obls, d, call, key, errKey)
 }
 
-func (rt *releaseTracker) addObligation(obls []obligation, d *directive, call *ast.CallExpr, key, errKey string) []obligation {
+func (rt *releaseTracker) addObligation(obls []obligation, d *modgraph.Directive, call *ast.CallExpr, key, errKey string) []obligation {
 	pos := rt.pkg.Fset.Position(call.Pos())
 	if rt.sup.Suppressed(pos.Filename, pos.Line, "releasetrack") {
 		return obls
 	}
 	return append(obls, obligation{
-		kind:   d.kind,
+		kind:   d.Kind,
 		key:    key,
 		pos:    call.Pos(),
-		by:     modgraph.ShortFuncName(rt.m.Path, d.fn),
+		by:     modgraph.ShortFuncName(rt.m.Path, d.Fn),
 		errKey: errKey,
+		lock:   d.Decl == nil, // built-in: no module declaration
 	})
 }
 
@@ -532,7 +570,7 @@ func (rt *releaseTracker) checkExit(obls []obligation, exit token.Pos, results [
 		}
 		escaped := false
 		for _, r := range results {
-			if mentions(r, baseOf(o.key)) {
+			if !o.lock && mentions(r, baseOf(o.key)) {
 				escaped = true
 				break
 			}
@@ -557,7 +595,7 @@ func (rt *releaseTracker) checkExit(obls []obligation, exit token.Pos, results [
 func (rt *releaseTracker) dischargeMentioned(obls []obligation, e ast.Expr) []obligation {
 	var kept []obligation
 	for _, o := range obls {
-		if mentions(e, baseOf(o.key)) {
+		if !o.lock && mentions(e, baseOf(o.key)) {
 			continue
 		}
 		kept = append(kept, o)

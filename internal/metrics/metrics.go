@@ -78,11 +78,12 @@ func (g *Gauge) Load() int64 {
 // bounds are fixed at registration, so exports are deterministic however the
 // observations interleave.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // sorted upper bounds; immutable after registration
-	counts []uint64  // guarded by mu; len(bounds)+1, last is +Inf
-	count  uint64    // guarded by mu
-	sum    float64   // guarded by mu
+
+	mu     sync.Mutex
+	counts []uint64 // guarded by mu; len(bounds)+1, last is +Inf
+	count  uint64   // guarded by mu
+	sum    float64  // guarded by mu
 }
 
 // Observe records one value.

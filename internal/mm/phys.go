@@ -102,11 +102,11 @@ type PhysMemory struct {
 	// base is the shared frozen image this memory forked from (nil for a
 	// never-forked memory). Swapped only under mu; the layer itself is
 	// immutable.
-	base *baseLayer
+	base *baseLayer // guarded by mu
 	// dirty is the private overlay: frames allocated or copied-on-write
 	// since the last freeze. A nil value is a tombstone hiding a freed
 	// base frame.
-	dirty map[uint32][]byte
+	dirty map[uint32][]byte // guarded by mu
 	// Free-frame bookkeeping. baseFree is the permuted allocation order;
 	// its contents are immutable and shared across forks, with freeTop
 	// marking this memory's private position in it (frames are popped
@@ -114,12 +114,12 @@ type PhysMemory struct {
 	// freeze (re-allocated LIFO, before baseFree). stolen marks frames
 	// below freeTop claimed out of order by implicit WritePhys allocation,
 	// which the allocator must skip.
-	baseFree []uint32
-	freeTop  int
-	returned []uint32
-	stolen   map[uint32]struct{}
+	baseFree []uint32            // guarded by mu
+	freeTop  int                 // guarded by mu
+	returned []uint32            // guarded by mu
+	stolen   map[uint32]struct{} // guarded by mu
 	// inUse counts allocated frames (base plus overlay, minus tombstones).
-	inUse int
+	inUse int // guarded by mu
 }
 
 // NewPhysMemory creates a guest-physical memory of size bytes (rounded down

@@ -92,8 +92,9 @@ func (e *Event) key() string {
 // nil-receiver-safe: instrumentation sites hold a possibly-nil *Tracer and
 // call it unconditionally, so the disabled path costs one nil check.
 type Tracer struct {
+	cap int // ring capacity; immutable after construction
+
 	mu      sync.Mutex
-	cap     int
 	buf     []Event       // guarded by mu; ring, oldest overwritten once full
 	next    int           // guarded by mu; ring write index
 	full    bool          // guarded by mu

@@ -176,8 +176,8 @@ type Handle struct {
 	mapSetups   metrics.Counter
 
 	tlbMu  sync.Mutex
-	tlb    map[uint32]uint32 // VPN -> PFN; the software TLB
-	tlbGen uint64            // epoch value the TLB was filled under
+	tlb    map[uint32]uint32 // guarded by tlbMu; VPN -> PFN, the software TLB
+	tlbGen uint64            // guarded by tlbMu; epoch value the TLB was filled under
 }
 
 // Option configures a Handle.
