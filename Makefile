@@ -97,12 +97,14 @@ bench-smoke:
 	@rm -f bench-smoke.out
 
 # One-iteration 1000-VM fleet sweep, checker and scanner legs (-short skips
-# the 10k/100k curve): fails if the copy-on-write fleet path errors or flags
-# a clean pool, not on performance. The full scaling curve ships with
+# the 10k/100k curve), plus one 100000-VM dedup scanner sweep: fails if the
+# copy-on-write fleet path or the fleet-scale scanner path errors or flags a
+# clean pool, not on performance. The full scaling curve ships with
 # `make bench` ($(BENCHOUT)).
 fleet-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFleetSweep/vms=1000$$' -benchtime 1x -benchmem -short . > fleet-smoke.out
 	$(GO) test -run '^$$' -bench '^BenchmarkScannerSweep/vms=1000$$' -benchtime 1x -benchmem -short . >> fleet-smoke.out
+	$(GO) test -run '^$$' -bench '^BenchmarkScannerSweep/vms=100000$$' -benchtime 1x -benchmem . >> fleet-smoke.out
 	$(GO) run ./cmd/benchjson -baseline none < fleet-smoke.out
 	@rm -f fleet-smoke.out
 

@@ -121,8 +121,8 @@ func benchScannerSweep(b *testing.B, sc *modchecker.Scanner) {
 
 // BenchmarkScannerSweep is the scanner leg of the fleet curve: the paper's
 // 15-VM testbed (every module discovered, 7 x 15), then fleets of 1k and
-// 100k VMs in the configuration of BenchmarkFleetSweep. 1k runs everywhere
-// (make fleet-smoke runs it once); 100k is skipped in -short mode.
+// 100k VMs in the configuration of BenchmarkFleetSweep. 1k runs everywhere;
+// 100k is skipped in -short mode. make fleet-smoke runs each fleet once.
 func BenchmarkScannerSweep(b *testing.B) {
 	b.Run("paper15", func(b *testing.B) {
 		benchScannerSweep(b, mustCloud(b, 15, 42).NewScanner())

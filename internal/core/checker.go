@@ -80,11 +80,18 @@ const (
 // an uncached one.
 const CostCASLookup = 1 * time.Microsecond
 
-// Target identifies one VM to the checker: its name and an open
-// introspection handle.
+// Target identifies one VM to the checker: its name and its introspection
+// handle — open already, or opened on first use through Open.
 type Target struct {
-	Name   string
+	Name string
+	// Handle is the VM's open introspection handle; nil for a lazy target
+	// whose handle Open has not produced yet (see Introspect).
 	Handle *vmi.Handle
+	// Open, when set, opens the VM's introspection handle. It lets a caller
+	// name a whole fleet without paying for a handle per VM: a sweep session
+	// opens only the VMs it lists (identity-group leaders under dedup).
+	// Opening charges no simulated time.
+	Open func() *vmi.Handle
 	// Identity, when set, returns a content-identity token for the VM's
 	// entire guest-physical memory. Two targets reporting the same token are
 	// bit-identical (copy-on-write clones that have not diverged from their
@@ -103,6 +110,16 @@ type Target struct {
 	// event stop being addressable after it even if the memory image's
 	// ContentID reads the same.
 	Epoch func() uint64
+}
+
+// Introspect returns the target's introspection handle, opening a lazy
+// target first and keeping the handle in t.Handle. It returns nil for a
+// target with neither a handle nor an opener.
+func (t *Target) Introspect() *vmi.Handle {
+	if t.Handle == nil && t.Open != nil {
+		t.Handle = t.Open()
+	}
+	return t.Handle
 }
 
 // QuorumPolicy sets how many healthy peer comparisons a verdict needs.
@@ -359,8 +376,9 @@ func (c *Checker) releaseFetched(f *fetched) {
 //
 //modown:pool module-fetch get
 func (c *Checker) fetchAndParse(t Target, module string) *fetched {
+	h := t.Introspect() // a lazy target opens per call
 	f := &fetched{target: t}
-	info, buf, searchCost, err := NewSearcher(t.Handle, c.cfg.Strategy).WithRetry(c.cfg.Retry).FetchModule(module)
+	info, buf, searchCost, err := NewSearcher(h, c.cfg.Strategy).WithRetry(c.cfg.Retry).FetchModule(module)
 	f.timing.Searcher = c.charge(searchCost)
 	if err != nil {
 		f.err = err

@@ -82,6 +82,11 @@ func (ps *PoolSweep) SetBudgets(sweep, perVM time.Duration) {
 // NewPoolSweep opens a sweep session: one retried LDR-list walk per VM.
 // The caller owns the session and must Close it once the sweep is done.
 //
+// Lazy targets (Target.Open) are opened in place, in pool order, just
+// before the list walks — and only for the VMs the session lists: identity
+// dups share their leader's snapshot and reads, so they never get a
+// handle. Every VM the engine fetches from is a listed VM.
+//
 //modsafe:acquires sweep-session
 //modsafe:charged
 func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
@@ -99,6 +104,11 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 	ps.eng = &engine{c: c, vms: vms, ps: ps, leader: ps.leader, lean: cfg.LeanReports}
 	if !cfg.FullPairwise {
 		ps.eng.shard, ps.eng.store = cfg.ShardSize, cfg.DigestCache
+	}
+	for i, l := range ps.leader {
+		if l == i {
+			vms[i].Introspect()
+		}
 	}
 	costs := make([]time.Duration, len(vms))
 	listOne := func(i int) {
@@ -137,7 +147,7 @@ func identityLeaders(dedup bool, vms []Target) []int {
 	if !dedup {
 		return leader
 	}
-	firstByID := make(map[uint64]int, len(vms))
+	firstByID := make(map[uint64]int) // one entry per identity group
 	for i := range vms {
 		if vms[i].Identity == nil {
 			continue
@@ -155,13 +165,15 @@ func identityLeaders(dedup bool, vms []Target) []int {
 	return leader
 }
 
-// VMs returns the session's targets.
+// VMs returns the session's targets. A lazy target the session did not
+// list (an identity dup) still has a nil Handle.
 func (ps *PoolSweep) VMs() []Target { return ps.vms }
 
 // Close releases the sweep session: the module-table snapshot is dropped and
-// every target handle's translation cache is invalidated, so a later sweep
-// starts from fresh guest state rather than mappings that may have gone
-// stale between sweeps. Close is idempotent; lookups against a closed
+// every open target handle's translation cache is invalidated, so a later
+// sweep starts from fresh guest state rather than mappings that may have
+// gone stale between sweeps. Targets that were never opened have nothing
+// to invalidate. Close is idempotent; lookups against a closed
 // session fail with ErrSweepClosed.
 //
 //modsafe:releases sweep-session
@@ -227,7 +239,7 @@ func (ps *PoolSweep) lookup(i int, module string) (*ModuleInfo, error) {
 // the accounting is race-free.
 func (ps *PoolSweep) fetchVM(i int, module string) *fetched {
 	c := ps.c
-	t := ps.vms[i]
+	t := ps.vms[i] // a listed VM: NewPoolSweep opened its handle
 	f := &fetched{target: t}
 	info, err := ps.lookup(i, module)
 	if err != nil {

@@ -155,6 +155,8 @@ type Cloud struct {
 	reg     *metrics.Registry
 	tracer  *trace.Tracer
 	noTLB   bool
+	// mOpened counts introspection handles opened (vmi/handles_opened).
+	mOpened *metrics.Counter
 }
 
 // NewCloud builds and boots the testbed.
@@ -194,6 +196,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	}
 	c.stats.Bind(c.reg)
 	c.hv.Bind(c.reg)
+	c.mOpened = c.reg.Counter("vmi/handles_opened")
 	return c, nil
 }
 
@@ -358,14 +361,21 @@ func (c *Cloud) Target(name string) (core.Target, error) {
 	if d == nil {
 		return core.Target{}, fmt.Errorf("modchecker: no VM %q", name)
 	}
-	return c.target(d), nil
+	t := c.target(d)
+	t.Introspect()
+	return t, nil
 }
 
-// target opens an introspection target on an already resolved domain.
+// target describes an already resolved domain as a lazy introspection
+// target: the handle (and with it the vCPU's CR3) is taken only when the
+// checker first opens it, so a sweep pays for the VMs it reads, not for
+// the whole fleet.
 func (c *Cloud) target(d *hypervisor.Domain) core.Target {
 	g := d.Guest()
-	h := vmi.Open(d.Name, c.reader(d), g.CR3(), c.profile, c.handleOptions(d)...)
-	t := core.Target{Name: d.Name, Handle: h}
+	t := core.Target{Name: d.Name, Open: func() *vmi.Handle {
+		c.mOpened.Inc()
+		return vmi.Open(d.Name, c.reader(d), g.CR3(), c.profile, c.handleOptions(d)...)
+	}}
 	if c.plan == nil {
 		// Identity lets WithIdentityDedup treat copy-on-write forks that
 		// still share their template's frozen image as one VM. A fault plan
@@ -404,6 +414,7 @@ func (c *Cloud) OpenVMI(name string) (*vmi.Handle, error) {
 	g := d.Guest()
 	opts := append(c.handleOptions(d),
 		vmi.WithCharge(func(d time.Duration) { c.hv.ChargeDom0(d) }))
+	c.mOpened.Inc()
 	return vmi.Open(name, c.reader(d), g.CR3(), c.profile, opts...), nil
 }
 

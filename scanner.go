@@ -356,21 +356,25 @@ func (s *Scanner) slot(vm string) *vmHealth {
 }
 
 // partition assigns every roster VM its role in sweep number `sweep` and
-// opens a target, in pool order, on each VM the sweep checks: healthy and
-// suspect VMs, and quarantined VMs due for a readmission probe. Skipped
-// quarantined VMs open nothing. Destroyed domains go straight to
-// quarantine and are skipped — there is nothing left to probe, but the
-// operator should still see them accounted. Each name is resolved against
-// the hypervisor afresh every sweep, so a destroyed domain that is later
-// re-created under the same name re-enters through the normal
-// readmission-probe path once its timer expires.
+// describes, in pool order, a lazy target for each VM the sweep checks:
+// healthy and suspect VMs, and quarantined VMs due for a readmission
+// probe. No handle is opened here — the sweep session opens only the VMs
+// it lists, so identity dups never get one. Skipped quarantined VMs get no
+// target. Destroyed domains go straight to quarantine and are skipped —
+// there is nothing left to probe, but the operator should still see them
+// accounted. Each VM is checked against the roster's own domain; only when
+// that domain is destroyed is the name resolved against the hypervisor
+// again, so a domain later re-created under the same name re-enters
+// through the normal readmission-probe path once its timer expires.
 func (s *Scanner) partition(sweep int) []core.Target {
 	targets := make([]core.Target, 0, len(s.vms))
-	for i, dom := range s.cloud.domains {
-		name := dom.Name
+	for i, d := range s.cloud.domains {
+		name := d.Name
 		h := &s.vms[i]
 		h.role, h.overBudget, h.failed = roleSkipped, false, 0
-		d := s.cloud.Domain(name)
+		if d.Destroyed() {
+			d = s.cloud.Domain(name)
+		}
 		if d == nil || d.Destroyed() {
 			if h.state != HealthQuarantined {
 				h.state = HealthQuarantined

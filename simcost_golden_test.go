@@ -2,6 +2,7 @@ package modchecker
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -70,6 +71,9 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //   - churn32: fleet256-churn's revert+patch step on a 32-VM fleet behind a
 //     digest store — a cold sweep, a sweep after patching hal.dll on 4 VMs,
 //     and one after reverting them and patching 4 others.
+//   - scan4k: fleet100k-dedup's scanner sweep scaled to 4096 clones of 4
+//     templates (sharded, lean, identity dedup, its three modules), swept
+//     twice, plus the SHA-256 of both sweeps' WriteJSON bytes.
 func simcostRun(t *testing.T) []byte {
 	t.Helper()
 	var l simcostLedger
@@ -204,15 +208,37 @@ func simcostRun(t *testing.T) []byte {
 		}
 		l.sweep(t, fmt.Sprintf("churn32 step=%d", step), sc)
 	}
+
+	scan, err := NewCloud(CloudConfig{VMs: 4096, Templates: 4, Seed: 1, Cores: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = scan.NewScanner(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
+	l.begin(scan, nil)
+	reports := sha256.New()
+	for sweep := 1; sweep <= 2; sweep++ {
+		rep, err := sc.Sweep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.record(fmt.Sprintf("scan4k sweep=%d", sweep),
+			rep.Simulated, rep.Timing.Fetch, rep.Timing.Digest, rep.Timing.Compare, len(rep.Alerts))
+		if err := rep.WriteJSON(reports); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fmt.Fprintf(&l.buf, "scan4k report_sha256=%x\n", reports.Sum(nil))
 	return l.buf.Bytes()
 }
 
 // TestSimCostGolden byte-compares the simulated cost of the simcost
 // scenarios with testdata/simcost.golden, generated before the leaf-layer
-// optimizations of Algorithm 2 and MD5 (see testdata/README.md for the
-// exact commands). Host-side optimizations must leave every simulated
-// nanosecond, stage split, page-table walk, byte read and store hit as it
-// was; any drift shows up here.
+// optimizations of Algorithm 2 and MD5, and for scan4k before lazy
+// introspection targets (see testdata/README.md for the exact commands).
+// Host-side optimizations must leave every simulated nanosecond, stage
+// split, page-table walk, byte read, store hit and scan4k report byte as
+// it was; any drift shows up here.
 func TestSimCostGolden(t *testing.T) {
 	got := simcostRun(t)
 	path := filepath.Join("testdata", "simcost.golden")

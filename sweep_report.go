@@ -5,82 +5,97 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 	"unicode/utf8"
 )
 
-// sweepAlertJSON is the stable JSON shape of one sweep alert.
-type sweepAlertJSON struct {
-	Module     string   `json:"module"`
-	VM         string   `json:"vm"`
-	Verdict    string   `json:"verdict"`
-	Components []string `json:"components,omitempty"`
-	Reason     string   `json:"reason,omitempty"`
-}
-
-type sweepErrorJSON struct {
-	Module string `json:"module"`
-	Error  string `json:"error"`
-}
-
-type sweepTimingJSON struct {
-	ListMS    float64 `json:"list_ms"`
-	FetchMS   float64 `json:"fetch_ms"`
-	DigestMS  float64 `json:"digest_ms"`
-	CompareMS float64 `json:"compare_ms"`
-}
-
-// sweepJSON is the stable JSON shape of a whole sweep. Counts for skipped
-// VMs, budget-dropped VMs, and deferred modules are always present (not
-// omitempty) so downstream tooling can threshold on them without probing
-// for the field.
-type sweepJSON struct {
-	Sweep          int              `json:"sweep"`
-	ModulesChecked int              `json:"modules_checked"`
-	VMs            int              `json:"vms"`
-	Clean          bool             `json:"clean"`
-	Partial        bool             `json:"partial"`
-	Resumed        bool             `json:"resumed"`
-	Alerts         []sweepAlertJSON `json:"alerts,omitempty"`
-	Errors         []sweepErrorJSON `json:"errors,omitempty"`
-	Health         *healthJSON      `json:"health,omitempty"`
-	Quarantined    []string         `json:"quarantined,omitempty"`
-	Readmitted     []string         `json:"readmitted,omitempty"`
-	Skipped        []string         `json:"skipped,omitempty"`
-	SkippedCount   int              `json:"skipped_count"`
-	Remaining      []string         `json:"remaining_modules,omitempty"`
-	RemainingCount int              `json:"remaining_count"`
-	BudgetExceeded []string         `json:"budget_exceeded,omitempty"`
-	BudgetCount    int              `json:"budget_exceeded_count"`
-	BreakerOpen    []string         `json:"breaker_open,omitempty"`
-	SimulatedMS    float64          `json:"simulated_ms"`
-	Timing         sweepTimingJSON  `json:"timing"`
-}
-
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// healthJSON renders SweepReport.Health as a JSON object whose keys are in
-// sorted order — byte for byte what encoding/json produces for the
-// equivalent map[string]string — without the encoder's reflective key sort.
-type healthJSON struct {
-	vms    []string // sorted keys of health
-	health map[string]HealthState
+// jsonOut builds a JSON document directly in encoding/json's indented
+// layout — the bytes json.Encoder produces after SetIndent("", "  ") — so
+// nothing has to be re-indented afterwards. Strings and numbers are
+// rendered exactly as encoding/json renders them.
+type jsonOut struct {
+	b     []byte
+	depth int
+	more  bool // the innermost open container already holds a member
 }
 
-// MarshalJSON implements json.Marshaler.
-func (h *healthJSON) MarshalJSON() ([]byte, error) {
-	buf := make([]byte, 0, 32*len(h.vms))
-	buf = append(buf, '{')
-	for i, vm := range h.vms {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, vm)
-		buf = append(buf, ':')
-		buf = appendJSONString(buf, h.health[vm].String())
+// next starts the next member of the innermost open container.
+func (j *jsonOut) next() {
+	if j.more {
+		j.b = append(j.b, ',')
 	}
-	return append(buf, '}'), nil
+	j.b = j.newline(j.b)
+	j.more = true
+}
+
+// newline appends a line break and the current depth's indentation.
+func (j *jsonOut) newline(b []byte) []byte {
+	b = append(b, '\n')
+	for range j.depth {
+		b = append(b, "  "...)
+	}
+	return b
+}
+
+func (j *jsonOut) key(k string) {
+	j.next()
+	j.b = appendJSONString(j.b, k)
+	j.b = append(j.b, ": "...)
+}
+
+func (j *jsonOut) open(c byte) {
+	j.b = append(j.b, c)
+	j.depth++
+	j.more = false
+}
+
+// close ends the innermost container; an empty one renders as {} or [].
+func (j *jsonOut) close(c byte) {
+	j.depth--
+	if j.more {
+		j.b = j.newline(j.b)
+	}
+	j.b = append(j.b, c)
+	j.more = true
+}
+
+func (j *jsonOut) str(k, v string) {
+	j.key(k)
+	j.b = appendJSONString(j.b, v)
+}
+
+func (j *jsonOut) int(k string, v int) {
+	j.key(k)
+	j.b = strconv.AppendInt(j.b, int64(v), 10)
+}
+
+func (j *jsonOut) bool(k string, v bool) {
+	j.key(k)
+	j.b = strconv.AppendBool(j.b, v)
+}
+
+func (j *jsonOut) ms(k string, d time.Duration) {
+	j.key(k)
+	b, _ := json.Marshal(durMS(d)) // a duration is always finite
+	j.b = append(j.b, b...)
+}
+
+// strs renders a string list; an empty one is omitted (omitempty).
+func (j *jsonOut) strs(k string, vs []string) {
+	if len(vs) == 0 {
+		return
+	}
+	j.key(k)
+	j.open('[')
+	for _, v := range vs {
+		j.next()
+		j.b = appendJSONString(j.b, v)
+	}
+	j.close(']')
 }
 
 // appendJSONString appends s as encoding/json renders a string with HTML
@@ -100,75 +115,121 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// sortedHealthVMs returns Health's keys in sorted order: the scanner's
-// roster when the map still holds exactly those names, otherwise (a report
-// built or edited outside the scanner) a fresh sort of the keys.
-func (r *SweepReport) sortedHealthVMs() []string {
-	if len(r.healthOrder) == len(r.Health) && hasAllKeys(r.Health, r.healthOrder) {
-		return r.healthOrder
+// appendHealth appends every Health entry in sorted name order, rendered by
+// entry (k counts the entries appended so far). A scanner report is walked
+// along the scanner's sorted roster with one map lookup per name; a report
+// whose map no longer holds exactly the roster's names (built or edited
+// outside the scanner) is rolled back and rendered from a fresh sort of
+// its keys.
+func (r *SweepReport) appendHealth(dst []byte, entry func(b []byte, k int, vm string, st HealthState) []byte) []byte {
+	if len(r.healthOrder) == len(r.Health) {
+		b, complete := dst, true
+		for k, vm := range r.healthOrder {
+			st, ok := r.Health[vm]
+			if complete = ok; !ok {
+				break
+			}
+			b = entry(b, k, vm, st)
+		}
+		if complete {
+			return b
+		}
 	}
 	vms := make([]string, 0, len(r.Health))
 	for vm := range r.Health {
 		vms = append(vms, vm)
 	}
 	sort.Strings(vms)
-	return vms
-}
-
-func hasAllKeys(m map[string]HealthState, keys []string) bool {
-	for _, k := range keys {
-		if _, ok := m[k]; !ok {
-			return false
-		}
+	for k, vm := range vms {
+		dst = entry(dst, k, vm, r.Health[vm])
 	}
-	return true
+	return dst
 }
 
-// WriteJSON emits the sweep report as indented JSON. Health renders in
-// sorted key order and every list is already sorted by the scanner, so the
-// bytes are identical across identically seeded runs.
+// WriteJSON emits the sweep report as indented JSON, byte for byte what
+// encoding/json's indenting Encoder renders for the report's stable shape
+// (see TestWriteJSONMatchesEncodingJSON). Health renders in sorted key
+// order and every list is already sorted by the scanner, so the bytes are
+// identical across identically seeded runs. Counts for skipped VMs,
+// budget-dropped VMs, and deferred modules are always present (not omitted
+// when zero) so downstream tooling can threshold on them without probing
+// for the field.
 //
 //moddet:sink sweep JSON must be byte-identical across runs
 func (r *SweepReport) WriteJSON(w io.Writer) error {
-	out := sweepJSON{
-		Sweep:          r.Sweep,
-		ModulesChecked: r.ModulesChecked,
-		VMs:            r.VMs,
-		Clean:          r.Clean(),
-		Partial:        r.Partial,
-		Resumed:        r.Resumed,
-		Quarantined:    r.Quarantined,
-		Readmitted:     r.Readmitted,
-		Skipped:        r.Skipped,
-		SkippedCount:   len(r.Skipped),
-		Remaining:      r.Remaining,
-		RemainingCount: len(r.Remaining),
-		BudgetExceeded: r.BudgetExceeded,
-		BudgetCount:    len(r.BudgetExceeded),
-		BreakerOpen:    r.BreakerOpen,
-		SimulatedMS:    durMS(r.Simulated),
-		Timing: sweepTimingJSON{
-			ListMS:    durMS(r.Timing.List),
-			FetchMS:   durMS(r.Timing.Fetch),
-			DigestMS:  durMS(r.Timing.Digest),
-			CompareMS: durMS(r.Timing.Compare),
-		},
+	j := jsonOut{b: make([]byte, 0, 1024+32*len(r.Health))}
+	j.open('{')
+	j.int("sweep", r.Sweep)
+	j.int("modules_checked", r.ModulesChecked)
+	j.int("vms", r.VMs)
+	j.bool("clean", r.Clean())
+	j.bool("partial", r.Partial)
+	j.bool("resumed", r.Resumed)
+	if len(r.Alerts) > 0 {
+		j.key("alerts")
+		j.open('[')
+		for _, a := range r.Alerts {
+			j.next()
+			j.open('{')
+			j.str("module", a.Module)
+			j.str("vm", a.VM)
+			j.str("verdict", a.Verdict.String())
+			j.strs("components", a.Components)
+			if a.Reason != "" {
+				j.str("reason", a.Reason)
+			}
+			j.close('}')
+		}
+		j.close(']')
 	}
-	for _, a := range r.Alerts {
-		out.Alerts = append(out.Alerts, sweepAlertJSON{
-			Module: a.Module, VM: a.VM, Verdict: a.Verdict.String(),
-			Components: a.Components, Reason: a.Reason,
-		})
-	}
-	for _, e := range r.Errors {
-		out.Errors = append(out.Errors, sweepErrorJSON{Module: e.Module, Error: e.Err.Error()})
+	if len(r.Errors) > 0 {
+		j.key("errors")
+		j.open('[')
+		for _, e := range r.Errors {
+			j.next()
+			j.open('{')
+			j.str("module", e.Module)
+			j.str("error", e.Err.Error())
+			j.close('}')
+		}
+		j.close(']')
 	}
 	if len(r.Health) > 0 {
-		out.Health = &healthJSON{vms: r.sortedHealthVMs(), health: r.Health}
+		j.key("health")
+		j.open('{')
+		indent := string(j.newline(nil))
+		j.b = r.appendHealth(j.b, func(b []byte, k int, vm string, st HealthState) []byte {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, indent...)
+			b = appendJSONString(b, vm)
+			b = append(b, ": "...)
+			return appendJSONString(b, st.String())
+		})
+		j.more = true // entries were appended past jsonOut; there is at least one
+		j.close('}')
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	j.strs("quarantined", r.Quarantined)
+	j.strs("readmitted", r.Readmitted)
+	j.strs("skipped", r.Skipped)
+	j.int("skipped_count", len(r.Skipped))
+	j.strs("remaining_modules", r.Remaining)
+	j.int("remaining_count", len(r.Remaining))
+	j.strs("budget_exceeded", r.BudgetExceeded)
+	j.int("budget_exceeded_count", len(r.BudgetExceeded))
+	j.strs("breaker_open", r.BreakerOpen)
+	j.ms("simulated_ms", r.Simulated)
+	j.key("timing")
+	j.open('{')
+	j.ms("list_ms", r.Timing.List)
+	j.ms("fetch_ms", r.Timing.Fetch)
+	j.ms("digest_ms", r.Timing.Digest)
+	j.ms("compare_ms", r.Timing.Compare)
+	j.close('}')
+	j.close('}')
+	_, err := w.Write(append(j.b, '\n'))
+	return err
 }
 
 // WriteText renders the sweep report as operator-facing text: the one-line
@@ -235,15 +296,12 @@ func (r *SweepReport) WriteText(w io.Writer) error {
 	if !notable {
 		return nil
 	}
-	var b strings.Builder
-	b.WriteString("  health:")
-	for _, vm := range r.sortedHealthVMs() {
-		b.WriteByte(' ')
-		b.WriteString(vm)
-		b.WriteByte('=')
-		b.WriteString(r.Health[vm].String())
-	}
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
+	b := r.appendHealth([]byte("  health:"), func(b []byte, _ int, vm string, st HealthState) []byte {
+		b = append(b, ' ')
+		b = append(b, vm...)
+		b = append(b, '=')
+		return append(b, st.String()...)
+	})
+	_, err := w.Write(append(b, '\n'))
 	return err
 }
