@@ -7,7 +7,7 @@ BENCHTIME ?= 5x
 BENCHOUT ?= .bench_build/bench.json
 CHAOS_SEEDS ?= 20
 
-.PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile
+.PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile profile-fleet
 
 all: build
 
@@ -134,6 +134,14 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig7Sweep15/traced' -benchtime $(BENCHTIME) \
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -tags cpu.prof)"
+
+# CPU/heap profile of the 100000-VM dedup scanner sweep (sweep + WriteJSON,
+# the fleet100k-dedup shape): where a fleet sweep's host time and
+# allocation go. See docs/performance.md section 9.
+profile-fleet:
+	$(GO) test -run '^$$' -bench '^BenchmarkScannerSweep/vms=100000$$' -benchtime 20x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof .
+	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -sample_index=alloc_space mem.prof)"
 
 # Short smoke run of every fuzz target: catches gross parser regressions
 # without the cost of a real campaign. Go allows only one -fuzz pattern

@@ -114,7 +114,10 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	var mod lint.ModuleAnalyzer
+	// Whole-program rules run only over the whole module; a run over
+	// package directories still learns their names, so directives naming
+	// them are not reported as unknown.
+	var mod lint.ModuleAnalyzer = lint.KnownRules(modgraph.Suite{Passes: passes}.Rules())
 	if wholeModule {
 		mod = modgraph.Suite{Path: modgraph.ReadModulePath(root), Passes: passes}
 	}
@@ -308,10 +311,6 @@ func load(root, wd string, patterns []string) ([]*lint.Package, bool, error) {
 func resolveDir(root, wd, pat string) (string, error) {
 	dir := pat
 	if !filepath.IsAbs(dir) {
-		wd, err := os.Getwd()
-		if err != nil {
-			return "", err
-		}
 		dir = filepath.Join(wd, pat)
 	}
 	info, err := os.Stat(dir)

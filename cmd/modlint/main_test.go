@@ -13,7 +13,8 @@ import (
 
 // runFilterSrc has one finding each for a per-package rule (clockdiscipline,
 // errprefix) and a whole-program rule (releasetrack), one errprefix finding
-// silenced by a directive naming its rule, and a directive naming the
+// silenced by a directive naming its rule, a directive naming the
+// whole-program lockflow rule, which is valid, and a directive naming the
 // deleted lockdiscipline rule, which is unknown.
 const runFilterSrc = `package x
 
@@ -53,6 +54,9 @@ func Wait() time.Time { return time.Now() }
 
 //modlint:ignore lockdiscipline the rule no longer exists
 var _ = 0
+
+//modlint:ignore lockflow fixture: names a whole-program rule
+var _ = 1
 `
 
 // ruleRE extracts the rule of one "file:line: [rule] message" line.
@@ -62,6 +66,8 @@ var ruleRE = regexp.MustCompile(`^\S+:\d+: \[([a-z-]+)\] `)
 // name reports only that rule's findings, an unknown name (the deleted
 // lockdiscipline included) is a usage error, and a //modlint:ignore naming
 // a rule that -run leaves out stays valid rather than becoming a finding.
+// A run over the package directory reports the per-package rules only,
+// and still accepts the directive naming a whole-program rule.
 func TestRunFilter(t *testing.T) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "internal", "x")
@@ -78,6 +84,7 @@ func TestRunFilter(t *testing.T) {
 	cases := []struct {
 		name   string
 		run    string
+		dir    string // package directory to lint instead of ./...
 		code   int
 		rules  []string // rules of the reported findings, sorted
 		stderr string   // substring of the diagnostics, for usage errors
@@ -90,12 +97,16 @@ func TestRunFilter(t *testing.T) {
 		{name: "deleted rule", run: "lockdiscipline", code: 2, stderr: `unknown rule "lockdiscipline"`},
 		{name: "typo", run: "releasetrak", code: 2, stderr: `unknown rule "releasetrak"`},
 		{name: "empty name", run: "errprefix,", code: 2, stderr: "empty rule name"},
+		{name: "package directory", dir: "internal/x", code: 1, rules: []string{"clockdiscipline", "errprefix", "ignore-directive"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			args := []string{"./..."}
+			if tc.dir != "" {
+				args = []string{tc.dir}
+			}
 			if tc.run != "" {
-				args = []string{"-run", tc.run, "./..."}
+				args = append([]string{"-run", tc.run}, args...)
 			}
 			var stdout, stderr bytes.Buffer
 			code := run(root, args, &stdout, &stderr)

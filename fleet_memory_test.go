@@ -1,6 +1,7 @@
 package modchecker
 
 import (
+	"io"
 	"runtime"
 	"testing"
 )
@@ -136,5 +137,55 @@ func TestWarmScannerSweepAllocatesLinearly(t *testing.T) {
 	t.Logf("warm sweep alloc: 64 VMs %d B, 256 VMs %d B (%.1fx)", a64, a256, float64(a256)/float64(a64))
 	if a256 >= 6*a64 {
 		t.Errorf("warm 256-VM sweep allocated %d B, want < 6x the 64-VM sweep's %d B", a256, a64)
+	}
+}
+
+// dedupSweepObjects returns the heap objects one warm dedup scanner sweep
+// and its WriteJSON allocate over a clean vms-VM fleet of 4 templates
+// (shard 256, lean, 3 modules). The first sweep warms the scanner; the
+// second is measured.
+func dedupSweepObjects(t *testing.T, vms int) uint64 {
+	t.Helper()
+	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := cloud.NewScanner(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
+	if _, err := sc.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := sc.Sweep()
+	if err == nil {
+		err = rep.WriteJSON(io.Discard)
+	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Fatalf("dedup sweep of a clean %d-VM fleet not clean: %+v", vms, rep.Alerts)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestDedupSweepObjectsIndependentOfFleet: under identity dedup a sweep
+// reads only the template leaders, and its per-VM bookkeeping is index
+// arrays and the Health map, not an object per VM. Quadrupling the fleet
+// from 1024 to 4096 clones must therefore add far fewer than one heap
+// object per added VM; a Target with closures per VM, or a pool-sized
+// array per module, adds several. The bound is a quarter object per VM,
+// so the test pins the asymptotic claim, not allocator noise.
+func TestDedupSweepObjectsIndependentOfFleet(t *testing.T) {
+	small := dedupSweepObjects(t, 1024)
+	large := dedupSweepObjects(t, 4096)
+	perVM := (float64(large) - float64(small)) / (4096 - 1024)
+	t.Logf("objects per dedup sweep: 1024 VMs %d, 4096 VMs %d (%.3f per added VM)", small, large, perVM)
+	if perVM >= 0.25 {
+		t.Errorf("dedup sweep added %.3f heap objects per added VM (1024 VMs: %d, 4096 VMs: %d), want < 0.25",
+			perVM, small, large)
 	}
 }

@@ -129,7 +129,7 @@ func (db *Database) Verify(module string, target core.Target) (*Result, error) {
 	}
 	res.Known = true
 
-	s := core.NewSearcher(target.Introspect(), core.CopyPageWise)
+	s := core.NewSearcher(target.Handle, core.CopyPageWise)
 	info, buf, _, err := s.FetchModule(module)
 	if err != nil {
 		return nil, err

@@ -80,18 +80,12 @@ const (
 // an uncached one.
 const CostCASLookup = 1 * time.Microsecond
 
-// Target identifies one VM to the checker: its name and its introspection
-// handle — open already, or opened on first use through Open.
+// Target identifies one VM to the checker by name and open introspection
+// handle. Callers that name a whole fleet describe it as a Pool instead,
+// which costs no Target value per VM.
 type Target struct {
-	Name string
-	// Handle is the VM's open introspection handle; nil for a lazy target
-	// whose handle Open has not produced yet (see Introspect).
+	Name   string
 	Handle *vmi.Handle
-	// Open, when set, opens the VM's introspection handle. It lets a caller
-	// name a whole fleet without paying for a handle per VM: a sweep session
-	// opens only the VMs it lists (identity-group leaders under dedup).
-	// Opening charges no simulated time.
-	Open func() *vmi.Handle
 	// Identity, when set, returns a content-identity token for the VM's
 	// entire guest-physical memory. Two targets reporting the same token are
 	// bit-identical (copy-on-write clones that have not diverged from their
@@ -112,14 +106,47 @@ type Target struct {
 	Epoch func() uint64
 }
 
-// Introspect returns the target's introspection handle, opening a lazy
-// target first and keeping the handle in t.Handle. It returns nil for a
-// target with neither a handle nor an opener.
-func (t *Target) Introspect() *vmi.Handle {
-	if t.Handle == nil && t.Open != nil {
-		t.Handle = t.Open()
+// Pool describes the VMs of a pool check by index, in pool order: what a
+// Target says about one VM, asked of VM i only when the check needs it. A
+// sweep session opens only the VMs it lists — one per identity group under
+// Config.DedupIdentical — so a fleet described as a Pool pays for the VMs
+// a sweep reads, not for a Target (and its closures) per VM.
+type Pool interface {
+	// Len is the number of VMs in the pool.
+	Len() int
+	// Name returns VM i's name.
+	Name(i int) string
+	// Open returns an open introspection handle on VM i. Opening charges
+	// no simulated time; a session opens each VM it lists once.
+	Open(i int) *vmi.Handle
+	// Identity returns VM i's content-identity token, as Target.Identity;
+	// ok=false when it has none.
+	Identity(i int) (id uint64, ok bool)
+	// Epoch returns VM i's mapping epoch, as Target.Epoch; 0 when it has
+	// none.
+	Epoch(i int) uint64
+}
+
+// targetPool is the Pool of a target slice: the adapter behind every
+// []Target entry point.
+type targetPool []Target
+
+func (p targetPool) Len() int               { return len(p) }
+func (p targetPool) Name(i int) string      { return p[i].Name }
+func (p targetPool) Open(i int) *vmi.Handle { return p[i].Handle }
+
+func (p targetPool) Identity(i int) (uint64, bool) {
+	if p[i].Identity == nil {
+		return 0, false
 	}
-	return t.Handle
+	return p[i].Identity()
+}
+
+func (p targetPool) Epoch(i int) uint64 {
+	if p[i].Epoch == nil {
+		return 0
+	}
+	return p[i].Epoch()
 }
 
 // QuorumPolicy sets how many healthy peer comparisons a verdict needs.
@@ -338,7 +365,7 @@ func (r *ModuleReport) MismatchedComponents() []string {
 // fetched is one VM's copy of the module after search + parse, with
 // per-phase effective costs.
 type fetched struct {
-	target Target
+	name   string // the VM fetched from
 	info   *ModuleInfo
 	parsed *ParsedModule
 	timing PhaseTiming
@@ -371,20 +398,20 @@ func (c *Checker) releaseFetched(f *fetched) {
 	f.parsed = nil
 }
 
-// fetchAndParse runs Module-Searcher and Module-Parser for one VM. The
-// returned fetch owns a pooled module buffer until releaseFetched runs.
+// fetchAndParse runs Module-Searcher and Module-Parser for one VM through
+// its open handle. The returned fetch owns a pooled module buffer until
+// releaseFetched runs.
 //
 //modown:pool module-fetch get
-func (c *Checker) fetchAndParse(t Target, module string) *fetched {
-	h := t.Introspect() // a lazy target opens per call
-	f := &fetched{target: t}
+func (c *Checker) fetchAndParse(h *vmi.Handle, name, module string) *fetched {
+	f := &fetched{name: name}
 	info, buf, searchCost, err := NewSearcher(h, c.cfg.Strategy).WithRetry(c.cfg.Retry).FetchModule(module)
 	f.timing.Searcher = c.charge(searchCost)
 	if err != nil {
 		f.err = err
 		return f
 	}
-	c.parseFetched(f, t, module, info, buf)
+	c.parseFetched(f, module, info, buf)
 	return f
 }
 
@@ -395,10 +422,10 @@ func (c *Checker) fetchAndParse(t Target, module string) *fetched {
 // of buf moves into the fetch record; releaseFetched recycles it.
 //
 //modown:transfer fetch-buf
-func (c *Checker) parseFetched(f *fetched, t Target, module string, info *ModuleInfo, buf []byte) {
+func (c *Checker) parseFetched(f *fetched, module string, info *ModuleInfo, buf []byte) {
 	f.info = info
 	f.buf = buf
-	parsed, parseCost, err := ParseModule(t.Name, module, info.Base, buf)
+	parsed, parseCost, err := ParseModule(f.name, module, info.Base, buf)
 	f.timing.Parser = c.charge(parseCost)
 	if err != nil {
 		f.err = err
@@ -408,7 +435,7 @@ func (c *Checker) parseFetched(f *fetched, t Target, module string, info *Module
 	if c.cfg.Normalizer == NormalizeRelocTable {
 		sites, err := NormalizeWithRelocs(parsed.Raw)
 		if err != nil {
-			f.err = fmt.Errorf("core: reloc table of %s on %s: %w", module, t.Name, err)
+			f.err = fmt.Errorf("core: reloc table of %s on %s: %w", module, f.name, err)
 			return
 		}
 		f.relocSites = sites
@@ -438,7 +465,7 @@ func perKB(n int, c time.Duration) time.Duration {
 //
 //modsafe:charged
 func (c *Checker) CheckModule(module string, target Target, peers []Target) (*ModuleReport, error) {
-	tf := c.fetchAndParse(target, module)
+	tf := c.fetchAndParse(target.Handle, target.Name, module)
 	if err := tf.err; err != nil {
 		// A parse failure happens after the copy buffer is attached; the
 		// buffer must still go back to the pool.
@@ -468,7 +495,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		rep.Timing.Add(pf.timing)
 		if pf.err != nil {
 			rep.Pairs = append(rep.Pairs, PairResult{
-				PeerVM: pf.target.Name, Err: pf.err, ErrClass: faults.Classify(pf.err),
+				PeerVM: pf.name, Err: pf.err, ErrClass: faults.Classify(pf.err),
 			})
 			continue
 		}
@@ -477,7 +504,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		rep.Timing.Checker += charged
 		rep.Elapsed += charged // target-vs-peer comparisons run serially on Dom0
 		pr := PairResult{
-			PeerVM:               pf.target.Name,
+			PeerVM:               pf.name,
 			Match:                len(mismatched) == 0,
 			MismatchedComponents: mismatched,
 		}
@@ -496,7 +523,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 				order = append(order, name)
 			}
 			t.Mismatches++
-			t.MismatchedVMs = append(t.MismatchedVMs, pf.target.Name)
+			t.MismatchedVMs = append(t.MismatchedVMs, pf.name)
 		}
 		for _, name := range order {
 			if !seen[name] {

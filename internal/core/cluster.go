@@ -54,7 +54,8 @@ func (c *Checker) ClusterPool(module string, vms []Target) (*ClusterReport, erro
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("core: cluster check of %s needs at least 2 VMs", module)
 	}
-	o := c.poolEngine(vms).check(module)
+	e := c.poolEngine(vms)
+	o := e.check(module)
 
 	rep := &ClusterReport{ModuleName: module, MajorityCluster: -1, Errors: map[string]error{}}
 	var clusters []Cluster
@@ -71,12 +72,14 @@ func (c *Checker) ClusterPool(module string, vms []Target) (*ClusterReport, erro
 		if groupOf[cid] < 0 {
 			groupOf[cid] = len(heads)
 			heads = append(heads, cid)
-			clusters = append(clusters, Cluster{Representative: vms[o.clusters[cid].vm].Name})
+			clusters = append(clusters, Cluster{Representative: vms[e.grp.leader(o.clusters[cid].grp)].Name})
 		}
 	}
-	for i, cid := range o.clusterOf {
+	for i := range vms {
+		vg := e.grp.group(i)
+		cid := o.clusterOf[vg]
 		if cid < 0 {
-			rep.Errors[vms[i].Name] = o.errs[i]
+			rep.Errors[vms[i].Name] = o.errs[vg]
 			continue
 		}
 		g := &clusters[groupOf[cid]]

@@ -174,10 +174,10 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 		if !ok {
 			t.Fatal("engine run failed")
 		}
-		ref := c.fetchAndParse(pool[0], module)
+		ref := c.fetchAndParse(pool[0].Handle, pool[0].Name, module)
 		keys := map[string]string{}
 		for i := 1; i < len(pool); i++ {
-			f := c.fetchAndParse(pool[i], module)
+			f := c.fetchAndParse(pool[i].Handle, pool[i].Name, module)
 			if f.err != nil {
 				t.Fatal(f.err)
 			}

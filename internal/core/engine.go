@@ -10,14 +10,17 @@ package core
 //
 // The engine's settings are parameters, not separate paths:
 //
-//   - shard: fetch+digest run in shards of at most shard VMs, in pool
-//     order, so only O(shard + clusters) module copies are ever resident.
-//     Every shard digests against the same reference, so shard boundaries
-//     change neither clusters nor charges nor traces; flat is shard = n.
-//   - leader: identity dedup. Copy-on-write clones that still share their
-//     template's frozen image (Target.Identity) are introspected once per
+//   - shard: fetch+digest run in shards of at most shard identity groups
+//     (VMs, without dedup), in pool order, so only O(shard + clusters)
+//     module copies are ever resident. Every shard digests against the
+//     same reference, so shard boundaries change neither clusters nor
+//     charges nor traces; flat is shard = n.
+//   - grp: identity dedup. Copy-on-write clones that still share their
+//     template's frozen image (Pool.Identity) are introspected once per
 //     identity group; the other members inherit the leader's outcome and
-//     are charged nothing.
+//     are charged nothing. The engine works on groups throughout — its
+//     per-VM arrays are sized by groups, and only report derivation and
+//     the traced fetch stage walk the pool's VMs.
 //   - store: the content-addressed digest store (internal/cas), an optional
 //     lookup at classification and insert at the end of the module. A VM
 //     whose content token (mm.ContentID + mapping epoch) still names a
@@ -50,18 +53,18 @@ import (
 
 // engine runs module checks over one fixed VM pool.
 type engine struct {
-	c   *Checker
-	vms []Target
+	c    *Checker
+	pool Pool
 	// ps is the sweep session fetches go through (module-table snapshot,
 	// per-VM budgets); nil for the per-call CheckPool and ClusterPool,
 	// whose fetches walk the LDR list themselves.
 	ps *PoolSweep
-	// leader[i] is the first VM of VM i's identity group (i itself when
-	// dedup is off or the VM is unique).
-	leader []int
-	store  *cas.Store // nil: no lookups, no inserts
-	shard  int        // <= 0: the whole pool in one shard
-	lean   bool
+	// grp maps the pool's VMs onto identity groups; every index the engine
+	// keeps state by is a group index.
+	grp   *groups
+	store *cas.Store // nil: no lookups, no inserts
+	shard int        // <= 0: every group in one shard
+	lean  bool
 }
 
 // clusterPair identifies one unordered pair of clusters (a < b).
@@ -70,7 +73,7 @@ type clusterPair struct{ a, b int }
 // cluster is one group of bit-equivalent copies: equal digests against the
 // reference (or, under FullPairwise, a single copy).
 type cluster struct {
-	vm    int      // first member in pool order; names the compare tasks
+	grp   int      // first member in pool order, as a group; names the compare tasks
 	key   string   // digest key; "" for the reference's cluster
 	names []string // component names, shared by every member
 	// f is the first fetched member's copy, the bytes the representative
@@ -79,13 +82,13 @@ type cluster struct {
 }
 
 // outcome is one module's engine result, before report derivation. Only
-// errs, bases and clusterOf are sized by the pool; everything else is sized
-// by clusters.
+// errs, bases and clusterOf are sized by the identity groups; everything
+// else is sized by clusters. A dedup follower's outcome is its group's.
 type outcome struct {
 	rep       *PoolReport // Timing, Stages and Elapsed filled in
-	errs      []error
-	bases     []uint32
-	clusterOf []int // -1: no healthy copy
+	errs      []error     // by group
+	bases     []uint32    // by group
+	clusterOf []int       // by group; -1: no healthy copy
 	clusters  []cluster
 	mm        map[clusterPair][]string // representative comparisons
 }
@@ -102,24 +105,26 @@ func (o *outcome) mismatches(a, b int) []string {
 	return o.mm[clusterPair{a, b}]
 }
 
-// fetch copies and parses the module on VM i: from the session's
-// module-table snapshot, or with a fresh LDR walk for per-call checks.
+// fetch copies and parses the module on group g's leader: from the
+// session's module-table snapshot, or with a fresh LDR walk for per-call
+// checks.
 //
 //modown:pool module-fetch get
-func (e *engine) fetch(i int, module string) *fetched {
+func (e *engine) fetch(g int, module string) *fetched {
 	if e.ps != nil {
-		return e.ps.fetchVM(i, module)
+		return e.ps.fetchVM(g, module)
 	}
-	return e.c.fetchAndParse(e.vms[i], module)
+	i := e.grp.leader(g)
+	return e.c.fetchAndParse(e.pool.Open(i), e.pool.Name(i), module)
 }
 
 // report checks one module and derives its PoolReport, lean or full.
 func (e *engine) report(module string) *PoolReport {
 	o := e.check(module)
 	if e.lean {
-		e.c.deriveLean(o, module, e.vms)
+		e.deriveLean(o, module)
 	} else {
-		e.c.derivePool(o, module, e.vms)
+		e.derivePool(o, module)
 	}
 	return o.rep
 }
@@ -139,23 +144,16 @@ func (e *engine) check(module string) *outcome {
 	return o
 }
 
-// sourceToken samples one target's content token. Targets without a stable
-// identity (dirtied frames, destroyed domain, installed fault plan) yield an
-// invalid token, which never hits and is never stored — a faulted or
-// mutated read can therefore never populate the cache.
-func sourceToken(t Target) cas.Token {
-	if t.Identity == nil {
-		return cas.Token{}
-	}
-	id, ok := t.Identity()
+// sourceToken samples VM i's content token. VMs without a stable identity
+// (dirtied frames, destroyed domain, installed fault plan) yield an invalid
+// token, which never hits and is never stored — a faulted or mutated read
+// can therefore never populate the cache.
+func sourceToken(p Pool, i int) cas.Token {
+	id, ok := p.Identity(i)
 	if !ok {
 		return cas.Token{}
 	}
-	tok := cas.Token{ID: id, OK: true}
-	if t.Epoch != nil {
-		tok.Epoch = t.Epoch()
-	}
-	return tok
+	return cas.Token{ID: id, OK: true, Epoch: p.Epoch(i)}
 }
 
 // componentNames extracts a fetched copy's component names in module order.
@@ -177,7 +175,7 @@ func componentNames(f *fetched) []string {
 //modown:transfer module-fetch
 func (e *engine) run(module string) (*outcome, bool) {
 	c := e.c
-	n := len(e.vms)
+	n := e.grp.count()
 	shard := e.shard
 	if shard <= 0 || shard > n {
 		shard = n
@@ -193,20 +191,19 @@ func (e *engine) run(module string) (*outcome, bool) {
 		o.clusterOf[i] = -1
 	}
 	fetchCosts := make([]time.Duration, n)
-	var digestIdx []int // VM index per digest task, pool order
+	var digestIdx []int // group per digest task, pool order
 	var digestCosts []time.Duration
 	var work time.Duration // Checker work: store hits, digests, comparisons
-	ref := -1              // the reference: first healthy leader in pool order
+	ref := -1              // the reference: first healthy group in pool order
 	var refTok cas.Token
-	// Store only: per-VM content tokens, sampled once per module. A hit's
-	// token is cleared, since a replayed entry is never re-inserted.
+	// Store only: per-group content tokens, sampled once per module from
+	// the leaders. A hit's token is cleared, since a replayed entry is
+	// never re-inserted.
 	var toks []cas.Token
 	if e.store != nil {
 		toks = make([]cas.Token, n)
-		for i := range toks {
-			if e.leader[i] == i {
-				toks[i] = sourceToken(e.vms[i])
-			}
+		for g := range toks {
+			toks[g] = sourceToken(e.pool, e.grp.leader(g))
 		}
 	}
 	// memo holds the reference's normalized sides for the whole run; it is
@@ -224,7 +221,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 	}()
 	byKey := map[string]int{"": 0} // only store hits of the reference's own token carry ""
 
-	// slot is one shard VM's classification: its fetched copy, or the
+	// slot is one shard group's classification: its fetched copy, or the
 	// store entry that replaced the fetch, and its digest key.
 	type slot struct {
 		f     *fetched
@@ -233,7 +230,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 	}
 	slots := make([]slot, shard)
 
-	// admit books VM i's fetch in pool order and reports whether the copy
+	// admit books group i's fetch in pool order and reports whether the copy
 	// is healthy and still needs clustering. The first healthy copy becomes
 	// the reference and fronts cluster 0.
 	admit := func(i int, f *fetched) bool {
@@ -253,13 +250,13 @@ func (e *engine) run(module string) (*outcome, bool) {
 			refTok = toks[i]
 		}
 		o.clusterOf[i] = 0
-		o.clusters = append(o.clusters, cluster{vm: i, names: componentNames(f), f: f})
+		o.clusters = append(o.clusters, cluster{grp: i, names: componentNames(f), f: f})
 		return false
 	}
 	// materialize fetches a cluster's first member when a real comparison
 	// (or, for the reference, a digest) needs bytes no fetch has produced.
 	materialize := func(cid int) bool {
-		m := o.clusters[cid].vm
+		m := o.clusters[cid].grp
 		f := e.fetch(m, module)
 		fetchCosts[m] += f.timing.Total()
 		o.rep.Timing.Add(f.timing)
@@ -284,9 +281,6 @@ func (e *engine) run(module string) (*outcome, bool) {
 		// proves fetch+parse succeed on that image).
 		batch = batch[:0]
 		for i := lo; i < hi; i++ {
-			if e.leader[i] != i {
-				continue // identity dup: inherits the leader's outcome below
-			}
 			if toks != nil {
 				info, err := e.ps.lookup(i, module)
 				if err != nil {
@@ -305,7 +299,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 					if ref < 0 {
 						ref, refTok = i, toks[i]
 						o.clusterOf[i] = 0
-						o.clusters = append(o.clusters, cluster{vm: i, names: ent.Names})
+						o.clusters = append(o.clusters, cluster{grp: i, names: ent.Names})
 					} else {
 						sl[i-lo] = slot{key: ent.Key, names: ent.Names}
 					}
@@ -358,7 +352,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 		// fetches interleaved, so cluster numbering is independent of the
 		// shard size. Only a cluster's first fetched copy keeps its buffer.
 		for i := lo; i < hi; i++ {
-			if e.leader[i] != i || o.errs[i] != nil || i <= ref {
+			if o.errs[i] != nil || i <= ref {
 				continue
 			}
 			s := &sl[i-lo]
@@ -370,21 +364,13 @@ func (e *engine) run(module string) (*outcome, bool) {
 				if s.f != nil {
 					names = componentNames(s.f)
 				}
-				o.clusters = append(o.clusters, cluster{vm: i, key: s.key, names: names, f: s.f})
+				o.clusters = append(o.clusters, cluster{grp: i, key: s.key, names: names, f: s.f})
 			} else if o.clusters[cid].f == nil {
 				o.clusters[cid].f = s.f
 			} else {
 				c.releaseFetched(s.f)
 			}
 			o.clusterOf[i] = cid
-		}
-
-		// Identity dups inherit their leader's outcome. Leaders always have
-		// a lower index, so they are clustered by the time their shard ends.
-		for i := lo; i < hi; i++ {
-			if l := e.leader[i]; l != i {
-				o.errs[i], o.bases[i], o.clusterOf[i] = o.errs[l], o.bases[l], o.clusterOf[l]
-			}
 		}
 	}
 
@@ -454,16 +440,18 @@ func (e *engine) run(module string) (*outcome, bool) {
 
 	// One fetch, one digest and one compare stage per module with globally
 	// accumulated task costs: shard boundaries are invisible to the trace
-	// and to the elapsed-time model.
+	// and to the elapsed-time model. The fetch stage's tasks are the pool's
+	// VMs, dedup followers included.
 	rep := o.rep
+	name := func(g int) string { return e.pool.Name(e.grp.leader(g)) }
 	rep.Stages.Fetch = c.traceStage("fetch", module,
-		func(k int) string { return "fetch " + e.vms[k].Name }, fetchCosts)
+		func(k int) string { return "fetch " + e.pool.Name(k) }, fetchCosts, e.grp)
 	rep.Stages.Digest = c.traceStage("digest", module,
-		func(k int) string { return "digest " + e.vms[digestIdx[k]].Name }, digestCosts)
+		func(k int) string { return "digest " + name(digestIdx[k]) }, digestCosts, nil)
 	rep.Stages.Compare = c.traceStage("compare", module, func(k int) string {
 		p := cpairs[k]
-		return "compare " + e.vms[o.clusters[p.a].vm].Name + " vs " + e.vms[o.clusters[p.b].vm].Name
-	}, costs)
+		return "compare " + name(o.clusters[p.a].grp) + " vs " + name(o.clusters[p.b].grp)
+	}, costs, nil)
 	rep.Elapsed = rep.Stages.Fetch + rep.Stages.Digest + rep.Stages.Compare
 	rep.Timing.Checker += work
 	return o, true

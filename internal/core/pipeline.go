@@ -66,44 +66,33 @@ func runBounded(stage string, n, w int, task func(int)) {
 	wg.Wait()
 }
 
-// schedule models running tasks with the given costs on w workers: tasks
-// are list-scheduled in index order onto the earliest-free worker (ties to
-// the lowest-numbered one). It returns each task's worker lane and start
-// offset plus the makespan. The model depends only on the cost slice and w —
-// never on host scheduling — which is what keeps parallel sweeps (and their
-// trace exports) byte-identical across runs from one seed.
-func schedule(costs []time.Duration, w int) (lanes []int, starts []time.Duration, makespan time.Duration) {
-	if len(costs) == 0 {
-		return nil, nil, 0
-	}
-	lanes = make([]int, len(costs))
-	starts = make([]time.Duration, len(costs))
-	return lanes, starts, listSchedule(costs, w, lanes, starts)
-}
-
-// listSchedule runs schedule's model and returns the makespan. It records
-// each task's lane and start offset only when lanes and starts are non-nil,
-// so an untraced stage pays for the makespan alone.
-func listSchedule(costs []time.Duration, w int, lanes []int, starts []time.Duration) time.Duration {
+// listSchedule models running n tasks, task k costing cost(k), on w
+// workers: tasks are list-scheduled in index order onto the earliest-free
+// worker (ties to the lowest-numbered one). It returns the makespan, and
+// hands each task's lane and start offset to place when place is non-nil,
+// so an untraced stage pays for the makespan alone. The model depends only
+// on the costs and w — never on host scheduling — which is what keeps
+// parallel sweeps (and their trace exports) byte-identical across runs
+// from one seed.
+func listSchedule(n int, cost func(int) time.Duration, w int, place func(k, lane int, start time.Duration)) time.Duration {
 	if w < 1 {
 		w = 1
 	}
-	if w > len(costs) {
-		w = len(costs)
+	if w > n {
+		w = n
 	}
 	loads := make([]time.Duration, w)
-	for k, c := range costs {
+	for k := range n {
 		min := 0
 		for i := 1; i < w; i++ {
 			if loads[i] < loads[min] {
 				min = i
 			}
 		}
-		if lanes != nil {
-			lanes[k] = min
-			starts[k] = loads[min]
+		if place != nil {
+			place(k, min, loads[min])
 		}
-		loads[min] += c
+		loads[min] += cost(k)
 	}
 	var makespan time.Duration
 	for _, l := range loads {
@@ -133,24 +122,36 @@ func (c *Checker) stageWorkers() int {
 // called from a stage's driving goroutine (the emission discipline
 // internal/trace documents).
 //
+// With members nil, costs[k] is task k's cost. Otherwise costs are per
+// identity group and the stage's tasks are the pool's VMs in pool order:
+// each group's leader carries its group's cost, each dedup follower a
+// zero-cost task. A zero-cost task never moves a lane's load, so the
+// makespan is the group costs' own; only a traced stage walks the pool to
+// place every follower's span.
+//
 // Task names are supplied lazily through nameFn: the hot path runs with
 // tracing off, and building a per-task label slice per stage per module is
 // pure allocator churn there.
-func (c *Checker) traceStage(stage, module string, nameFn func(int) string, costs []time.Duration) time.Duration {
+func (c *Checker) traceStage(stage, module string, nameFn func(int) string, costs []time.Duration, members *groups) time.Duration {
+	w := c.stageWorkers()
+	elapsed := listSchedule(len(costs), func(k int) time.Duration { return costs[k] }, w, nil)
 	tr := c.cfg.Tracer
 	if tr == nil || len(costs) == 0 {
-		return listSchedule(costs, c.stageWorkers(), nil, nil)
+		return elapsed
 	}
-	lanes, starts, elapsed := schedule(costs, c.stageWorkers())
+	n, cost := len(costs), func(k int) time.Duration { return costs[k] }
+	if members != nil {
+		n, cost = members.n, members.leaderCost(costs)
+	}
 	base := tr.Cursor()
-	args := []trace.Arg{{Key: "tasks", Val: strconv.Itoa(len(costs))}}
+	args := []trace.Arg{{Key: "tasks", Val: strconv.Itoa(n)}}
 	if module != "" {
 		args = append(args, trace.Arg{Key: "module", Val: module})
 	}
 	tr.Complete("stage:"+stage, "pipeline", trace.PIDPipeline, 0, base, elapsed, args...)
-	for k := range costs {
-		tr.Complete(nameFn(k), stage, trace.PIDPipeline, lanes[k]+1, base+starts[k], costs[k])
-	}
+	listSchedule(n, cost, w, func(k, lane int, start time.Duration) {
+		tr.Complete(nameFn(k), stage, trace.PIDPipeline, lane+1, base+start, cost(k))
+	})
 	tr.Advance(elapsed)
 	return elapsed
 }
@@ -165,14 +166,14 @@ func (c *Checker) traceStage(stage, module string, nameFn func(int) string, cost
 func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Duration) {
 	fetches := make([]*fetched, len(vms))
 	runBounded("fetch", len(vms), c.stageWorkers(), func(i int) {
-		fetches[i] = c.fetchAndParse(vms[i], module)
+		fetches[i] = c.fetchAndParse(vms[i].Handle, vms[i].Name, module)
 	})
 	costs := make([]time.Duration, len(fetches))
 	for i, f := range fetches {
 		costs[i] = f.timing.Total()
 	}
 	return fetches, c.traceStage("fetch", module,
-		func(k int) string { return "fetch " + fetches[k].target.Name }, costs)
+		func(k int) string { return "fetch " + fetches[k].name }, costs, nil)
 }
 
 // refMemo remembers, for one engine run, the first normalized side of each

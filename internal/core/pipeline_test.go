@@ -29,10 +29,14 @@ func TestCriticalPath(t *testing.T) {
 		{[]time.Duration{d(1), d(2)}, 100, d(2)},
 		// w < 1 behaves as 1.
 		{[]time.Duration{d(1), d(2)}, 0, d(3)},
+		// Zero-cost tasks (dedup followers) never move the makespan.
+		{[]time.Duration{0, d(3), 0, 0, d(1), d(1), 0, d(1)}, 2, d(3)},
+		{[]time.Duration{d(2), 0, 0, 0, d(2), 0}, 8, d(2)},
 	}
 	for i, c := range cases {
-		if _, _, got := schedule(c.costs, c.w); got != c.want {
-			t.Errorf("case %d: schedule(%v, %d) makespan = %v, want %v", i, c.costs, c.w, got, c.want)
+		cost := func(k int) time.Duration { return c.costs[k] }
+		if got := listSchedule(len(c.costs), cost, c.w, nil); got != c.want {
+			t.Errorf("case %d: listSchedule(%v, %d) makespan = %v, want %v", i, c.costs, c.w, got, c.want)
 		}
 	}
 }

@@ -85,83 +85,88 @@ func (c *Checker) CheckPool(module string, vms []Target) (*PoolReport, error) {
 }
 
 // poolEngine is the engine of the per-call pool checks: one flat shard,
-// every VM fetched with its own LDR walk, no store, full reports.
+// every VM its own group and fetched with its own LDR walk, no store, full
+// reports.
 func (c *Checker) poolEngine(vms []Target) *engine {
-	return &engine{c: c, vms: vms, leader: identityLeaders(false, vms)}
+	p := targetPool(vms)
+	return &engine{c: c, pool: p, grp: newGroups(p, false)}
 }
 
 // derivePool fills a PoolReport's VMReports, tallies, verdicts and
 // flag/error lists from the engine's clusters: two VMs' copies mismatch on
 // exactly the components their clusters' representative comparison
 // reported.
-func (c *Checker) derivePool(o *outcome, module string, vms []Target) {
+func (e *engine) derivePool(o *outcome, module string) {
 	rep := o.rep
-	for i := range vms {
-		r := &ModuleReport{ModuleName: module, TargetVM: vms[i].Name}
-		if err := o.errs[i]; err != nil {
+	n := e.grp.n
+	for i := range n {
+		name, g := e.pool.Name(i), e.grp.group(i)
+		r := &ModuleReport{ModuleName: module, TargetVM: name}
+		if err := o.errs[g]; err != nil {
 			r.Verdict = VerdictError
 			r.Err = err
 			r.ErrClass = faults.Classify(err)
 			r.Pairs = append(r.Pairs, PairResult{
-				PeerVM: vms[i].Name, Err: err, ErrClass: r.ErrClass,
+				PeerVM: name, Err: err, ErrClass: r.ErrClass,
 			})
 			rep.VMReports = append(rep.VMReports, r)
-			rep.Errored = append(rep.Errored, vms[i].Name)
+			rep.Errored = append(rep.Errored, name)
 			continue
 		}
 		rep.Healthy++
-		r.Base = o.bases[i]
+		r.Base = o.bases[g]
 		tallies := make(map[string]*ComponentTally)
 		var order []string
-		for _, name := range o.clusters[o.clusterOf[i]].names {
-			tallies[name] = &ComponentTally{Name: name}
-			order = append(order, name)
+		for _, cn := range o.clusters[o.clusterOf[g]].names {
+			tallies[cn] = &ComponentTally{Name: cn}
+			order = append(order, cn)
 		}
-		for j := range vms {
+		for j := range n {
 			if j == i {
 				continue
 			}
-			if perr := o.errs[j]; perr != nil {
+			peer, pg := e.pool.Name(j), e.grp.group(j)
+			if perr := o.errs[pg]; perr != nil {
 				r.Pairs = append(r.Pairs, PairResult{
-					PeerVM: vms[j].Name, Err: perr, ErrClass: faults.Classify(perr),
+					PeerVM: peer, Err: perr, ErrClass: faults.Classify(perr),
 				})
 				continue
 			}
-			mm := o.mismatches(o.clusterOf[i], o.clusterOf[j])
-			pr := PairResult{PeerVM: vms[j].Name, Match: len(mm) == 0, MismatchedComponents: mm}
+			mm := o.mismatches(o.clusterOf[g], o.clusterOf[pg])
+			pr := PairResult{PeerVM: peer, Match: len(mm) == 0, MismatchedComponents: mm}
 			r.Pairs = append(r.Pairs, pr)
 			r.Comparisons++
 			if pr.Match {
 				r.Successes++
 			}
 			seen := make(map[string]bool, len(mm))
-			for _, name := range mm {
-				seen[name] = true
-				t, ok := tallies[name]
+			for _, cn := range mm {
+				seen[cn] = true
+				t, ok := tallies[cn]
 				if !ok {
-					t = &ComponentTally{Name: name}
-					tallies[name] = t
-					order = append(order, name)
+					t = &ComponentTally{Name: cn}
+					tallies[cn] = t
+					order = append(order, cn)
 				}
 				t.Mismatches++
-				t.MismatchedVMs = append(t.MismatchedVMs, vms[j].Name)
+				t.MismatchedVMs = append(t.MismatchedVMs, peer)
 			}
-			for _, name := range order {
-				if !seen[name] {
-					tallies[name].Matches++
+			for _, cn := range order {
+				if !seen[cn] {
+					tallies[cn].Matches++
 				}
 			}
 		}
-		for _, name := range order {
-			r.Components = append(r.Components, *tallies[name])
+		for _, cn := range order {
+			r.Components = append(r.Components, *tallies[cn])
 		}
-		r.Verdict = c.verdict(r.Successes, r.Comparisons)
+		r.Verdict = e.c.verdict(r.Successes, r.Comparisons)
 		rep.VMReports = append(rep.VMReports, r)
 		switch r.Verdict {
 		case VerdictAltered:
-			rep.Flagged = append(rep.Flagged, vms[i].Name)
+			rep.Flagged = append(rep.Flagged, name)
 		case VerdictInconclusive:
-			rep.Inconclusive = append(rep.Inconclusive, vms[i].Name)
+			rep.Inconclusive = append(rep.Inconclusive, name)
 		}
 	}
 	sort.Strings(rep.Flagged)
@@ -172,18 +177,20 @@ func (c *Checker) derivePool(o *outcome, module string, vms []Target) {
 // deriveLean fills a PoolReport from cluster structure alone: a VM's
 // successes are its cluster's size minus itself plus every cluster whose
 // representative comparison came back clean, so verdicts cost O(clusters²)
-// once plus O(pool) to apply. Clean VMs get no ModuleReport at all, and the
-// reports lean mode does build omit the O(pool)-sized Pairs and
-// MismatchedVMs lists — alerts, verdicts, and counts are unchanged.
-func (c *Checker) deriveLean(o *outcome, module string, vms []Target) {
+// once plus O(groups) to apply. Clean VMs get no ModuleReport at all, and
+// the reports lean mode does build omit the O(pool)-sized Pairs and
+// MismatchedVMs lists — alerts, verdicts, and counts are unchanged. Only a
+// module with a non-clean group walks the pool, to report its VMs in pool
+// order.
+func (e *engine) deriveLean(o *outcome, module string) {
 	rep := o.rep
 	nClusters := len(o.clusters)
 	sizes := make([]int, nClusters)
 	healthy := 0
-	for _, cid := range o.clusterOf {
+	for g, cid := range o.clusterOf {
 		if cid >= 0 {
-			sizes[cid]++
-			healthy++
+			sizes[cid] += e.grp.size(g)
+			healthy += e.grp.size(g)
 		}
 	}
 	rep.Healthy = healthy
@@ -198,12 +205,23 @@ func (c *Checker) deriveLean(o *outcome, module string, vms []Target) {
 			}
 		}
 		succ[cid] = s
-		verdicts[cid] = c.verdict(s, healthy-1)
+		verdicts[cid] = e.c.verdict(s, healthy-1)
+	}
+	clean := true
+	for g, cid := range o.clusterOf {
+		if o.errs[g] != nil || verdicts[cid] != VerdictClean {
+			clean = false
+			break
+		}
+	}
+	if clean {
+		return
 	}
 
-	for i := range vms {
-		name := vms[i].Name
-		if err := o.errs[i]; err != nil {
+	for i := range e.grp.n {
+		g := e.grp.group(i)
+		if err := o.errs[g]; err != nil {
+			name := e.pool.Name(i)
 			r := &ModuleReport{ModuleName: module, TargetVM: name,
 				Verdict: VerdictError, Err: err, ErrClass: faults.Classify(err)}
 			r.Pairs = append(r.Pairs, PairResult{PeerVM: name, Err: err, ErrClass: r.ErrClass})
@@ -211,15 +229,16 @@ func (c *Checker) deriveLean(o *outcome, module string, vms []Target) {
 			rep.Errored = append(rep.Errored, name)
 			continue
 		}
-		cid := o.clusterOf[i]
+		cid := o.clusterOf[g]
 		v := verdicts[cid]
 		if v == VerdictClean {
 			continue
 		}
+		name := e.pool.Name(i)
 		r := &ModuleReport{
 			ModuleName:  module,
 			TargetVM:    name,
-			Base:        o.bases[i],
+			Base:        o.bases[g],
 			Successes:   succ[cid],
 			Comparisons: healthy - 1,
 			Verdict:     v,

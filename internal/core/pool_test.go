@@ -338,14 +338,15 @@ func TestLeanDerivationMatchesFull(t *testing.T) {
 				sc.prepare(t, guests, targets)
 			}
 			c := NewChecker(sc.cfg)
-			o := c.poolEngine(targets).check("alpha.sys")
+			e := c.poolEngine(targets)
+			o := e.check("alpha.sys")
 			// Both derivations fill o.rep in place, so the lean one gets
 			// its own copy of the engine's not-yet-derived report.
 			leanRep := *o.rep
 			lo := *o
 			lo.rep = &leanRep
-			c.derivePool(o, "alpha.sys", targets)
-			c.deriveLean(&lo, "alpha.sys", targets)
+			e.derivePool(o, "alpha.sys")
+			e.deriveLean(&lo, "alpha.sys")
 			full, lean := o.rep, lo.rep
 
 			if len(full.Flagged) != sc.flagged || len(full.Inconclusive) != sc.inconclusive || len(full.Errored) != sc.errored {

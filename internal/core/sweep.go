@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"modchecker/internal/faults"
+	"modchecker/internal/vmi"
 )
 
 // ErrSweepClosed is returned by lookups against a PoolSweep whose session
@@ -28,12 +29,19 @@ var ErrVMBudget = faults.Transient("core: per-VM sweep budget exhausted")
 // TLBs stay warm across modules. The Scanner drives one PoolSweep per sweep;
 // a module loaded into a guest mid-sweep is picked up by the next sweep's
 // fresh snapshot.
+//
+// The session's per-VM state is kept per identity group (see groups): a
+// deduplicated fleet holds one handle, snapshot and budget account per
+// group, plus the 4-byte VM→group map.
 type PoolSweep struct {
-	c   *Checker
-	vms []Target
-	// tables[i] is VM i's module-table snapshot; listErr[i] is set when the
-	// walk failed (the VM then errors for every module of the sweep, exactly
-	// as a per-module walk failure would).
+	c    *Checker
+	pool Pool
+	grp  *groups
+	// handles[g] is group g's leader's handle; tables[g] its module-table
+	// snapshot; listErr[g] is set when the walk failed (the group then
+	// errors for every module of the sweep, exactly as a per-module walk
+	// failure would).
+	handles []*vmi.Handle
 	tables  [][]ModuleInfo
 	listErr []error
 	// ListElapsed is the simulated elapsed time of taking the snapshot
@@ -46,13 +54,6 @@ type PoolSweep struct {
 	// ErrSweepClosed.
 	closed bool
 
-	// leader[i] is the index of the first VM of VM i's content-identity
-	// group — i itself when the VM is unique, identity tracking is off, or
-	// Config.DedupIdentical is unset. Identity tokens are sampled once at
-	// session open: VMs sharing a token are bit-identical for the whole
-	// sweep (sweeps only read), so non-leaders share their leader's list
-	// walk, fetches, digests and verdicts without touching guest memory.
-	leader []int
 	// eng checks each module: fetches come from the snapshot, with the
 	// configured shard, dedup, store and lean settings.
 	eng *engine
@@ -64,7 +65,7 @@ type PoolSweep struct {
 	sweepBudget time.Duration
 	perVMBudget time.Duration
 	used        time.Duration   // modeled elapsed this sweep; driver goroutine only
-	spent       []time.Duration // spent[i]: VM i's modeled fetch spend this sweep
+	spent       []time.Duration // spent[g]: group g's modeled fetch spend this sweep
 }
 
 // SetBudgets arms the session's simulated-time budgets (zero disables
@@ -72,109 +73,165 @@ type PoolSweep struct {
 // list walk plus completed modules reach it, further CheckModule calls
 // return budget-skipped reports instead of doing work. perVM caps one VM's
 // modeled fetch spend within the sweep — a VM past its budget is skipped
-// (ErrVMBudget) for the remaining modules while its peers continue.
+// (ErrVMBudget) for the remaining modules while its peers continue. Dedup
+// followers spend nothing of their own and share their leader's fate.
 func (ps *PoolSweep) SetBudgets(sweep, perVM time.Duration) {
 	ps.sweepBudget, ps.perVMBudget = sweep, perVM
 	ps.used = ps.ListElapsed
-	ps.spent = make([]time.Duration, len(ps.vms))
+	ps.spent = make([]time.Duration, ps.grp.count())
 }
 
-// NewPoolSweep opens a sweep session: one retried LDR-list walk per VM.
-// The caller owns the session and must Close it once the sweep is done.
-//
-// Lazy targets (Target.Open) are opened in place, in pool order, just
-// before the list walks — and only for the VMs the session lists: identity
-// dups share their leader's snapshot and reads, so they never get a
-// handle. Every VM the engine fetches from is a listed VM.
+// NewPoolSweep opens a sweep session over a target slice; it is
+// NewPoolSweepFrom over the slice's Pool.
 //
 //modsafe:acquires sweep-session
 //modsafe:charged
 func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
-	if len(vms) < 2 {
-		return nil, fmt.Errorf("core: pool sweep needs at least 2 VMs, have %d", len(vms))
+	return c.NewPoolSweepFrom(targetPool(vms))
+}
+
+// NewPoolSweepFrom opens a sweep session: one retried LDR-list walk per
+// identity group. The caller owns the session and must Close it once the
+// sweep is done.
+//
+// Identity tokens are sampled once here (with Config.DedupIdentical): VMs
+// sharing a token are bit-identical for the whole sweep (sweeps only read),
+// so dedup followers share their leader's list walk, fetches, digests and
+// verdicts without touching guest memory. Only group leaders are opened,
+// in pool order, just before the list walks; every VM the engine fetches
+// from is a leader.
+//
+//modsafe:acquires sweep-session
+//modsafe:charged
+func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
+	if n := p.Len(); n < 2 {
+		return nil, fmt.Errorf("core: pool sweep needs at least 2 VMs, have %d", n)
 	}
 	cfg := &c.cfg
+	grp := newGroups(p, cfg.DedupIdentical && !cfg.FullPairwise)
+	ng := grp.count()
 	ps := &PoolSweep{
 		c:       c,
-		vms:     vms,
-		tables:  make([][]ModuleInfo, len(vms)),
-		listErr: make([]error, len(vms)),
-		leader:  identityLeaders(cfg.DedupIdentical && !cfg.FullPairwise, vms),
+		pool:    p,
+		grp:     grp,
+		handles: make([]*vmi.Handle, ng),
+		tables:  make([][]ModuleInfo, ng),
+		listErr: make([]error, ng),
 	}
-	ps.eng = &engine{c: c, vms: vms, ps: ps, leader: ps.leader, lean: cfg.LeanReports}
+	ps.eng = &engine{c: c, pool: p, ps: ps, grp: grp, lean: cfg.LeanReports}
 	if !cfg.FullPairwise {
 		ps.eng.shard, ps.eng.store = cfg.ShardSize, cfg.DigestCache
 	}
-	for i, l := range ps.leader {
-		if l == i {
-			vms[i].Introspect()
-		}
+	for g := range ps.handles {
+		ps.handles[g] = p.Open(grp.leader(g))
 	}
-	costs := make([]time.Duration, len(vms))
-	listOne := func(i int) {
-		if ps.leader[i] != i {
-			return // shares the leader's snapshot below
-		}
-		s := NewSearcher(vms[i].Handle, c.cfg.Strategy).WithRetry(c.cfg.Retry)
+	costs := make([]time.Duration, ng)
+	runBounded("list", ng, c.stageWorkers(), func(g int) {
+		s := NewSearcher(ps.handles[g], c.cfg.Strategy).WithRetry(c.cfg.Retry)
 		mods, cost, err := s.ListModulesCosted()
-		costs[i] = c.charge(cost)
-		ps.tables[i] = mods
-		ps.listErr[i] = err
-	}
-	runBounded("list", len(vms), c.stageWorkers(), listOne)
-	for i, l := range ps.leader {
-		if l != i {
-			ps.tables[i] = ps.tables[l]
-			ps.listErr[i] = ps.listErr[l]
-		}
-	}
+		costs[g] = c.charge(cost)
+		ps.tables[g] = mods
+		ps.listErr[g] = err
+	})
 	for _, d := range costs {
 		ps.ListTiming += d
 	}
 	ps.ListElapsed = c.traceStage("list", "",
-		func(k int) string { return "list " + vms[k].Name }, costs)
+		func(k int) string { return "list " + p.Name(k) }, costs, grp)
 	return ps, nil
 }
 
-// identityLeaders samples each target's content-identity token and maps
-// every VM to the first member of its identity group. With dedup off (or no
-// tokens available) every VM leads itself.
-func identityLeaders(dedup bool, vms []Target) []int {
-	leader := make([]int, len(vms))
-	for i := range leader {
-		leader[i] = i
-	}
-	if !dedup {
-		return leader
-	}
-	firstByID := make(map[uint64]int) // one entry per identity group
-	for i := range vms {
-		if vms[i].Identity == nil {
-			continue
-		}
-		id, ok := vms[i].Identity()
-		if !ok {
-			continue
-		}
-		if j, seen := firstByID[id]; seen {
-			leader[i] = j
-		} else {
-			firstByID[id] = i
-		}
-	}
-	return leader
+// groups maps a pool's VMs onto identity groups: VMs whose content-identity
+// tokens match form one group, led by its first member in pool order, and
+// groups are numbered in leader order. The session and the engine keep
+// their per-VM state per group, so a deduplicated fleet costs O(groups)
+// plus this map, not O(pool). With dedup off, or no VM sharing a token,
+// every VM is its own group (group i is VM i) and no map is kept.
+type groups struct {
+	n       int     // pool size
+	of      []int32 // of[i]: VM i's group; nil when every VM is its own
+	leaders []int32 // leaders[g]: group g's first VM; nil with of
+	sizes   []int32 // sizes[g]: group g's member count; nil with of
 }
 
-// VMs returns the session's targets. A lazy target the session did not
-// list (an identity dup) still has a nil Handle.
-func (ps *PoolSweep) VMs() []Target { return ps.vms }
+// newGroups samples every VM's identity token (only when dedup is set)
+// and groups equal tokens.
+func newGroups(p Pool, dedup bool) *groups {
+	g := &groups{n: p.Len()}
+	if !dedup {
+		return g
+	}
+	of := make([]int32, g.n)
+	var leaders, sizes []int32
+	byID := make(map[uint64]int32) // one entry per identity group
+	for i := range of {
+		if id, ok := p.Identity(i); ok {
+			if gi, seen := byID[id]; seen {
+				of[i] = gi
+				sizes[gi]++
+				continue
+			}
+			byID[id] = int32(len(leaders))
+		}
+		of[i] = int32(len(leaders))
+		leaders = append(leaders, int32(i))
+		sizes = append(sizes, 1)
+	}
+	if len(leaders) < g.n {
+		g.of, g.leaders, g.sizes = of, leaders, sizes
+	}
+	return g
+}
+
+// count returns the number of groups.
+func (g *groups) count() int {
+	if g.of == nil {
+		return g.n
+	}
+	return len(g.leaders)
+}
+
+// group returns VM i's group.
+func (g *groups) group(i int) int {
+	if g.of == nil {
+		return i
+	}
+	return int(g.of[i])
+}
+
+// leader returns group gi's first VM.
+func (g *groups) leader(gi int) int {
+	if g.of == nil {
+		return gi
+	}
+	return int(g.leaders[gi])
+}
+
+// size returns group gi's member count.
+func (g *groups) size(gi int) int {
+	if g.of == nil {
+		return 1
+	}
+	return int(g.sizes[gi])
+}
+
+// leaderCost spreads per-group costs over the pool's VMs: a leader costs
+// its group's cost, a follower nothing.
+func (g *groups) leaderCost(costs []time.Duration) func(int) time.Duration {
+	return func(i int) time.Duration {
+		gi := g.group(i)
+		if g.leader(gi) != i {
+			return 0
+		}
+		return costs[gi]
+	}
+}
 
 // Close releases the sweep session: the module-table snapshot is dropped and
-// every open target handle's translation cache is invalidated, so a later
-// sweep starts from fresh guest state rather than mappings that may have
-// gone stale between sweeps. Targets that were never opened have nothing
-// to invalidate. Close is idempotent; lookups against a closed
-// session fail with ErrSweepClosed.
+// every handle the session opened has its translation cache invalidated, so
+// a later sweep starts from fresh guest state rather than mappings that may
+// have gone stale between sweeps. Close is idempotent; lookups against a
+// closed session fail with ErrSweepClosed.
 //
 //modsafe:releases sweep-session
 func (ps *PoolSweep) Close() {
@@ -183,8 +240,8 @@ func (ps *PoolSweep) Close() {
 	}
 	ps.closed = true
 	ps.tables = nil
-	for i := range ps.vms {
-		if h := ps.vms[i].Handle; h != nil {
+	for _, h := range ps.handles {
+		if h != nil {
 			h.InvalidateTranslations()
 		}
 	}
@@ -198,65 +255,67 @@ func (ps *PoolSweep) Modules() ([]string, error) {
 		return nil, ErrSweepClosed
 	}
 	var lastErr error
-	for i := range ps.vms {
-		if ps.listErr[i] != nil {
-			lastErr = ps.listErr[i]
+	for g := range ps.tables {
+		if ps.listErr[g] != nil {
+			lastErr = ps.listErr[g]
 			continue
 		}
-		names := make([]string, 0, len(ps.tables[i]))
-		for _, m := range ps.tables[i] {
+		names := make([]string, 0, len(ps.tables[g]))
+		for _, m := range ps.tables[g] {
 			names = append(names, m.Name)
 		}
 		return names, nil
 	}
-	return nil, fmt.Errorf("core: module discovery failed on all %d VMs: %w", len(ps.vms), lastErr)
+	return nil, fmt.Errorf("core: module discovery failed on all %d VMs: %w", ps.pool.Len(), lastErr)
 }
 
-// lookup finds the named module in VM i's snapshot (case-insensitively, as
-// Windows compares module names), unless VM i has exhausted its per-VM
-// budget.
-func (ps *PoolSweep) lookup(i int, module string) (*ModuleInfo, error) {
-	if ps.perVMBudget > 0 && ps.spent[i] >= ps.perVMBudget {
-		return nil, fmt.Errorf("%s on %s: %w", module, ps.vms[i].Name, ErrVMBudget)
+// lookup finds the named module in group g's snapshot (case-insensitively,
+// as Windows compares module names), unless the group has exhausted its
+// per-VM budget.
+func (ps *PoolSweep) lookup(g int, module string) (*ModuleInfo, error) {
+	if ps.perVMBudget > 0 && ps.spent[g] >= ps.perVMBudget {
+		return nil, fmt.Errorf("%s on %s: %w", module, ps.name(g), ErrVMBudget)
 	}
 	if ps.closed {
 		return nil, ErrSweepClosed
 	}
-	if ps.listErr[i] != nil {
-		return nil, ps.listErr[i]
+	if ps.listErr[g] != nil {
+		return nil, ps.listErr[g]
 	}
-	for k := range ps.tables[i] {
-		if strings.EqualFold(ps.tables[i][k].Name, module) {
-			return &ps.tables[i][k], nil
+	for k := range ps.tables[g] {
+		if strings.EqualFold(ps.tables[g][k].Name, module) {
+			return &ps.tables[g][k], nil
 		}
 	}
-	return nil, fmt.Errorf("%w: %s on %s", ErrModuleNotFound, module, ps.vms[i].Name)
+	return nil, fmt.Errorf("%w: %s on %s", ErrModuleNotFound, module, ps.name(g))
 }
 
-// fetchVM copies and parses one module on one VM using the session's
-// module-table snapshot. spent[i] is only ever touched by VM i's fetch
-// slot, and stage boundaries (runBounded joins) order those touches, so
-// the accounting is race-free.
-func (ps *PoolSweep) fetchVM(i int, module string) *fetched {
+// name returns group g's leader's name.
+func (ps *PoolSweep) name(g int) string { return ps.pool.Name(ps.grp.leader(g)) }
+
+// fetchVM copies and parses one module on group g's leader using the
+// session's module-table snapshot. spent[g] is only ever touched by group
+// g's fetch slot, and stage boundaries (runBounded joins) order those
+// touches, so the accounting is race-free.
+func (ps *PoolSweep) fetchVM(g int, module string) *fetched {
 	c := ps.c
-	t := ps.vms[i] // a listed VM: NewPoolSweep opened its handle
-	f := &fetched{target: t}
-	info, err := ps.lookup(i, module)
+	f := &fetched{name: ps.name(g)}
+	info, err := ps.lookup(g, module)
 	if err != nil {
 		f.err = err
 		return f
 	}
-	s := NewSearcher(t.Handle, c.cfg.Strategy).WithRetry(c.cfg.Retry)
+	s := NewSearcher(ps.handles[g], c.cfg.Strategy).WithRetry(c.cfg.Retry)
 	buf, cost, err := s.CopyModuleCosted(info)
 	f.timing.Searcher = c.charge(cost)
 	if err != nil {
 		f.err = err
 	} else {
 		infoCopy := *info
-		c.parseFetched(f, t, module, &infoCopy, buf)
+		c.parseFetched(f, module, &infoCopy, buf)
 	}
 	if ps.perVMBudget > 0 {
-		ps.spent[i] += f.timing.Total()
+		ps.spent[g] += f.timing.Total()
 	}
 	return f
 }

@@ -101,6 +101,20 @@ type ModuleAnalyzer interface {
 	CheckModule(pkgs []*Package, sup SuppressionSet, only map[string]bool) ([]Finding, []error)
 }
 
+// KnownRules is a ModuleAnalyzer that owns the named rules and checks
+// nothing. A run that does not load the whole module passes the suite's
+// rule names this way, so //modlint:ignore directives naming whole-program
+// rules stay valid without the suite running.
+type KnownRules []string
+
+// Rules returns the names.
+func (r KnownRules) Rules() []string { return r }
+
+// CheckModule reports nothing.
+func (KnownRules) CheckModule([]*Package, SuppressionSet, map[string]bool) ([]Finding, []error) {
+	return nil, nil
+}
+
 // Analyzers returns the full rule set in reporting order.
 func Analyzers() []Analyzer {
 	return []Analyzer{
@@ -224,11 +238,11 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 }
 
 // RunAll executes the per-package analyzers and then the whole-program
-// analyzer mod (nil when the whole module is not loaded) over the package
-// set, applies //modlint:ignore suppression to everything, and returns the
-// surviving findings sorted by position. only, when non-nil, is the set of
-// rules to run and report; ignore directives naming any other rule the
-// analyzers own stay valid.
+// analyzer mod (nil, or KnownRules, when the whole module is not loaded)
+// over the package set, applies //modlint:ignore suppression to everything,
+// and returns the surviving findings sorted by position. only, when
+// non-nil, is the set of rules to run and report; ignore directives naming
+// any other rule the analyzers own stay valid.
 //
 // The second result is the substrate errors mod hit on the way: soft
 // type-check failures that made a package drop out of whole-program

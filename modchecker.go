@@ -361,45 +361,42 @@ func (c *Cloud) Target(name string) (core.Target, error) {
 	if d == nil {
 		return core.Target{}, fmt.Errorf("modchecker: no VM %q", name)
 	}
-	t := c.target(d)
-	t.Introspect()
+	t := core.Target{Name: d.Name, Handle: c.open(d)}
+	if c.plan == nil {
+		// A fault plan breaks the "same frames, same reads" equivalence
+		// (faults are per-VM), so targets opened under a plan advertise no
+		// identity; see identity and core.Target.Identity.
+		t.Identity = func() (uint64, bool) { return identity(d) }
+		t.Epoch = d.MappingEpoch
+	}
 	return t, nil
 }
 
-// target describes an already resolved domain as a lazy introspection
-// target: the handle (and with it the vCPU's CR3) is taken only when the
-// checker first opens it, so a sweep pays for the VMs it reads, not for
-// the whole fleet.
-func (c *Cloud) target(d *hypervisor.Domain) core.Target {
-	g := d.Guest()
-	t := core.Target{Name: d.Name, Open: func() *vmi.Handle {
-		c.mOpened.Inc()
-		return vmi.Open(d.Name, c.reader(d), g.CR3(), c.profile, c.handleOptions(d)...)
-	}}
-	if c.plan == nil {
-		// Identity lets WithIdentityDedup treat copy-on-write forks that
-		// still share their template's frozen image as one VM. A fault plan
-		// breaks the "same frames, same reads" equivalence (faults are
-		// per-VM), so targets opened under a plan advertise no identity.
-		// The guest's physical memory is read live on every sample — a
-		// snapshot Restore swaps the backing object, and an identity pinned
-		// to the pre-revert memory would keep reporting the old frozen
-		// layer's stable ID while the actual image diverges. ContentID
-		// (a fingerprint of the frozen frames, not an allocation counter)
-		// keeps tokens stable across process runs, so a persistent digest
-		// store reopened against an identically built cloud still hits.
-		t.Identity = func() (uint64, bool) {
-			if d.Destroyed() {
-				return 0, false
-			}
-			return g.Phys().ContentID()
-		}
-		// Epoch folds the domain's mapping epoch into content-cache tokens:
-		// lifecycle events that invalidate mappings (pause/resume, revert,
-		// fault-plan installation hooks) bump it, retiring stale entries.
-		t.Epoch = d.MappingEpoch
+// open opens an introspection handle on an already resolved domain, with
+// the cloud's handle options plus extra, counted by vmi/handles_opened.
+// The handle takes the vCPU's CR3 now.
+func (c *Cloud) open(d *hypervisor.Domain, extra ...vmi.Option) *vmi.Handle {
+	c.mOpened.Inc()
+	return vmi.Open(d.Name, c.reader(d), d.Guest().CR3(), c.profile, append(c.handleOptions(d), extra...)...)
+}
+
+// identity samples a domain's content-identity token, which lets
+// WithIdentityDedup treat copy-on-write forks that still share their
+// template's frozen image as one VM. The guest's physical memory is read
+// live on every sample — a snapshot Restore swaps the backing object, and an
+// identity pinned to the pre-revert memory would keep reporting the old
+// frozen layer's stable ID while the actual image diverges. ContentID (a
+// fingerprint of the frozen frames, not an allocation counter) keeps tokens
+// stable across process runs, so a persistent digest store reopened against
+// an identically built cloud still hits. The domain's mapping epoch
+// (MappingEpoch) completes the content-cache token: lifecycle events that
+// invalidate mappings (pause/resume, revert, fault-plan installation hooks)
+// bump it, retiring stale entries.
+func identity(d *hypervisor.Domain) (uint64, bool) {
+	if d.Destroyed() {
+		return 0, false
 	}
-	return t
+	return d.Guest().Phys().ContentID()
 }
 
 // OpenVMI opens a raw introspection handle on the named VM with every
@@ -411,11 +408,7 @@ func (c *Cloud) OpenVMI(name string) (*vmi.Handle, error) {
 	if d == nil {
 		return nil, fmt.Errorf("modchecker: no VM %q", name)
 	}
-	g := d.Guest()
-	opts := append(c.handleOptions(d),
-		vmi.WithCharge(func(d time.Duration) { c.hv.ChargeDom0(d) }))
-	c.mOpened.Inc()
-	return vmi.Open(name, c.reader(d), g.CR3(), c.profile, opts...), nil
+	return c.open(d, vmi.WithCharge(func(d time.Duration) { c.hv.ChargeDom0(d) })), nil
 }
 
 // Targets opens introspection targets for the named VMs (all VMs when none

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"modchecker/internal/core"
+	"modchecker/internal/hypervisor"
 	"modchecker/internal/metrics"
 	"modchecker/internal/trace"
+	"modchecker/internal/vmi"
 )
 
 // HealthState is one VM's position in the scanner's health machine. VMs
@@ -356,24 +358,30 @@ func (s *Scanner) slot(vm string) *vmHealth {
 }
 
 // partition assigns every roster VM its role in sweep number `sweep` and
-// describes, in pool order, a lazy target for each VM the sweep checks:
-// healthy and suspect VMs, and quarantined VMs due for a readmission
-// probe. No handle is opened here — the sweep session opens only the VMs
-// it lists, so identity dups never get one. Skipped quarantined VMs get no
-// target. Destroyed domains go straight to quarantine and are skipped —
-// there is nothing left to probe, but the operator should still see them
-// accounted. Each VM is checked against the roster's own domain; only when
-// that domain is destroyed is the name resolved against the hypervisor
-// again, so a domain later re-created under the same name re-enters
-// through the normal readmission-probe path once its timer expires.
-func (s *Scanner) partition(sweep int) []core.Target {
-	targets := make([]core.Target, 0, len(s.vms))
+// describes, in pool order, the VMs the sweep checks: healthy and suspect
+// VMs, and quarantined VMs due for a readmission probe. No handle is opened
+// here — the sweep session opens only the VMs it lists, so identity dups
+// never get one. Skipped quarantined VMs are left out. Destroyed domains go
+// straight to quarantine and are skipped — there is nothing left to probe,
+// but the operator should still see them accounted. Each VM is checked
+// against the roster's own domain; only when that domain is destroyed is
+// the name resolved against the hypervisor again, so a domain later
+// re-created under the same name re-enters through the normal
+// readmission-probe path once its timer expires.
+func (s *Scanner) partition(sweep int) *sweepPool {
+	p := &sweepPool{c: s.cloud, identity: s.cloud.plan == nil}
+	eligible := 0
 	for i, d := range s.cloud.domains {
 		name := d.Name
 		h := &s.vms[i]
 		h.role, h.overBudget, h.failed = roleSkipped, false, 0
 		if d.Destroyed() {
-			d = s.cloud.Domain(name)
+			if d = s.cloud.Domain(name); d != nil && !d.Destroyed() {
+				if p.moved == nil {
+					p.moved = make(map[int32]*hypervisor.Domain)
+				}
+				p.moved[int32(i)] = d
+			}
 		}
 		if d == nil || d.Destroyed() {
 			if h.state != HealthQuarantined {
@@ -404,9 +412,65 @@ func (s *Scanner) partition(sweep int) []core.Target {
 		} else {
 			h.role = roleChecked
 		}
-		targets = append(targets, s.cloud.target(d))
+		eligible++
 	}
-	return targets
+	p.n = eligible
+	if eligible < len(s.vms) {
+		p.idx = make([]int32, 0, eligible)
+		for i := range s.vms {
+			if s.vms[i].role != roleSkipped {
+				p.idx = append(p.idx, int32(i))
+			}
+		}
+	}
+	return p
+}
+
+// sweepPool is one sweep's eligible VMs as a core.Pool, read straight from
+// the cloud's domains: pool VM k is roster VM idx[k] (roster VM k when
+// every roster VM is eligible and idx is nil). Describing a 100k-VM sweep
+// costs at most one 4-byte index per VM — no Target value or closures —
+// and only the VMs the session lists are ever opened.
+type sweepPool struct {
+	c   *Cloud
+	n   int
+	idx []int32
+	// moved holds the roster VMs whose own domain was destroyed and whose
+	// name resolves to a re-created domain; nil when there are none.
+	moved map[int32]*hypervisor.Domain
+	// identity: no fault plan was installed at partition time, so the VMs
+	// advertise identity tokens (see Cloud.Target).
+	identity bool
+}
+
+// domain resolves pool VM k.
+func (p *sweepPool) domain(k int) *hypervisor.Domain {
+	i := int32(k)
+	if p.idx != nil {
+		i = p.idx[k]
+	}
+	if d, ok := p.moved[i]; ok {
+		return d
+	}
+	return p.c.domains[i]
+}
+
+func (p *sweepPool) Len() int               { return p.n }
+func (p *sweepPool) Name(k int) string      { return p.domain(k).Name }
+func (p *sweepPool) Open(k int) *vmi.Handle { return p.c.open(p.domain(k)) }
+
+func (p *sweepPool) Identity(k int) (uint64, bool) {
+	if !p.identity {
+		return 0, false
+	}
+	return identity(p.domain(k))
+}
+
+func (p *sweepPool) Epoch(k int) uint64 {
+	if !p.identity {
+		return 0
+	}
+	return p.domain(k).MappingEpoch()
 }
 
 // traceHealth records one health-machine transition on the scanner track.
@@ -455,18 +519,18 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	tr.AlignTo(start)
 	base := tr.Cursor()
 
-	targets := s.partition(sweep)
-	rep.VMs = len(targets)
-	if len(targets) < 2 {
+	pool := s.partition(sweep)
+	rep.VMs = pool.Len()
+	if rep.VMs < 2 {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf(
-			"modchecker: sweep %d has %d eligible VMs, need at least 2", sweep, len(targets)))
+			"modchecker: sweep %d has %d eligible VMs, need at least 2", sweep, rep.VMs))
 	}
 
 	// One session per sweep: every eligible VM's LDR list is walked exactly
 	// once and the snapshot (plus warm introspection handles) is reused for
 	// every module below. A module loaded between sweeps is observed by the
 	// next sweep's fresh snapshot.
-	session, err := s.checker.inner.NewPoolSweep(targets)
+	session, err := s.checker.inner.NewPoolSweepFrom(pool)
 	if err != nil {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf("modchecker: sweep %d: %w", sweep, err))
 	}
@@ -483,7 +547,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 		rep.Resumed = true
 		s.mResumed.Inc()
 	} else if modules = s.modules; modules == nil {
-		if modules, err = s.discoverModules(session, len(targets)); err != nil {
+		if modules, err = s.discoverModules(session, rep.VMs); err != nil {
 			return nil, s.abortSweep(tr, sweep, err)
 		}
 	}
@@ -533,7 +597,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 			// Nothing could fetch this module: a module-level problem, not
 			// evidence against any VM. Record once and move on.
 			rep.Errors = append(rep.Errors, ModuleError{Module: module,
-				Err: fmt.Errorf("modchecker: %s unreadable on all %d VMs", module, len(targets))})
+				Err: fmt.Errorf("modchecker: %s unreadable on all %d VMs", module, rep.VMs)})
 			s.mModuleErrors.Inc()
 			return
 		}

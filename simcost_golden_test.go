@@ -74,6 +74,10 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //   - scan4k: fleet100k-dedup's scanner sweep scaled to 4096 clones of 4
 //     templates (sharded, lean, identity dedup, its three modules), swept
 //     twice, plus the SHA-256 of both sweeps' WriteJSON bytes.
+//   - trace300: a traced parallel dedup scanner over 300 clones of 4
+//     templates (shard 64), swept twice, plus the SHA-256 of the Chrome
+//     trace export: every dedup follower's zero-cost list and fetch task
+//     keeps its event, lane and timestamp.
 func simcostRun(t *testing.T) []byte {
 	t.Helper()
 	var l simcostLedger
@@ -229,13 +233,33 @@ func simcostRun(t *testing.T) []byte {
 		}
 	}
 	fmt.Fprintf(&l.buf, "scan4k report_sha256=%x\n", reports.Sum(nil))
+
+	traced, err := NewCloud(CloudConfig{VMs: 300, Templates: 4, Seed: 5, Cores: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := traced.EnableTrace(1 << 14) // before NewScanner: checkers capture it
+	sc = traced.NewScanner(WithParallel(), WithShardSize(64), WithIdentityDedup())
+	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
+	l.begin(traced, nil)
+	l.sweep(t, "trace300 sweep=1", sc)
+	l.sweep(t, "trace300 sweep=2", sc)
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace300: ring dropped %d events", tr.Dropped())
+	}
+	export := sha256.New()
+	if err := tr.WriteChromeJSON(export); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&l.buf, "trace300 trace_sha256=%x\n", export.Sum(nil))
 	return l.buf.Bytes()
 }
 
 // TestSimCostGolden byte-compares the simulated cost of the simcost
 // scenarios with testdata/simcost.golden, generated before the leaf-layer
-// optimizations of Algorithm 2 and MD5, and for scan4k before lazy
-// introspection targets (see testdata/README.md for the exact commands).
+// optimizations of Algorithm 2 and MD5, for scan4k before lazy
+// introspection targets, and for trace300 before per-group sweep state
+// (see testdata/README.md for the exact commands).
 // Host-side optimizations must leave every simulated nanosecond, stage
 // split, page-table walk, byte read, store hit and scan4k report byte as
 // it was; any drift shows up here.

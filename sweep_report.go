@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,18 +14,37 @@ import (
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// jsonOut builds a JSON document directly in encoding/json's indented
+// jsonChunk is how many bytes jsonOut buffers before writing them out.
+const jsonChunk = 64 << 10
+
+// jsonOut writes a JSON document directly in encoding/json's indented
 // layout — the bytes json.Encoder produces after SetIndent("", "  ") — so
 // nothing has to be re-indented afterwards. Strings and numbers are
-// rendered exactly as encoding/json renders them.
+// rendered exactly as encoding/json renders them. The document streams to
+// w in chunks of about jsonChunk bytes, so its size never sets the buffer's.
 type jsonOut struct {
+	w     io.Writer
+	err   error // the first write error; nothing is written after it
 	b     []byte
 	depth int
 	more  bool // the innermost open container already holds a member
 }
 
+// flush writes the buffered bytes once they reach jsonChunk, or whatever
+// is buffered when force is set.
+func (j *jsonOut) flush(force bool) {
+	if len(j.b) < jsonChunk && !force {
+		return
+	}
+	if j.err == nil {
+		_, j.err = j.w.Write(j.b)
+	}
+	j.b = j.b[:0]
+}
+
 // next starts the next member of the innermost open container.
 func (j *jsonOut) next() {
+	j.flush(false)
 	if j.more {
 		j.b = append(j.b, ',')
 	}
@@ -115,35 +135,33 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// appendHealth appends every Health entry in sorted name order, rendered by
-// entry (k counts the entries appended so far). A scanner report is walked
-// along the scanner's sorted roster with one map lookup per name; a report
-// whose map no longer holds exactly the roster's names (built or edited
-// outside the scanner) is rolled back and rendered from a fresh sort of
-// its keys.
-func (r *SweepReport) appendHealth(dst []byte, entry func(b []byte, k int, vm string, st HealthState) []byte) []byte {
+// sortedHealth returns Health's names in sorted order and the k-th name's
+// state. A scanner report reads the scanner's sorted roster with one map
+// lookup per name, keeping each state in a byte; a report whose map no
+// longer holds exactly the roster's names (built or edited outside the
+// scanner), or holds a state no byte fits, is read from a fresh sort of
+// its keys instead.
+func (r *SweepReport) sortedHealth() (names []string, state func(k int) HealthState) {
 	if len(r.healthOrder) == len(r.Health) {
-		b, complete := dst, true
+		states := make([]uint8, len(r.healthOrder))
+		complete := true
 		for k, vm := range r.healthOrder {
 			st, ok := r.Health[vm]
-			if complete = ok; !ok {
+			if complete = ok && st >= 0 && st <= math.MaxUint8; !complete {
 				break
 			}
-			b = entry(b, k, vm, st)
+			states[k] = uint8(st)
 		}
 		if complete {
-			return b
+			return r.healthOrder, func(k int) HealthState { return HealthState(states[k]) }
 		}
 	}
-	vms := make([]string, 0, len(r.Health))
+	names = make([]string, 0, len(r.Health))
 	for vm := range r.Health {
-		vms = append(vms, vm)
+		names = append(names, vm)
 	}
-	sort.Strings(vms)
-	for k, vm := range vms {
-		dst = entry(dst, k, vm, r.Health[vm])
-	}
-	return dst
+	sort.Strings(names)
+	return names, func(k int) HealthState { return r.Health[names[k]] }
 }
 
 // WriteJSON emits the sweep report as indented JSON, byte for byte what
@@ -153,11 +171,12 @@ func (r *SweepReport) appendHealth(dst []byte, entry func(b []byte, k int, vm st
 // identical across identically seeded runs. Counts for skipped VMs,
 // budget-dropped VMs, and deferred modules are always present (not omitted
 // when zero) so downstream tooling can threshold on them without probing
-// for the field.
+// for the field. The document is written in chunks of about 64 KiB; the
+// first write error stops the output and is returned.
 //
 //moddet:sink sweep JSON must be byte-identical across runs
 func (r *SweepReport) WriteJSON(w io.Writer) error {
-	j := jsonOut{b: make([]byte, 0, 1024+32*len(r.Health))}
+	j := jsonOut{w: w, b: make([]byte, 0, min(1024+32*len(r.Health), jsonChunk+1024))}
 	j.open('{')
 	j.int("sweep", r.Sweep)
 	j.int("modules_checked", r.ModulesChecked)
@@ -197,17 +216,10 @@ func (r *SweepReport) WriteJSON(w io.Writer) error {
 	if len(r.Health) > 0 {
 		j.key("health")
 		j.open('{')
-		indent := string(j.newline(nil))
-		j.b = r.appendHealth(j.b, func(b []byte, k int, vm string, st HealthState) []byte {
-			if k > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, indent...)
-			b = appendJSONString(b, vm)
-			b = append(b, ": "...)
-			return appendJSONString(b, st.String())
-		})
-		j.more = true // entries were appended past jsonOut; there is at least one
+		names, state := r.sortedHealth()
+		for k, vm := range names {
+			j.str(vm, state(k).String())
+		}
 		j.close('}')
 	}
 	j.strs("quarantined", r.Quarantined)
@@ -228,8 +240,9 @@ func (r *SweepReport) WriteJSON(w io.Writer) error {
 	j.ms("compare_ms", r.Timing.Compare)
 	j.close('}')
 	j.close('}')
-	_, err := w.Write(append(j.b, '\n'))
-	return err
+	j.b = append(j.b, '\n')
+	j.flush(true)
+	return j.err
 }
 
 // WriteText renders the sweep report as operator-facing text: the one-line
@@ -296,12 +309,14 @@ func (r *SweepReport) WriteText(w io.Writer) error {
 	if !notable {
 		return nil
 	}
-	b := r.appendHealth([]byte("  health:"), func(b []byte, _ int, vm string, st HealthState) []byte {
+	b := []byte("  health:")
+	names, state := r.sortedHealth()
+	for k, vm := range names {
 		b = append(b, ' ')
 		b = append(b, vm...)
 		b = append(b, '=')
-		return append(b, st.String()...)
-	})
+		b = append(b, state(k).String()...)
+	}
 	_, err := w.Write(append(b, '\n'))
 	return err
 }
