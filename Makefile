@@ -149,6 +149,7 @@ profile-fleet:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModule$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizePair$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzDigestMemo$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRelocTable$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseImports$$' -fuzztime=$(FUZZTIME) ./internal/pe

@@ -168,7 +168,7 @@ func TestClusterPoolParallel(t *testing.T) {
 // clustering, allocating a fresh SizeOfImage-sized buffer per VM per
 // sweep. With GC disabled so the pool cannot be flushed between runs, a
 // second identical sweep must be served entirely from the buffers the
-// first sweep recycled — zero fetchBufPool misses.
+// first sweep recycled — zero misses in any of the fetchBufPools.
 func TestClusterPoolRecyclesFetchBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops a quarter of all Puts by design; the zero-miss invariant only holds in plain builds")
@@ -178,9 +178,11 @@ func TestClusterPoolRecyclesFetchBuffers(t *testing.T) {
 
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var misses atomic.Int64
-	oldNew := fetchBufPool.New
-	fetchBufPool.New = func() any { misses.Add(1); return new([]byte) }
-	defer func() { fetchBufPool.New = oldNew }()
+	for i := range fetchBufPools {
+		oldNew := fetchBufPools[i].New
+		fetchBufPools[i].New = func() any { misses.Add(1); return new([]byte) }
+		defer func() { fetchBufPools[i].New = oldNew }()
+	}
 
 	if _, err := checker.ClusterPool("alpha.sys", targets); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/md5"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"modchecker/internal/guest"
@@ -52,31 +53,35 @@ func firstDiffByte(a, b uint32) int {
 // straightforward recomputation on a pool built to exercise every branch
 // of the reference memo and the equal-side shortcut:
 //
-//   - a clean majority, whose normalized reference sides are all equal, so
-//     all but the first reuse the memoized MD5;
+//   - a clean majority, whose pairs with the reference Algorithm 2 rewrites
+//     at the same sites, so all but the first are answered by the memo's
+//     window check — counted, so a memo that never hits fails;
 //   - a copy with one byte tampered directly after a relocation site (the
 //     byte Algorithm 2's rewrite window reaches past a site), which must
 //     get its own key and an ALTERED verdict;
 //   - a clean copy whose base first differs from the reference's in a
 //     different byte than the other copies' bases do;
 //   - a copy whose .text section is shorter, which leaves the tail of the
-//     reference side unrewritten, so its reference side misses the memo.
+//     reference side unrewritten, so its reference side misses the memo;
+//   - a clone loaded at the reference's own base, for which Algorithm 2
+//     rewrites nothing and both sides stay raw.
 //
-// It runs the engine in parallel and sequential mode: in parallel mode the
-// digest workers race to fill the memo.
+// It runs the engine in parallel and sequential mode, and once more
+// sequentially with the tampered copy first, so that the copy the memo is
+// filled from is the tampered one.
 func TestDigestKeysExactUnderMemo(t *testing.T) {
 	const module = "alpha.sys"
 	disk := testDisk(t)
 	profile := vmi.XPSP2Profile(guest.PsLoadedModuleListVA)
-	boot := func(k int) (*guest.Guest, Target) {
-		g, err := guest.New(guest.Config{
-			Name: "vm" + string(rune('a'+k%26)) + string(rune('a'+k/26)), MemBytes: 16 << 20,
-			BootSeed: int64(k+1) * 7919, Disk: disk,
-		})
+	bootAs := func(name string, seed int64) (*guest.Guest, Target) {
+		g, err := guest.New(guest.Config{Name: name, MemBytes: 16 << 20, BootSeed: seed, Disk: disk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return g, Target{Name: g.Name(), Handle: vmi.Open(g.Name(), g.Phys(), g.CR3(), profile)}
+	}
+	boot := func(k int) (*guest.Guest, Target) {
+		return bootAs("vm"+string(rune('a'+k%26))+string(rune('a'+k/26)), int64(k+1)*7919)
 	}
 
 	// Boot candidates until there are six copies whose base first differs
@@ -106,14 +111,21 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 		}
 	}
 	// Pool order: the reference, four clean copies, the tampered copy, the
-	// shorter copy, then the odd-base copy — a clean majority of six.
+	// shorter copy, the odd-base copy, then the same-base clone — a clean
+	// majority of seven.
 	order := append(append([]int{0}, common...), odd...)
 	pool := make([]Target, len(order))
 	for i, k := range order {
 		pool[i] = targets[k]
 	}
+	sameG, sameT := bootAs("vmsame", 7919)
+	if sameG.Module(module).Base != refBase {
+		t.Fatalf("clone loaded %s at %#x, reference at %#x", module, sameG.Module(module).Base, refBase)
+	}
+	pool = append(pool, sameT)
 	tg, sg := guests[common[4]], guests[common[5]]
-	tampered, shorter := tg.Name(), sg.Name()
+	tampered, shorter, sameBase := tg.Name(), sg.Name(), sameG.Name()
+	tamperedFirst := append([]Target{pool[0], pool[5]}, slices.Delete(slices.Clone(pool), 5, 6)[1:]...)
 
 	// Tamper the byte right after a .text relocation site on one copy.
 	img, err := pe.Parse(disk[module])
@@ -168,37 +180,62 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, parallel := range []bool{true, false} {
-		c := NewChecker(Config{Parallel: parallel})
-		o, ok := c.poolEngine(pool).run(module)
+	runs := []struct {
+		name        string
+		parallel    bool
+		pool        []Target
+		pinHitCount bool
+	}{
+		{"parallel", true, pool, true},
+		{"sequential", false, pool, true},
+		{"sequential, tampered copy first", false, tamperedFirst, false},
+	}
+	for _, run := range runs {
+		c := NewChecker(Config{Parallel: run.parallel})
+		o, ok := c.poolEngine(run.pool).run(module)
 		if !ok {
 			t.Fatal("engine run failed")
 		}
-		ref := c.fetchAndParse(pool[0].Handle, pool[0].Name, module)
+		ref := c.fetchAndParse(run.pool[0].Handle, run.pool[0].Name, module)
+		if run.pinHitCount {
+			// The first clean copy fills the memo. The window check then
+			// answers every relocated component of the other three clean
+			// copies and of the odd-base copy, and every one but .text of
+			// the tampered and the shorter copy.
+			relocated := 0
+			for _, comp := range ref.parsed.Components {
+				if comp.Normalize {
+					relocated++
+				}
+			}
+			if want := int64(6*relocated - 2); o.memoHits != want {
+				t.Errorf("%s: the memo's window check answered %d components, want %d", run.name, o.memoHits, want)
+			}
+		}
 		keys := map[string]string{}
-		for i := 1; i < len(pool); i++ {
-			f := c.fetchAndParse(pool[i].Handle, pool[i].Name, module)
+		for i := 1; i < len(run.pool); i++ {
+			f := c.fetchAndParse(run.pool[i].Handle, run.pool[i].Name, module)
 			if f.err != nil {
 				t.Fatal(f.err)
 			}
 			want := digestByPair(ref, f)
 			if got := o.clusters[o.clusterOf[i]].key; got != want {
-				t.Errorf("parallel=%v: %s: engine key %x, NormalizePair+MD5 key %x", parallel, pool[i].Name, got, want)
+				t.Errorf("%s: %s: engine key %x, NormalizePair+MD5 key %x", run.name, run.pool[i].Name, got, want)
 			}
-			keys[pool[i].Name] = want
+			keys[run.pool[i].Name] = want
 			c.releaseFetched(f)
 		}
 		c.releaseFetched(ref)
 
-		clean := keys[pool[1].Name]
+		clean := keys[targets[common[0]].Name]
 		for name, key := range keys {
-			distinct := name == tampered || name == shorter
+			distinct := name == tampered || name == shorter || name == sameBase
 			if (key != clean) != distinct {
-				t.Errorf("parallel=%v: %s: key distinct from the clean copies = %v, want %v", parallel, name, key != clean, distinct)
+				t.Errorf("%s: %s: key distinct from the clean copies = %v, want %v", run.name, name, key != clean, distinct)
 			}
 		}
 
-		rep, err := c.CheckPool(module, pool)
+		rep, err := c.CheckPool(module, run.pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +244,94 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 			flagged[name] = true
 		}
 		if len(rep.Flagged) != 2 || !flagged[tampered] || !flagged[shorter] {
-			t.Errorf("parallel=%v: flagged %v, want exactly %s and %s ALTERED", parallel, rep.Flagged, tampered, shorter)
+			t.Errorf("%s: flagged %v, want exactly %s and %s ALTERED", run.name, rep.Flagged, tampered, shorter)
 		}
+	}
+}
+
+// BenchmarkDigestAgainst measures the digest layer alone on the standard
+// catalog: one op digests every module of one copy against the reference,
+// with the run's memo already filled from another copy.
+//
+//   - hit: a clean copy at its own base, answered by the window check;
+//   - miss: the same copy against a memo holding no entries, so every
+//     component runs Algorithm 2 on scratch copies and MD5;
+//   - same-base: a clone loaded at the reference's base, whose raw sides
+//     need no rewrite.
+func BenchmarkDigestAgainst(b *testing.B) {
+	disk, err := guest.BuildStandardDisk()
+	if err != nil {
+		b.Fatal(err)
+	}
+	profile := vmi.XPSP2Profile(guest.PsLoadedModuleListVA)
+	boot := func(name string, seed int64) Target {
+		g, err := guest.New(guest.Config{Name: name, MemBytes: 64 << 20, BootSeed: seed, Disk: disk})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return Target{Name: name, Handle: vmi.Open(name, g.Phys(), g.CR3(), profile)}
+	}
+	ref, partner, cp, clone := boot("ref", 1), boot("partner", 2), boot("copy", 3), boot("clone", 1)
+	var modules []string
+	for _, spec := range guest.StandardCatalog() {
+		modules = append(modules, spec.Name)
+	}
+	c := NewChecker(Config{})
+	fetchAll := func(tg Target) []*fetched {
+		fs := make([]*fetched, len(modules))
+		for i, m := range modules {
+			if fs[i] = c.fetchAndParse(tg.Handle, tg.Name, m); fs[i].err != nil {
+				b.Fatal(fs[i].err)
+			}
+		}
+		return fs
+	}
+	refs, partners, copies, clones := fetchAll(ref), fetchAll(partner), fetchAll(cp), fetchAll(clone)
+	defer func() {
+		for _, fs := range [][]*fetched{refs, partners, copies, clones} {
+			for _, f := range fs {
+				c.releaseFetched(f)
+			}
+		}
+	}()
+	if copies[0].info.Base == refs[0].info.Base || clones[0].info.Base != refs[0].info.Base {
+		b.Fatal("boot seeds do not give the wanted bases")
+	}
+
+	for _, bc := range []struct {
+		name string
+		fill bool
+		of   []*fetched
+	}{
+		{"hit", true, copies},
+		{"miss", false, copies},
+		{"same-base", true, clones},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			memos := make([]*refMemo, len(modules))
+			for i := range memos {
+				memos[i] = newRefMemo(len(refs[i].parsed.Components))
+				if bc.fill {
+					c.digestAgainst(refs[i], partners[i], memos[i])
+				}
+				memos[i].seal()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for i := range modules {
+					c.digestAgainst(refs[i], bc.of[i], memos[i])
+				}
+			}
+			b.StopTimer()
+			var hits int64
+			for _, m := range memos {
+				hits += m.hits.Load()
+				m.release()
+			}
+			if (bc.name == "hit") != (hits > 0) {
+				b.Fatalf("%d window-check hits", hits)
+			}
+		})
 	}
 }

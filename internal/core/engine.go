@@ -91,6 +91,7 @@ type outcome struct {
 	clusterOf []int       // by group; -1: no healthy copy
 	clusters  []cluster
 	mm        map[clusterPair][]string // representative comparisons
+	memoHits  int64                    // digest components the reference memo's window check answered
 }
 
 // mismatches returns the representative comparison between two clusters:
@@ -206,8 +207,8 @@ func (e *engine) run(module string) (*outcome, bool) {
 			toks[g] = sourceToken(e.pool, e.grp.leader(g))
 		}
 	}
-	// memo holds the reference's normalized sides for the whole run; it is
-	// made only once a shard has something to digest.
+	// memo holds how Algorithm 2 rewrote the reference, for the whole run;
+	// it is made only once a shard has something to digest.
 	var memo *refMemo
 	// Cluster copies outlive their shard; every other buffer is released
 	// as soon as its VM is clustered.
@@ -216,6 +217,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 			c.releaseFetched(cl.f)
 		}
 		if memo != nil {
+			o.memoHits = memo.hits.Load()
 			memo.release()
 		}
 	}()
@@ -332,17 +334,24 @@ func (e *engine) run(module string) (*outcome, bool) {
 		}
 
 		// Digest the shard's healthy copies against the reference.
-		if len(toDigest) > 0 && memo == nil {
-			memo = newRefMemo(o.clusters[0].f)
-		}
 		first := len(digestCosts)
 		digestCosts = append(digestCosts, make([]time.Duration, len(toDigest))...)
-		runBounded("digest", len(toDigest), c.stageWorkers(), func(k int) {
+		digest := func(k int) {
 			s := &sl[toDigest[k]-lo]
 			key, cost := c.digestAgainst(o.clusters[0].f, s.f, memo)
 			s.key = key
 			digestCosts[first+k] = c.charge(cost)
-		})
+		}
+		from := 0
+		if len(toDigest) > 0 && memo == nil {
+			// The run's first digest fills the memo here, on the driving
+			// goroutine; the workers only ever read it.
+			memo = newRefMemo(len(o.clusters[0].f.parsed.Components))
+			digest(0)
+			memo.seal()
+			from = 1
+		}
+		runBounded("digest", len(toDigest)-from, c.stageWorkers(), func(k int) { digest(from + k) })
 		digestIdx = append(digestIdx, toDigest...)
 		for _, d := range digestCosts[first:] {
 			work += d

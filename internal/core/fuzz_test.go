@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -57,5 +60,104 @@ func FuzzNormalizePair(f *testing.F) {
 			}
 		}
 		checkAgainstBytewise(t, d1, d2, b1, b2)
+	})
+}
+
+// digestFetch wraps one relocated section loaded at base as a fetch, for
+// driving digestAgainst without a guest.
+func digestFetch(data []byte, base uint32) *fetched {
+	return &fetched{
+		info:   &ModuleInfo{Base: base},
+		parsed: &ParsedModule{Components: []Component{{Name: ".text", Data: data, Normalize: true}}},
+	}
+}
+
+// rebase returns a copy of data, loaded at base, relocated to newBase at
+// the given sites.
+func rebase(data []byte, sites []uint32, base, newBase uint32) []byte {
+	out := append([]byte(nil), data...)
+	le := binary.LittleEndian
+	for _, s := range sites {
+		le.PutUint32(out[s:], le.Uint32(out[s:])-base+newBase)
+	}
+	return out
+}
+
+// FuzzDigestMemo is a differential fuzzer of the reference memo. It fills
+// an entry through the production miss path from (partner, reference),
+// seals the memo, and requires two things of (copy, reference):
+//
+//   - a window-check hit implies that the byte-at-a-time Algorithm 2
+//     leaves both sides byte-equal to the entry's normalized reference
+//     side;
+//   - digestAgainst's key equals NormalizePair followed by two MD5s.
+func FuzzDigestMemo(f *testing.F) {
+	for _, s := range normalizeSeeds(f) {
+		// A clean copy at a third base, rebased from the partner.
+		_, _, sites := NormalizePair(s.d1, s.d2, s.b1, s.b2)
+		b3 := s.b2 + 0x00040000
+		f.Add(s.d1, rebase(s.d1, sites, s.b1, b3), s.d2, s.b1, b3, s.b2)
+	}
+	le := binary.LittleEndian
+	const b1, b2, b3 = 0xF8CC0000, 0xF8D00000, 0xF8D40000 // first differing byte: 2
+	partner, ref := make([]byte, 32), make([]byte, 32)
+	for i := range partner {
+		partner[i] = byte(i*5 + 3)
+		ref[i] = partner[i]
+	}
+	le.PutUint32(partner[8:], b1+0x1234)
+	le.PutUint32(ref[8:], b2+0x1234)
+	le.PutUint32(partner[20:], b1+0x5678)
+	le.PutUint32(ref[20:], b2+0x5678)
+	clean := rebase(partner, []uint32{8, 20}, b1, b3)
+	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2))
+	// Same-base pairs: the copy, then the partner, loaded at the reference's base.
+	f.Add(partner, ref, ref, uint32(b1), uint32(b2), uint32(b2))
+	tampered := append([]byte(nil), ref...)
+	tampered[3] ^= 0x40
+	f.Add(partner, tampered, ref, uint32(b1), uint32(b2), uint32(b2))
+	f.Add(ref, clean, ref, uint32(b2), uint32(b3), uint32(b2))
+	// A tamper inside a window, above the offset: the RVAs disagree.
+	tampered = append([]byte(nil), clean...)
+	tampered[8+3] ^= 0x01
+	f.Add(partner, tampered, ref, uint32(b1), uint32(b3), uint32(b2))
+	// A shorter and a longer copy.
+	f.Add(partner, clean[:30], ref, uint32(b1), uint32(b3), uint32(b2))
+	f.Add(partner, append(clean, 0xEE), ref, uint32(b1), uint32(b3), uint32(b2))
+	// Overlapping windows: after the site at 8 is rewritten, the field at
+	// 10 (its high half plus the next two bytes) also decodes to equal
+	// RVAs, so Algorithm 2 records sites 8 and 10.
+	op, or := append([]byte(nil), partner...), append([]byte(nil), ref...)
+	le.PutUint16(op[12:], 0x0FFC)
+	le.PutUint16(or[12:], 0x1000)
+	if _, _, s := NormalizePair(op, or, b1, b2); !slices.Equal(s, []uint32{8, 10, 20}) {
+		f.Fatalf("overlapping-window seed records sites %v", s)
+	}
+	f.Add(op, op, or, uint32(b1), uint32(b1), uint32(b2))
+
+	c := NewChecker(Config{})
+	f.Fuzz(func(t *testing.T, partner, cp, ref []byte, bp, bc, br uint32) {
+		refF := digestFetch(ref, br)
+		m := newRefMemo(1)
+		defer m.release()
+		pf := digestFetch(partner, bp)
+		if key, _ := c.digestAgainst(refF, pf, m); key != digestByPair(refF, pf) {
+			t.Fatal("partner: digestAgainst key differs from NormalizePair+MD5")
+		}
+		m.seal()
+
+		if bc != br && m.covers(0, cp, ref, bc, br) {
+			_, side, _ := NormalizePair(partner, ref, bp, br)
+			n1 := append([]byte(nil), cp...)
+			n2 := append([]byte(nil), ref...)
+			normalizePairBytewise(n1, n2, bc, br)
+			if !bytes.Equal(n1, side) || !bytes.Equal(n2, side) {
+				t.Fatal("window check hit, but Algorithm 2 does not normalize the pair to the entry's reference side")
+			}
+		}
+		cf := digestFetch(cp, bc)
+		if key, _ := c.digestAgainst(refF, cf, m); key != digestByPair(refF, cf) {
+			t.Fatal("copy: digestAgainst key differs from NormalizePair+MD5")
+		}
 	})
 }

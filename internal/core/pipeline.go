@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"crypto/md5"
 	"encoding/binary"
@@ -176,56 +175,6 @@ func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Dura
 		func(k int) string { return "fetch " + fetches[k].name }, costs, nil)
 }
 
-// refMemo remembers, for one engine run, the first normalized side of each
-// reference component and its MD5. Algorithm 2 rewrites the reference the
-// same way against every clean partner, so a later digest whose normalized
-// reference side is byte-equal to the entry reuses its sum instead of
-// hashing it again. An entry is only ever reused for bytes equal to its own,
-// so which worker fills it first cannot change a key.
-type refMemo struct {
-	sides []atomic.Pointer[refSide] // by reference component index
-}
-
-// refSide is one memo entry: a scratch buffer holding the normalized
-// reference side, and its MD5.
-type refSide struct {
-	buf *[]byte
-	sum [md5.Size]byte
-}
-
-func newRefMemo(ref *fetched) *refMemo {
-	return &refMemo{sides: make([]atomic.Pointer[refSide], len(ref.parsed.Components))}
-}
-
-// lookup returns the memoized MD5 of reference component k when side
-// holds exactly the bytes it was computed from.
-func (m *refMemo) lookup(k int, side []byte) ([md5.Size]byte, bool) {
-	if e := m.sides[k].Load(); e != nil && bytes.Equal(*e.buf, side) {
-		return e.sum, true
-	}
-	return [md5.Size]byte{}, false
-}
-
-// keep offers side, with its MD5, as component k's entry. The memo takes
-// the buffer when the slot is empty; otherwise it goes back to the pool.
-//
-//modown:transfer scratch
-func (m *refMemo) keep(k int, side *[]byte, sum [md5.Size]byte) {
-	if !m.sides[k].CompareAndSwap(nil, &refSide{buf: side, sum: sum}) {
-		putScratch(side)
-	}
-}
-
-// release returns every entry's buffer to the scratch pool. The memo must
-// not be used afterwards.
-func (m *refMemo) release() {
-	for k := range m.sides {
-		if e := m.sides[k].Load(); e != nil {
-			putScratch(e.buf)
-		}
-	}
-}
-
 // digestAgainst computes one copy's cluster key: every component normalized
 // against the reference fetch and digested, folding in both normalized
 // sides. Including the reference's normalized side is what makes digest
@@ -234,10 +183,10 @@ func (m *refMemo) release() {
 // happens to coincide with a legitimate copy's normalized form.
 //
 // The charges are the nominal scan and hash work of both sides; the host
-// hashes only bytes whose digest it does not already hold. A side equal to
-// the memo's reference side reuses its sum, and a copy side equal to its
-// reference side reuses the reference's — for a clean copy, Algorithm 2
-// makes the two sides equal, so it hashes nothing.
+// does only the work the run's reference memo does not already prove. A
+// clean copy is answered by the memo's window check, with no copy,
+// rewrite or MD5; a copy side equal to its reference side reuses the
+// reference's sum.
 //
 //moddet:sink digest keys must be a pure function of guest memory
 func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Duration) {
@@ -262,28 +211,10 @@ func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Du
 		if rk := ref.parsed.componentIndex(comp.Name); comp.Normalize && rk >= 0 {
 			data, refData := comp.Data, ref.parsed.Components[rk].Data
 			cost += perKB(len(data)+len(refData), scanCostPerKB)
-			sa := getScratch(len(data))
-			sb := getScratch(len(refData))
-			copy(*sa, data)
-			copy(*sb, refData)
-			normalizePairInPlace(*sa, *sb, f.info.Base, ref.info.Base, nil)
-			cost += perKB(len(*sa)+len(*sb), hashCostPerKB)
-			refSum, memoized := memo.lookup(rk, *sb)
-			if !memoized {
-				refSum = md5.Sum(*sb)
-			}
-			sum := refSum
-			if !bytes.Equal(*sa, *sb) {
-				sum = md5.Sum(*sa)
-			}
-			writePart(comp.Name, len(*sa), sum)
-			writePart("", len(*sb), refSum)
-			putScratch(sa)
-			if memoized {
-				putScratch(sb)
-			} else {
-				memo.keep(rk, sb, refSum)
-			}
+			cost += perKB(len(data)+len(refData), hashCostPerKB)
+			sum, refSum := memo.digestPair(rk, data, refData, f.info.Base, ref.info.Base)
+			writePart(comp.Name, len(data), sum)
+			writePart("", len(refData), refSum)
 			continue
 		}
 		// Non-relocated components (and components the reference lacks)

@@ -8,9 +8,10 @@ import (
 	"modchecker/internal/pe"
 )
 
-// scratchPool recycles normalization buffers. A 15-VM pool sweep compares
-// 105 pairs of ~quarter-megabyte sections; without reuse that is tens of
-// megabytes of short-lived allocations per module.
+// scratchPool recycles normalization buffers: Algorithm 2 runs in place on
+// copies of both sides of a section, up to a few hundred KiB each, once per
+// compared cluster pair and once per digest the reference memo cannot
+// answer. Without reuse every sweep would allocate those copies afresh.
 var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getScratch returns a pooled buffer of length n.
@@ -61,15 +62,31 @@ func putScratch(p *[]byte) {
 func NormalizePair(data1, data2 []byte, base1, base2 uint32) (n1, n2 []byte, sites []uint32) {
 	n1 = append([]byte(nil), data1...)
 	n2 = append([]byte(nil), data2...)
-	normalizePairInPlace(n1, n2, base1, base2, &sites)
+	marks := make([]byte, (min(len(n1), len(n2))+7)/8)
+	normalizePairInPlace(n1, n2, base1, base2, marks)
+	count := 0
+	for _, b := range marks {
+		count += bits.OnesCount8(b)
+	}
+	if count == 0 {
+		return n1, n2, nil
+	}
+	sites = make([]uint32, 0, count)
+	for i, b := range marks {
+		for ; b != 0; b &= b - 1 {
+			sites = append(sites, uint32(8*i+bits.TrailingZeros8(b)))
+		}
+	}
 	return n1, n2, sites
 }
 
 // normalizePairInPlace is Algorithm 2 operating directly on the two
 // buffers (which it mutates). NormalizePair wraps it with copies; the
-// checker's hot path runs it on pooled scratch buffers instead. Each
-// rewritten field's offset is appended to *sites when sites is non-nil;
-// the hot path passes nil and allocates nothing.
+// checker's hot path runs it on pooled scratch buffers instead. When marks
+// is non-nil, each rewritten field's offset i sets bit i%8 of marks[i/8]
+// (marks must cover the shorter buffer): NormalizePair turns the bits into
+// its site list, the digest's reference memo keeps them, and the compare
+// stage passes nil.
 //
 // Runs of equal bytes are skipped a word at a time: the XOR of two 8-byte
 // words is zero when they match, and otherwise its trailing zero bits count
@@ -77,7 +94,7 @@ func NormalizePair(data1, data2 []byte, base1, base2 uint32) (n1, n2 []byte, sit
 // memory order). Every differing byte is therefore visited exactly as the
 // byte-at-a-time loop of the pseudocode visits it, so the rewrites and
 // sites are the same.
-func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, sites *[]uint32) {
+func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
 	// Algorithm 2 lines 1-9: find the first differing byte of the bases.
 	le := binary.LittleEndian
 	var b1, b2 [4]byte
@@ -120,8 +137,8 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, sites *[]uint32) {
 			if rva1 == rva2 {
 				le.PutUint32(n1[start:], rva1)
 				le.PutUint32(n2[start:], rva2)
-				if sites != nil {
-					*sites = append(*sites, uint32(start))
+				if marks != nil {
+					marks[start>>3] |= 1 << (start & 7)
 				}
 				j = start + 4
 				continue

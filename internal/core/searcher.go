@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
@@ -17,40 +18,70 @@ import (
 	"modchecker/internal/vmi"
 )
 
-// fetchBufPool recycles whole-module copy buffers. The fetch stage of a
+// fetchBufPools recycle whole-module copy buffers. The fetch stage of a
 // sweep allocates one SizeOfImage-sized buffer per VM per module — for the
 // paper's 15-VM pool that is ~45 MiB of short-lived allocations per sweep,
 // and it dwarfs everything else the pipeline allocates. Buffers are drawn
 // here by the page-wise copy and returned by Checker.releaseFetched once
 // the report derivation no longer needs the bytes.
-var fetchBufPool = sync.Pool{New: func() any { return new([]byte) }}
+//
+// A sweep copies modules of many sizes, so the pools are split by size
+// class (sizeClass): a single pool hands a buffer left by a small module
+// to a large one, which drops it and allocates afresh, and a buffer born
+// small then grows one module size at a time.
+var fetchBufPools [sizeClasses]sync.Pool
+
+func init() {
+	for i := range fetchBufPools {
+		fetchBufPools[i].New = func() any { return new([]byte) }
+	}
+}
+
+// sizeClasses is the number of buffer size classes sizeClass returns.
+const sizeClasses = 4 * bits.UintSize
+
+// sizeClass returns the size class of an n-byte buffer and the capacity of
+// that class's buffers, for pools split by size. Classes step by a quarter
+// of a power of two, so a buffer is less than a quarter larger than the
+// largest request it serves.
+func sizeClass(n int) (class, size int) {
+	if n <= 8 {
+		return 0, 8
+	}
+	e := bits.Len(uint(n-1)) - 3
+	m := (n - 1) >> e // in [4, 8)
+	return 4*e + m - 3, (m + 1) << e
+}
 
 // getFetchBuf returns a pooled buffer of length n (contents undefined; the
 // copy overwrites every byte before anyone reads it).
 //
 //modown:pool fetch-buf get
 func getFetchBuf(n int) []byte {
-	p := fetchBufPool.Get().(*[]byte)
-	b := *p
+	class, size := sizeClass(n)
+	b := *fetchBufPools[class].Get().(*[]byte)
 	if cap(b) < n {
-		b = make([]byte, n)
+		b = make([]byte, size)
 	}
 	return b[:n]
 }
 
-// putFetchBuf returns a buffer to the pool. The slice header is re-boxed on
-// every put; that 24-byte allocation is the price of handing out plain
-// []byte values, and it is noise next to the module-sized buffer it saves.
+// putFetchBuf returns a buffer to the pool of its class; a buffer whose
+// capacity is no class size did not come from getFetchBuf and is dropped.
+// The slice header is re-boxed on every put; that 24-byte allocation is the
+// price of handing out plain []byte values, and it is noise next to the
+// module-sized buffer it saves.
 //
 //modown:pool fetch-buf put
 func putFetchBuf(b []byte) {
-	if cap(b) == 0 {
+	class, size := sizeClass(cap(b))
+	if cap(b) == 0 || size != cap(b) {
 		return
 	}
 	poisonBuf(b[:cap(b)])
 	p := new([]byte)
 	*p = b[:0]
-	fetchBufPool.Put(p)
+	fetchBufPools[class].Put(p)
 }
 
 // ReleaseModuleCopy recycles a page-wise module copy obtained from
