@@ -137,11 +137,14 @@ profile:
 
 # CPU/heap profile of the 100000-VM dedup scanner sweep (sweep + WriteJSON,
 # the fleet100k-dedup shape): where a fleet sweep's host time and
-# allocation go. See docs/performance.md section 9.
+# allocation go. The timed sweeps carry the pprof label phase=sweep, so
+#   go tool pprof -tagfocus phase=sweep cpu.prof
+# leaves out building the 100k-VM cloud. See docs/performance.md
+# sections 9 and 11.
 profile-fleet:
 	$(GO) test -run '^$$' -bench '^BenchmarkScannerSweep/vms=100000$$' -benchtime 20x -benchmem \
 		-cpuprofile cpu.prof -memprofile mem.prof .
-	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -sample_index=alloc_space mem.prof)"
+	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -tagfocus phase=sweep cpu.prof; go tool pprof -sample_index=alloc_space mem.prof)"
 
 # Short smoke run of every fuzz target: catches gross parser regressions
 # without the cost of a real campaign. Go allows only one -fuzz pattern

@@ -2,8 +2,10 @@ package modchecker_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -89,6 +91,11 @@ func BenchmarkFleetSweep(b *testing.B) {
 // bookkeeping — partition, target opening, the health machine — and the
 // report render. One untimed sweep first settles the health machine.
 //
+// The timed loop runs under the pprof label phase=sweep, so a CPU profile
+// can leave out building the cloud (make profile-fleet):
+//
+//	go tool pprof -tagfocus phase=sweep cpu.prof
+//
 // Reported metrics: sim-ms/op (simulated testbed time per sweep) and
 // report-B/op (size of the rendered JSON report).
 func benchScannerSweep(b *testing.B, sc *modchecker.Scanner) {
@@ -111,9 +118,11 @@ func benchScannerSweep(b *testing.B, sc *modchecker.Scanner) {
 	var sim time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim += sweep().Simulated
-	}
+	pprof.Do(context.Background(), pprof.Labels("phase", "sweep"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			sim += sweep().Simulated
+		}
+	})
 	b.StopTimer()
 	b.ReportMetric(sim.Seconds()*1e3/float64(b.N), "sim-ms/op")
 	b.ReportMetric(float64(buf.Len()), "report-B/op")

@@ -32,8 +32,8 @@ func TestSweepIsolatesUnloadableModule(t *testing.T) {
 	if len(rep.Alerts) != 0 {
 		t.Errorf("alerts = %+v, want none (module-level failure, not VM-level)", rep.Alerts)
 	}
-	for vm, st := range rep.Health {
-		if st != HealthHealthy {
+	for k := range rep.Health.Len() {
+		if vm, st := rep.Health.At(k); st != HealthHealthy {
 			t.Errorf("%s = %v after a module-level failure, want healthy", vm, st)
 		}
 	}
@@ -163,15 +163,15 @@ func TestScannerQuarantineAndReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom4"] != HealthSuspect {
-		t.Errorf("after sweep 1: %v, want suspect", rep1.Health["Dom4"])
+	if rep1.Health.Of("Dom4") != HealthSuspect {
+		t.Errorf("after sweep 1: %v, want suspect", rep1.Health.Of("Dom4"))
 	}
 	rep2, err := sc.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Health["Dom4"] != HealthQuarantined {
-		t.Errorf("after sweep 2: %v, want quarantined", rep2.Health["Dom4"])
+	if rep2.Health.Of("Dom4") != HealthQuarantined {
+		t.Errorf("after sweep 2: %v, want quarantined", rep2.Health.Of("Dom4"))
 	}
 	// Sweep 3 probes (1 sweep elapsed >= ReadmitAfter); read index 2 is
 	// still inside the window, so the probe fails and Dom4 stays put.
@@ -179,16 +179,16 @@ func TestScannerQuarantineAndReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.Health["Dom4"] != HealthQuarantined || len(rep3.Readmitted) != 0 {
-		t.Errorf("after failed probe: %v readmitted=%v", rep3.Health["Dom4"], rep3.Readmitted)
+	if rep3.Health.Of("Dom4") != HealthQuarantined || len(rep3.Readmitted) != 0 {
+		t.Errorf("after failed probe: %v readmitted=%v", rep3.Health.Of("Dom4"), rep3.Readmitted)
 	}
 	// Sweep 4 probes again; the window is exhausted and Dom4 comes back.
 	rep4, err := sc.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep4.Health["Dom4"] != HealthHealthy {
-		t.Errorf("after succeeding probe: %v, want healthy", rep4.Health["Dom4"])
+	if rep4.Health.Of("Dom4") != HealthHealthy {
+		t.Errorf("after succeeding probe: %v, want healthy", rep4.Health.Of("Dom4"))
 	}
 	if len(rep4.Readmitted) != 1 || rep4.Readmitted[0] != "Dom4" {
 		t.Errorf("Readmitted = %v, want [Dom4]", rep4.Readmitted)

@@ -3,6 +3,7 @@ package modchecker
 import (
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -140,11 +141,11 @@ func TestWarmScannerSweepAllocatesLinearly(t *testing.T) {
 	}
 }
 
-// dedupSweepObjects returns the heap objects one warm dedup scanner sweep
-// and its WriteJSON allocate over a clean vms-VM fleet of 4 templates
-// (shard 256, lean, 3 modules). The first sweep warms the scanner; the
-// second is measured.
-func dedupSweepObjects(t *testing.T, vms int) uint64 {
+// dedupSweepAlloc returns the heap objects and bytes each of `sweeps`
+// warm dedup scanner sweeps and their WriteJSON allocate over a clean
+// vms-VM fleet of 4 templates (shard 256, lean, 3 modules). The first
+// sweep warms the scanner; the ones after it are measured.
+func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
 	t.Helper()
 	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 42})
 	if err != nil {
@@ -155,37 +156,66 @@ func dedupSweepObjects(t *testing.T, vms int) uint64 {
 	if _, err := sc.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	rep, err := sc.Sweep()
-	if err == nil {
-		err = rep.WriteJSON(io.Discard)
+	for range sweeps {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := sc.Sweep()
+		if err == nil {
+			err = rep.WriteJSON(io.Discard)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("dedup sweep of a clean %d-VM fleet not clean: %+v", vms, rep.Alerts)
+		}
+		objects = append(objects, after.Mallocs-before.Mallocs)
+		bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("dedup sweep of a clean %d-VM fleet not clean: %+v", vms, rep.Alerts)
-	}
-	return after.Mallocs - before.Mallocs
+	return objects, bytes
 }
 
 // TestDedupSweepObjectsIndependentOfFleet: under identity dedup a sweep
 // reads only the template leaders, and its per-VM bookkeeping is index
-// arrays and the Health map, not an object per VM. Quadrupling the fleet
+// arrays and the health view's state bytes, not an object per VM. Quadrupling the fleet
 // from 1024 to 4096 clones must therefore add far fewer than one heap
 // object per added VM; a Target with closures per VM, or a pool-sized
 // array per module, adds several. The bound is a quarter object per VM,
 // so the test pins the asymptotic claim, not allocator noise.
 func TestDedupSweepObjectsIndependentOfFleet(t *testing.T) {
-	small := dedupSweepObjects(t, 1024)
-	large := dedupSweepObjects(t, 4096)
+	objects, _ := dedupSweepAlloc(t, 1024, 1)
+	small := objects[0]
+	objects, _ = dedupSweepAlloc(t, 4096, 1)
+	large := objects[0]
 	perVM := (float64(large) - float64(small)) / (4096 - 1024)
 	t.Logf("objects per dedup sweep: 1024 VMs %d, 4096 VMs %d (%.3f per added VM)", small, large, perVM)
 	if perVM >= 0.25 {
 		t.Errorf("dedup sweep added %.3f heap objects per added VM (1024 VMs: %d, 4096 VMs: %d), want < 0.25",
+			perVM, small, large)
+	}
+}
+
+// TestDedupSweepBytesPerVM: what a warm dedup sweep and its report still
+// allocate per VM is a 4-byte VM→group map, a byte of health state and the
+// report's share of WriteJSON's buffer. Quadrupling the fleet from 1024 to
+// 4096 clones must add fewer than 32 bytes per added VM; a map entry per
+// VM (a name-keyed health map) costs several times that. A sweep now and
+// then refills a fetch buffer pool that a collection emptied, about
+// 0.5 MB at either size, so each size's figure is the least of 5 sweeps.
+func TestDedupSweepBytesPerVM(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops a quarter of all Puts by design, so every sweep refills fetch buffers")
+	}
+	_, bs := dedupSweepAlloc(t, 1024, 5)
+	small := slices.Min(bs)
+	_, bs = dedupSweepAlloc(t, 4096, 5)
+	large := slices.Min(bs)
+	perVM := (float64(large) - float64(small)) / (4096 - 1024)
+	t.Logf("bytes per dedup sweep: 1024 VMs %d, 4096 VMs %d (%.1f per added VM)", small, large, perVM)
+	if perVM >= 32 {
+		t.Errorf("dedup sweep added %.1f bytes per added VM (1024 VMs: %d B, 4096 VMs: %d B), want < 32",
 			perVM, small, large)
 	}
 }

@@ -142,7 +142,11 @@ type Domain struct {
 	mu        sync.Mutex
 	snapshots map[string]*guest.Snapshot // guarded by mu
 	paused    bool                       // guarded by mu
-	destroyed bool                       // guarded by mu
+	// destroyed is set once, under mu, when the domain is torn down, and
+	// never cleared. Readers load it without mu: Destroyed sits on every
+	// fleet sweep's per-VM path. It shares paused's 8-byte word; a larger
+	// Domain would cost every fleet VM a bigger allocation.
+	destroyed atomic.Bool
 	// demandPart is this domain's current contribution to the hypervisor's
 	// demand counter (zero while paused or destroyed). guarded by mu
 	demandPart int64
@@ -155,7 +159,7 @@ type Domain struct {
 func (d *Domain) onLoadChange(load float64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.paused || d.destroyed {
+	if d.paused || d.destroyed.Load() {
 		return
 	}
 	part := demandMicro(load, d.VCPUs)
@@ -386,7 +390,7 @@ func (h *Hypervisor) DestroyDomain(name string) error {
 	delete(h.domains, name)
 	h.mu.Unlock()
 	d.mu.Lock()
-	d.destroyed = true
+	d.destroyed.Store(true)
 	h.demand.Add(-d.demandPart)
 	d.demandPart = 0
 	d.mu.Unlock()
@@ -446,7 +450,7 @@ func (d *Domain) Pause() error {
 		return err
 	}
 	d.mu.Lock()
-	if d.destroyed {
+	if d.destroyed.Load() {
 		d.mu.Unlock()
 		err := fmt.Errorf("hypervisor %s: pause: %w", d.Name, ErrDomainGone)
 		d.noteControl(err)
@@ -473,7 +477,7 @@ func (d *Domain) Unpause() error {
 	// resource lock, which must never nest inside the domain lock.
 	load := d.guest.Load()
 	d.mu.Lock()
-	if d.destroyed {
+	if d.destroyed.Load() {
 		d.mu.Unlock()
 		err := fmt.Errorf("hypervisor %s: unpause: %w", d.Name, ErrDomainGone)
 		d.noteControl(err)
@@ -498,11 +502,7 @@ func (d *Domain) Paused() bool {
 }
 
 // Destroyed reports whether the domain has been torn down.
-func (d *Domain) Destroyed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.destroyed
-}
+func (d *Domain) Destroyed() bool { return d.destroyed.Load() }
 
 // PhysReader exposes the domain's physical memory guarded by its lifecycle:
 // once the domain is destroyed every read fails with ErrDomainGone. The

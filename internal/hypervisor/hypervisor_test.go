@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,5 +408,67 @@ func TestDestroyGatedByControlPlane(t *testing.T) {
 	}
 	if !d.Destroyed() {
 		t.Error("destroy past window ineffective")
+	}
+}
+
+// TestDestroyedReadsRaceDestroy: Destroyed takes no lock, so readers
+// running concurrently with DestroyDomain (and with a load change, whose
+// observer reads the flag under the domain lock) must see it flip once
+// from false to true and never back, and the destroyed domain must leave
+// nothing in the hypervisor's demand counter. Run under -race this also
+// checks that the flag is read and written without a data race.
+func TestDestroyedReadsRaceDestroy(t *testing.T) {
+	hv, doms := newHV(t, 2)
+	d, other := doms[0], doms[1]
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := false
+			for {
+				select {
+				case <-done:
+					if !d.Destroyed() {
+						t.Error("Destroyed() false after DestroyDomain returned")
+					}
+					return
+				default:
+				}
+				switch st := d.Destroyed(); {
+				case st:
+					seen = true
+				case seen:
+					t.Error("Destroyed() went back to false")
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			d.Guest().SetLoad(float64(i%10)/10, 0, 0, 0)
+		}
+	}()
+	err := hv.DestroyDomain(d.Name)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Guest().SetLoad(1, 0, 0, 0) // a destroyed domain ignores load changes
+	other.mu.Lock()
+	want := other.demandPart
+	other.mu.Unlock()
+	if got := hv.demand.Load(); got != want {
+		t.Errorf("demand = %d after destroy, want the surviving domain's %d", got, want)
 	}
 }

@@ -230,8 +230,8 @@ func converged(rep *modchecker.SweepReport) bool {
 		len(rep.BreakerOpen) > 0 || len(rep.BudgetExceeded) > 0 {
 		return false
 	}
-	for _, st := range rep.Health {
-		if st != modchecker.HealthHealthy {
+	for k := range rep.Health.Len() {
+		if _, st := rep.Health.At(k); st != modchecker.HealthHealthy {
 			return false
 		}
 	}

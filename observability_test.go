@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -21,16 +20,12 @@ func counterValue(s MetricsSnapshot, name string) uint64 {
 	return 0
 }
 
-// healthFingerprint renders a report's health map deterministically.
+// healthFingerprint renders a report's health view deterministically.
 func healthFingerprint(rep *SweepReport) string {
-	vms := make([]string, 0, len(rep.Health))
-	for vm := range rep.Health {
-		vms = append(vms, vm)
-	}
-	sort.Strings(vms)
 	var b strings.Builder
-	for _, vm := range vms {
-		fmt.Fprintf(&b, "%s=%v ", vm, rep.Health[vm])
+	for k := range rep.Health.Len() {
+		vm, st := rep.Health.At(k)
+		fmt.Fprintf(&b, "%s=%v ", vm, st)
 	}
 	return b.String()
 }

@@ -153,12 +153,8 @@ type SweepReport struct {
 	Alerts         []Alert
 	// Errors lists modules that could not be checked anywhere this sweep.
 	Errors []ModuleError
-	// Health is each tracked VM's state after this sweep.
-	Health map[string]HealthState
-	// healthOrder is Health's keys in sorted order, as the scanner built
-	// them: the scanner's own read-only roster slice, shared by every
-	// report. Nil for reports built elsewhere.
-	healthOrder []string
+	// Health is each tracked VM's state after this sweep, in name order.
+	Health HealthView
 	// Quarantined lists VMs quarantined as of the end of this sweep;
 	// Readmitted lists VMs whose probe succeeded this sweep; Skipped lists
 	// quarantined VMs excluded from this sweep entirely.
@@ -227,10 +223,13 @@ type Scanner struct {
 	// The roster: the cloud's VMs, fixed at NewCloud. vms[i] is the state
 	// of the i-th VM in creation (pool) order; names holds the same VMs
 	// sorted by name, and order[k] is the vms index of names[k]. Sweeps walk
-	// these instead of re-sorting or re-keying the fleet every time.
+	// these instead of re-sorting or re-keying the fleet every time. Every
+	// report's HealthView shares names; plain is allJSONPlain(names),
+	// checked once here because names never change.
 	vms   []vmHealth
 	names []string
 	order []int32
+	plain bool
 	// checkpoint is the sorted remainder of a budget-cut sweep; the next
 	// Sweep checks it (and only it) before returning to full coverage.
 	checkpoint []string
@@ -283,6 +282,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		vms:     make([]vmHealth, len(c.domains)),
 		names:   names,
 		order:   order,
+		plain:   allJSONPlain(names),
 
 		mSweeps:       reg.Counter("scanner/sweeps"),
 		mAborted:      reg.Counter("scanner/aborted_sweeps"),
@@ -688,8 +688,8 @@ func allOverVMBudget(pool *PoolReport) bool {
 
 // updateHealth advances the health machine after a completed sweep and
 // fills the report's per-VM accounting. It walks the roster in name order,
-// so every list comes out sorted and map iteration order never leaks into
-// the trace's emission sequence. VMs dropped by the per-VM budget are
+// so every list and the health view come out sorted and the trace's
+// emission sequence is fixed. VMs dropped by the per-VM budget are
 // reported but accrue no health movement at all — skipping their update
 // keeps readmission probes armed for a sweep that actually reaches them.
 func (s *Scanner) updateHealth(rep *SweepReport) {
@@ -701,8 +701,7 @@ func (s *Scanner) updateHealth(rep *SweepReport) {
 	// freeze the health machine entirely so probes re-fire and strikes
 	// neither grow nor reset on zero evidence.
 	frozen := rep.ModulesChecked == 0
-	rep.Health = make(map[string]HealthState, len(s.vms))
-	rep.healthOrder = s.names
+	rep.Health = newHealthView(s.names, s.plain)
 	for k, i := range s.order {
 		vm, h := s.names[k], &s.vms[i]
 		switch {
@@ -713,7 +712,7 @@ func (s *Scanner) updateHealth(rep *SweepReport) {
 		case !frozen:
 			s.advance(rep, vm, h, quarantineAfter)
 		}
-		rep.Health[vm] = h.state
+		rep.Health.states[k] = uint8(h.state)
 		if h.state == HealthQuarantined {
 			rep.Quarantined = append(rep.Quarantined, vm)
 		}

@@ -108,8 +108,8 @@ func TestSweepBudgetZeroCoverageFreezesHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom3"] != HealthQuarantined {
-		t.Fatalf("sweep 1 health = %v", rep1.Health)
+	if rep1.Health.Of("Dom3") != HealthQuarantined {
+		t.Fatalf("sweep 1 health = %v", healthFingerprint(rep1))
 	}
 
 	// Sweep 2 is due to probe Dom3, but a 1ns budget kills coverage before
@@ -126,9 +126,9 @@ func TestSweepBudgetZeroCoverageFreezesHealth(t *testing.T) {
 	if rep2.Clean() {
 		t.Error("a sweep that checked nothing must not report clean")
 	}
-	if len(rep2.Readmitted) != 0 || rep2.Health["Dom3"] != HealthQuarantined {
+	if len(rep2.Readmitted) != 0 || rep2.Health.Of("Dom3") != HealthQuarantined {
 		t.Errorf("zero-coverage sweep moved the health machine: readmitted=%v health=%v",
-			rep2.Readmitted, rep2.Health)
+			rep2.Readmitted, healthFingerprint(rep2))
 	}
 
 	// Faults clear; the disarmed sweep resumes the checkpoint, the probe
@@ -178,8 +178,8 @@ func TestVMBudgetSkipsWithoutStrikes(t *testing.T) {
 		if rep.BudgetExceeded[i] != vm {
 			t.Fatalf("BudgetExceeded = %v, want %v", rep.BudgetExceeded, want)
 		}
-		if rep.Health[vm] != HealthHealthy {
-			t.Errorf("%s = %v after budget skip, want healthy", vm, rep.Health[vm])
+		if rep.Health.Of(vm) != HealthHealthy {
+			t.Errorf("%s = %v after budget skip, want healthy", vm, rep.Health.Of(vm))
 		}
 	}
 	snap := cloud.Metrics().Snapshot()
@@ -217,16 +217,16 @@ func TestBreakerTripsOnPermanentReadFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom3"] != HealthSuspect || len(rep1.BreakerOpen) != 0 {
-		t.Fatalf("sweep 1: health=%v breaker=%v", rep1.Health["Dom3"], rep1.BreakerOpen)
+	if rep1.Health.Of("Dom3") != HealthSuspect || len(rep1.BreakerOpen) != 0 {
+		t.Fatalf("sweep 1: health=%v breaker=%v", rep1.Health.Of("Dom3"), rep1.BreakerOpen)
 	}
 
 	rep2, err := sc.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Health["Dom3"] != HealthQuarantined {
-		t.Fatalf("second permanent failure did not trip the breaker: %v", rep2.Health)
+	if rep2.Health.Of("Dom3") != HealthQuarantined {
+		t.Fatalf("second permanent failure did not trip the breaker: %v", healthFingerprint(rep2))
 	}
 	if len(rep2.BreakerOpen) != 1 || rep2.BreakerOpen[0] != "Dom3" {
 		t.Fatalf("sweep 2 BreakerOpen = %v, want [Dom3]", rep2.BreakerOpen)
@@ -255,8 +255,8 @@ func TestBreakerTripsOnPermanentReadFailures(t *testing.T) {
 	if len(rep4.Readmitted) != 1 || rep4.Readmitted[0] != "Dom3" {
 		t.Fatalf("sweep 4 Readmitted = %v, want [Dom3]", rep4.Readmitted)
 	}
-	if rep4.Health["Dom3"] != HealthHealthy || len(rep4.BreakerOpen) != 0 {
-		t.Errorf("sweep 4: health=%v breaker=%v, want healthy/closed", rep4.Health["Dom3"], rep4.BreakerOpen)
+	if rep4.Health.Of("Dom3") != HealthHealthy || len(rep4.BreakerOpen) != 0 {
+		t.Errorf("sweep 4: health=%v breaker=%v, want healthy/closed", rep4.Health.Of("Dom3"), rep4.BreakerOpen)
 	}
 }
 
@@ -288,8 +288,8 @@ func TestBreakerTripsOnControlPlaneFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom2"] != HealthQuarantined || rep1.VMs != 3 {
-		t.Fatalf("sweep 1: health=%v vms=%d", rep1.Health["Dom2"], rep1.VMs)
+	if rep1.Health.Of("Dom2") != HealthQuarantined || rep1.VMs != 3 {
+		t.Fatalf("sweep 1: health=%v vms=%d", rep1.Health.Of("Dom2"), rep1.VMs)
 	}
 	if len(rep1.Skipped) != 1 || rep1.Skipped[0] != "Dom2" {
 		t.Fatalf("sweep 1 Skipped = %v, want [Dom2]", rep1.Skipped)

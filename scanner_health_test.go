@@ -59,8 +59,8 @@ func TestAbortedSweepLeavesProbeTimingUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom3"] != HealthQuarantined || rep1.Health["Dom4"] != HealthQuarantined {
-		t.Fatalf("health after sweep 1 = %v", rep1.Health)
+	if rep1.Health.Of("Dom3") != HealthQuarantined || rep1.Health.Of("Dom4") != HealthQuarantined {
+		t.Fatalf("health after sweep 1 = %v", healthFingerprint(rep1))
 	}
 
 	// Force one aborted attempt: a one-read outage on each remaining healthy
@@ -101,8 +101,8 @@ func TestAbortedSweepLeavesProbeTimingUnchanged(t *testing.T) {
 	if len(rep3.Skipped) != 0 || rep3.VMs != 4 {
 		t.Fatalf("sweep 3: Skipped=%v VMs=%d, want probes for both", rep3.Skipped, rep3.VMs)
 	}
-	if rep3.Health["Dom3"] != HealthQuarantined || rep3.Health["Dom4"] != HealthQuarantined {
-		t.Fatalf("failed probes did not re-quarantine: %v", rep3.Health)
+	if rep3.Health.Of("Dom3") != HealthQuarantined || rep3.Health.Of("Dom4") != HealthQuarantined {
+		t.Fatalf("failed probes did not re-quarantine: %v", healthFingerprint(rep3))
 	}
 
 	// Completed sweep 4: only one sweep since the *re*-quarantine, so the
@@ -178,8 +178,8 @@ func TestDestroyedDomainAccountedAndReadmitted(t *testing.T) {
 	if len(rep3.Readmitted) != 1 || rep3.Readmitted[0] != "Dom4" {
 		t.Fatalf("sweep 3 Readmitted = %v, want [Dom4]", rep3.Readmitted)
 	}
-	if rep3.Health["Dom4"] != HealthHealthy || len(rep3.Skipped) != 0 {
-		t.Fatalf("sweep 3: health=%v skipped=%v", rep3.Health["Dom4"], rep3.Skipped)
+	if rep3.Health.Of("Dom4") != HealthHealthy || len(rep3.Skipped) != 0 {
+		t.Fatalf("sweep 3: health=%v skipped=%v", rep3.Health.Of("Dom4"), rep3.Skipped)
 	}
 	if !rep3.Clean() {
 		t.Errorf("re-created domain raised alerts: %+v / %+v", rep3.Alerts, rep3.Errors)
@@ -211,8 +211,8 @@ func TestStrikesResetOnCleanSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep1.Health["Dom3"] != HealthSuspect {
-		t.Fatalf("after failing sweep 1: %v, want suspect", rep1.Health["Dom3"])
+	if rep1.Health.Of("Dom3") != HealthSuspect {
+		t.Fatalf("after failing sweep 1: %v, want suspect", rep1.Health.Of("Dom3"))
 	}
 
 	// Sweep 2 is clean: the strike resets.
@@ -220,8 +220,8 @@ func TestStrikesResetOnCleanSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Health["Dom3"] != HealthHealthy {
-		t.Fatalf("after clean sweep 2: %v, want healthy", rep2.Health["Dom3"])
+	if rep2.Health.Of("Dom3") != HealthHealthy {
+		t.Fatalf("after clean sweep 2: %v, want healthy", rep2.Health.Of("Dom3"))
 	}
 
 	// Sweeps 3 and 4 fail again. Only the second consecutive failure may
@@ -233,15 +233,15 @@ func TestStrikesResetOnCleanSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.Health["Dom3"] != HealthSuspect {
-		t.Fatalf("after failing sweep 3: %v, want suspect (strikes did not reset)", rep3.Health["Dom3"])
+	if rep3.Health.Of("Dom3") != HealthSuspect {
+		t.Fatalf("after failing sweep 3: %v, want suspect (strikes did not reset)", rep3.Health.Of("Dom3"))
 	}
 	rep4, err := sc.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep4.Health["Dom3"] != HealthQuarantined {
-		t.Fatalf("after failing sweep 4: %v, want quarantined", rep4.Health["Dom3"])
+	if rep4.Health.Of("Dom3") != HealthQuarantined {
+		t.Fatalf("after failing sweep 4: %v, want quarantined", rep4.Health.Of("Dom3"))
 	}
 }
 

@@ -4,8 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -118,50 +117,103 @@ func (j *jsonOut) strs(k string, vs []string) {
 	j.close(']')
 }
 
-// appendJSONString appends s as encoding/json renders a string with HTML
-// escaping on (the Encoder default). Printable ASCII that needs no escape —
-// every name the testbed generates — is copied through; any other string is
-// rendered by encoding/json itself, so the bytes match by construction.
-func appendJSONString(dst []byte, s string) []byte {
+// jsonPlain reports whether s renders as itself between quotes in
+// encoding/json's output with HTML escaping on: printable ASCII with no
+// quote, backslash or HTML character, which every name the testbed
+// generates is.
+func jsonPlain(s string) bool {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c < 0x20, c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			b, _ := json.Marshal(s) // a string always marshals
-			return append(dst, b...)
+			return false
 		}
+	}
+	return true
+}
+
+// allJSONPlain reports whether every name is jsonPlain.
+func allJSONPlain(names []string) bool {
+	for _, s := range names {
+		if !jsonPlain(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONString appends s as encoding/json renders a string with HTML
+// escaping on (the Encoder default). A jsonPlain string is copied through;
+// any other string is rendered by encoding/json itself, so the bytes match
+// by construction.
+func appendJSONString(dst []byte, s string) []byte {
+	if !jsonPlain(s) {
+		b, _ := json.Marshal(s) // a string always marshals
+		return append(dst, b...)
 	}
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"')
 }
 
-// sortedHealth returns Health's names in sorted order and the k-th name's
-// state. A scanner report reads the scanner's sorted roster with one map
-// lookup per name, keeping each state in a byte; a report whose map no
-// longer holds exactly the roster's names (built or edited outside the
-// scanner), or holds a state no byte fits, is read from a fresh sort of
-// its keys instead.
-func (r *SweepReport) sortedHealth() (names []string, state func(k int) HealthState) {
-	if len(r.healthOrder) == len(r.Health) {
-		states := make([]uint8, len(r.healthOrder))
-		complete := true
-		for k, vm := range r.healthOrder {
-			st, ok := r.Health[vm]
-			if complete = ok && st >= 0 && st <= math.MaxUint8; !complete {
-				break
-			}
-			states[k] = uint8(st)
-		}
-		if complete {
-			return r.healthOrder, func(k int) HealthState { return HealthState(states[k]) }
-		}
+// HealthView is every roster VM's health state after one sweep, in name
+// order. It pairs the scanner's sorted roster names, shared read-only by
+// every report, with one byte of state per VM owned by this sweep's
+// report, so a report is an immutable snapshot without a per-VM map. The
+// zero value is an empty view.
+type HealthView struct {
+	names  []string // sorted; never written after the scanner built it
+	states []uint8  // states[k] is names[k]'s HealthState
+	// plain: every name is jsonPlain, so WriteJSON copies names through
+	// without looking at their bytes.
+	plain bool
+}
+
+// newHealthView returns an all-healthy view over the sorted names. plain
+// must be allJSONPlain(names); the scanner computes it once per roster.
+func newHealthView(names []string, plain bool) HealthView {
+	return HealthView{names: names, states: make([]uint8, len(names)), plain: plain}
+}
+
+// Len returns how many VMs the view holds.
+func (v HealthView) Len() int { return len(v.names) }
+
+// At returns the k-th VM in name order and its state.
+func (v HealthView) At(k int) (vm string, st HealthState) {
+	return v.names[k], HealthState(v.states[k])
+}
+
+// Of returns the named VM's state, or HealthHealthy for a name the view
+// does not hold.
+func (v HealthView) Of(vm string) HealthState {
+	if k, ok := slices.BinarySearch(v.names, vm); ok {
+		return HealthState(v.states[k])
 	}
-	names = make([]string, 0, len(r.Health))
-	for vm := range r.Health {
-		names = append(names, vm)
+	return HealthHealthy
+}
+
+// healthJSON is each state the scanner assigns, as a quoted JSON string.
+var healthJSON = [...]string{
+	HealthHealthy:     `"HEALTHY"`,
+	HealthSuspect:     `"SUSPECT"`,
+	HealthQuarantined: `"QUARANTINED"`,
+}
+
+// writeJSON renders the view's members into the open health object. A
+// plain roster's members are appended as they are; otherwise each name
+// goes through appendJSONString.
+func (v HealthView) writeJSON(j *jsonOut) {
+	for k, vm := range v.names {
+		st := HealthState(v.states[k])
+		if !v.plain || int(st) >= len(healthJSON) {
+			j.str(vm, st.String())
+			continue
+		}
+		j.next()
+		j.b = append(j.b, '"')
+		j.b = append(j.b, vm...)
+		j.b = append(j.b, `": `...)
+		j.b = append(j.b, healthJSON[st]...)
 	}
-	sort.Strings(names)
-	return names, func(k int) HealthState { return r.Health[names[k]] }
 }
 
 // WriteJSON emits the sweep report as indented JSON, byte for byte what
@@ -176,7 +228,7 @@ func (r *SweepReport) sortedHealth() (names []string, state func(k int) HealthSt
 //
 //moddet:sink sweep JSON must be byte-identical across runs
 func (r *SweepReport) WriteJSON(w io.Writer) error {
-	j := jsonOut{w: w, b: make([]byte, 0, min(1024+32*len(r.Health), jsonChunk+1024))}
+	j := jsonOut{w: w, b: make([]byte, 0, min(1024+32*r.Health.Len(), jsonChunk+1024))}
 	j.open('{')
 	j.int("sweep", r.Sweep)
 	j.int("modules_checked", r.ModulesChecked)
@@ -213,13 +265,10 @@ func (r *SweepReport) WriteJSON(w io.Writer) error {
 		}
 		j.close(']')
 	}
-	if len(r.Health) > 0 {
+	if r.Health.Len() > 0 {
 		j.key("health")
 		j.open('{')
-		names, state := r.sortedHealth()
-		for k, vm := range names {
-			j.str(vm, state(k).String())
-		}
+		r.Health.writeJSON(&j)
 		j.close('}')
 	}
 	j.strs("quarantined", r.Quarantined)
@@ -299,23 +348,16 @@ func (r *SweepReport) WriteText(w io.Writer) error {
 	if len(r.Quarantined) > 0 {
 		fmt.Fprintf(w, "  quarantined: %s\n", strings.Join(r.Quarantined, ", "))
 	}
-	notable := false
-	for _, st := range r.Health {
-		if st != HealthHealthy {
-			notable = true
-			break
-		}
-	}
-	if !notable {
+	if !slices.ContainsFunc(r.Health.states, func(st uint8) bool { return HealthState(st) != HealthHealthy }) {
 		return nil
 	}
 	b := []byte("  health:")
-	names, state := r.sortedHealth()
-	for k, vm := range names {
+	for k := range r.Health.Len() {
+		vm, st := r.Health.At(k)
 		b = append(b, ' ')
 		b = append(b, vm...)
 		b = append(b, '=')
-		b = append(b, state(k).String()...)
+		b = append(b, st.String()...)
 	}
 	_, err := w.Write(append(b, '\n'))
 	return err

@@ -189,9 +189,10 @@ func encodeSweepReference(t *testing.T, r *SweepReport) string {
 	for _, e := range r.Errors {
 		ref.Errors = append(ref.Errors, sweepErrorRef{Module: e.Module, Error: e.Err.Error()})
 	}
-	if len(r.Health) > 0 {
-		ref.Health = make(map[string]string, len(r.Health))
-		for vm, st := range r.Health {
+	if r.Health.Len() > 0 {
+		ref.Health = make(map[string]string, r.Health.Len())
+		for k := range r.Health.Len() {
+			vm, st := r.Health.At(k)
 			ref.Health[vm] = st.String()
 		}
 	}
@@ -215,50 +216,80 @@ var hostileNames = []string{
 	"bad\xffutf8\xc3", "\xe2\x80",
 }
 
-// TestHealthJSONMatchesEncodingJSON: the health object WriteJSON renders
-// from the scanner's sorted roster is byte-identical to encoding/json's
-// rendering of the equivalent map[string]string, escaping included, and a
-// report built by hand (no roster, or a roster that no longer matches the
-// map) renders the same bytes through the sorted-keys fallback. Every
-// case compares the whole document with encodeSweepReference.
-func TestHealthJSONMatchesEncodingJSON(t *testing.T) {
-	health := make(map[string]HealthState, len(hostileNames))
-	for i, vm := range hostileNames {
-		health[vm] = HealthState(i % 4) // 3 renders as "HealthState(3)"
-	}
-	sorted := append([]string(nil), hostileNames...)
-	sort.Strings(sorted)
+// plainNames are VM names that need no JSON escaping: printable ASCII
+// (DEL included, which encoding/json copies through) with no quote,
+// backslash or HTML character.
+var plainNames = []string{
+	"Dom1", "Dom10", "Dom2", "web-01", "db_2.internal",
+	"~!#$%()*+,-./:;=?@[]^`{|}", "sp ace", "del\x7f",
+}
 
-	// Whole reports: the scanner's roster, a hand-built report, and a
-	// roster made stale by swapping one key (same length, one miss) or by
-	// dropping one (length mismatch) must all render the reference.
-	stale := append([]string(nil), sorted...)
-	stale[len(stale)-1] = "not-a-key"
-	var texts []string
-	for _, tc := range []struct {
-		name string
-		rep  *SweepReport
-	}{
-		{"roster", &SweepReport{Sweep: 1, Health: health, healthOrder: sorted}},
-		{"hand-built", &SweepReport{Sweep: 1, Health: health}},
-		{"stale", &SweepReport{Sweep: 1, Health: health, healthOrder: stale}},
-		{"short", &SweepReport{Sweep: 1, Health: health, healthOrder: sorted[1:]}},
-	} {
-		var js, txt bytes.Buffer
-		if err := tc.rep.WriteJSON(&js); err != nil {
-			t.Fatal(err)
-		}
-		if want := encodeSweepReference(t, tc.rep); js.String() != want {
-			t.Errorf("%s report differs from encoding/json:\n got %q\nwant %q", tc.name, js.String(), want)
-		}
-		if err := tc.rep.WriteText(&txt); err != nil {
-			t.Fatal(err)
-		}
-		texts = append(texts, txt.String())
+// healthViewOf builds the view a scanner would build over the given
+// names and states: sorted names, the same constructor, the same
+// plain-name check.
+func healthViewOf(states map[string]HealthState) HealthView {
+	names := make([]string, 0, len(states))
+	for vm := range states {
+		names = append(names, vm)
 	}
-	for i := 1; i < len(texts); i++ {
-		if texts[i] != texts[0] {
-			t.Errorf("health text differs between roster and fallback order:\n%q\n%q", texts[0], texts[i])
+	sort.Strings(names)
+	v := newHealthView(names, allJSONPlain(names))
+	for k, vm := range names {
+		v.states[k] = uint8(states[vm])
+	}
+	return v
+}
+
+// TestHealthJSONMatchesEncodingJSON: the health object WriteJSON renders
+// from a view is byte-identical to encoding/json's rendering of the
+// equivalent map[string]string, for a roster whose names need escaping
+// (every name goes through appendJSONString) and for a plain one (names
+// are copied through). Every case compares the whole document with
+// encodeSweepReference; the text writer lists the same states in name
+// order, and Of finds every name.
+func TestHealthJSONMatchesEncodingJSON(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		names []string
+		plain bool
+	}{
+		{"hostile", hostileNames, false},
+		{"plain", plainNames, true},
+	} {
+		states := make(map[string]HealthState, len(tc.names))
+		for i, vm := range tc.names {
+			states[vm] = HealthState(i % 4) // 3 renders as "HealthState(3)"
+		}
+		rep := &SweepReport{Sweep: 1, Health: healthViewOf(states)}
+		if rep.Health.plain != tc.plain {
+			t.Errorf("%s roster: plain = %v, want %v", tc.name, rep.Health.plain, tc.plain)
+		}
+		var js, txt bytes.Buffer
+		if err := rep.WriteJSON(&js); err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeSweepReference(t, rep); js.String() != want {
+			t.Errorf("%s roster differs from encoding/json:\n got %q\nwant %q", tc.name, js.String(), want)
+		}
+		if err := rep.WriteText(&txt); err != nil {
+			t.Fatal(err)
+		}
+		sorted := append([]string(nil), tc.names...)
+		sort.Strings(sorted)
+		want := "  health:"
+		for _, vm := range sorted {
+			want += " " + vm + "=" + states[vm].String()
+		}
+		if got := txt.String(); !strings.HasSuffix(got, want+"\n") {
+			t.Errorf("%s roster text health line:\n got %q\nwant suffix %q", tc.name, got, want)
+		}
+		for vm, st := range states {
+			if got := rep.Health.Of(vm); got != st {
+				t.Errorf("%s roster: Of(%q) = %v, want %v", tc.name, vm, got, st)
+			}
+		}
+		if got := rep.Health.Of("not-a-vm"); got != HealthHealthy {
+			t.Errorf("%s roster: Of(unknown) = %v, want HEALTHY", tc.name, got)
 		}
 	}
 }
@@ -277,7 +308,7 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 			{Module: "", VM: "", Verdict: VerdictInconclusive, Components: []string{}, Reason: "no majority"},
 		},
 		Errors:         []ModuleError{{Module: "tcpip.sys", Err: errors.New(`unreadable <on> "all" & more`)}},
-		Health:         map[string]HealthState{"Dom1": HealthHealthy, "Dom2": HealthQuarantined, `back\slash`: HealthSuspect},
+		Health:         healthViewOf(map[string]HealthState{"Dom1": HealthHealthy, "Dom2": HealthQuarantined, `back\slash`: HealthSuspect}),
 		Quarantined:    []string{"Dom2"},
 		Readmitted:     []string{"line\u2028para"},
 		Skipped:        hostileNames,
