@@ -198,12 +198,14 @@ func TestDedupSweepObjectsIndependentOfFleet(t *testing.T) {
 }
 
 // TestDedupSweepBytesPerVM: what a warm dedup sweep and its report still
-// allocate per VM is a 4-byte VM→group map, a byte of health state and the
-// report's share of WriteJSON's buffer. Quadrupling the fleet from 1024 to
-// 4096 clones must add fewer than 32 bytes per added VM; a map entry per
-// VM (a name-keyed health map) costs several times that. A sweep now and
-// then refills a fetch buffer pool that a collection emptied, about
-// 0.5 MB at either size, so each size's figure is the least of 5 sweeps.
+// allocate per VM is a byte of health state and the report's share of
+// WriteJSON's buffer; the VM→group map is built once and kept while no
+// identity changes. Quadrupling the fleet from 1024 to 4096 clones must
+// add fewer than 16 bytes per added VM; a fresh 4-byte group map per sweep
+// costs about 4 more, and a map entry per VM (a name-keyed health map)
+// several times the bound. A sweep now and then refills a fetch buffer
+// pool that a collection emptied, about 0.5 MB at either size, so each
+// size's figure is the least of 5 sweeps.
 func TestDedupSweepBytesPerVM(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops a quarter of all Puts by design, so every sweep refills fetch buffers")
@@ -214,8 +216,8 @@ func TestDedupSweepBytesPerVM(t *testing.T) {
 	large := slices.Min(bs)
 	perVM := (float64(large) - float64(small)) / (4096 - 1024)
 	t.Logf("bytes per dedup sweep: 1024 VMs %d, 4096 VMs %d (%.1f per added VM)", small, large, perVM)
-	if perVM >= 32 {
-		t.Errorf("dedup sweep added %.1f bytes per added VM (1024 VMs: %d B, 4096 VMs: %d B), want < 32",
+	if perVM >= 16 {
+		t.Errorf("dedup sweep added %.1f bytes per added VM (1024 VMs: %d B, 4096 VMs: %d B), want < 16",
 			perVM, small, large)
 	}
 }

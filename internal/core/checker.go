@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"modchecker/internal/cas"
@@ -125,6 +126,12 @@ type Pool interface {
 	// Epoch returns VM i's mapping epoch, as Target.Epoch; 0 when it has
 	// none.
 	Epoch(i int) uint64
+	// IdentityStamp names the pool's identity answers as a whole. Two pools
+	// that return equal stamps with ok=true promise equal Len and equal
+	// Identity(i) for every i, so a dedup sweep may keep the identity
+	// groups it built for one when it sweeps the other instead of sampling
+	// every VM again. ok=false promises nothing.
+	IdentityStamp() (stamp uint64, ok bool)
 }
 
 // targetPool is the Pool of a target slice: the adapter behind every
@@ -148,6 +155,10 @@ func (p targetPool) Epoch(i int) uint64 {
 	}
 	return p[i].Epoch()
 }
+
+// IdentityStamp: a target slice's closures promise nothing beyond the
+// moment they are called.
+func (p targetPool) IdentityStamp() (uint64, bool) { return 0, false }
 
 // QuorumPolicy sets how many healthy peer comparisons a verdict needs.
 // With fewer comparisons than MinPeers the verdict degrades to
@@ -229,6 +240,18 @@ type Config struct {
 // full Searcher -> Parser -> Checker pipeline across a VM pool.
 type Checker struct {
 	cfg Config
+	// dedup is the identity grouping of the last dedup sweep over a pool
+	// that carried an identity stamp, kept for the next sweep whose pool
+	// carries the same one (see NewPoolSweepFrom). Atomic because sessions
+	// may be opened from several goroutines.
+	dedup atomic.Pointer[stampedGroups]
+}
+
+// stampedGroups is an identity grouping and the pool stamp it was built
+// under.
+type stampedGroups struct {
+	stamp uint64
+	grp   *groups
 }
 
 // NewChecker creates a Checker.

@@ -50,6 +50,11 @@ type PoolSweep struct {
 	ListElapsed time.Duration
 	// ListTiming is the total Searcher work of the snapshot.
 	ListTiming time.Duration
+	// Regrouped reports that opening the session sampled every VM's
+	// identity to build its dedup groups, rather than reusing the groups of
+	// an earlier session whose pool carried the same identity stamp. Always
+	// false without Config.DedupIdentical.
+	Regrouped bool
 	// closed marks the session released; lookups then fail with
 	// ErrSweepClosed.
 	closed bool
@@ -99,7 +104,9 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 // so dedup followers share their leader's list walk, fetches, digests and
 // verdicts without touching guest memory. Only group leaders are opened,
 // in pool order, just before the list walks; every VM the engine fetches
-// from is a leader.
+// from is a leader. When the pool carries the identity stamp of the last
+// dedup session this checker opened, nothing is sampled: the stamp
+// promises the same answers, so that session's groups are reused.
 //
 //modsafe:acquires sweep-session
 //modsafe:charged
@@ -108,15 +115,16 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 		return nil, fmt.Errorf("core: pool sweep needs at least 2 VMs, have %d", n)
 	}
 	cfg := &c.cfg
-	grp := newGroups(p, cfg.DedupIdentical && !cfg.FullPairwise)
+	grp, regrouped := c.sweepGroups(p)
 	ng := grp.count()
 	ps := &PoolSweep{
-		c:       c,
-		pool:    p,
-		grp:     grp,
-		handles: make([]*vmi.Handle, ng),
-		tables:  make([][]ModuleInfo, ng),
-		listErr: make([]error, ng),
+		c:         c,
+		pool:      p,
+		grp:       grp,
+		handles:   make([]*vmi.Handle, ng),
+		tables:    make([][]ModuleInfo, ng),
+		listErr:   make([]error, ng),
+		Regrouped: regrouped,
 	}
 	ps.eng = &engine{c: c, pool: p, ps: ps, grp: grp, lean: cfg.LeanReports}
 	if !cfg.FullPairwise {
@@ -141,12 +149,34 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 	return ps, nil
 }
 
+// sweepGroups returns a session's identity groups and whether it sampled
+// every VM to build them. A dedup session over a pool whose identity stamp
+// matches the last stamped dedup session's reuses that session's groups;
+// any other dedup session samples afresh, and a stamped one keeps its
+// groups for the next.
+func (c *Checker) sweepGroups(p Pool) (*groups, bool) {
+	if !c.cfg.DedupIdentical || c.cfg.FullPairwise {
+		return newGroups(p, false), false
+	}
+	stamp, ok := p.IdentityStamp()
+	if last := c.dedup.Load(); ok && last != nil && last.stamp == stamp {
+		return last.grp, false
+	}
+	grp := newGroups(p, true)
+	if ok {
+		c.dedup.Store(&stampedGroups{stamp: stamp, grp: grp})
+	}
+	return grp, true
+}
+
 // groups maps a pool's VMs onto identity groups: VMs whose content-identity
 // tokens match form one group, led by its first member in pool order, and
 // groups are numbered in leader order. The session and the engine keep
 // their per-VM state per group, so a deduplicated fleet costs O(groups)
 // plus this map, not O(pool). With dedup off, or no VM sharing a token,
-// every VM is its own group (group i is VM i) and no map is kept.
+// every VM is its own group (group i is VM i) and no map is kept. A groups
+// value is immutable once newGroups returns, so sessions over pools with
+// equal identity stamps share one.
 type groups struct {
 	n       int     // pool size
 	of      []int32 // of[i]: VM i's group; nil when every VM is its own

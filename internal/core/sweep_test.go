@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"testing"
+
+	"modchecker/internal/cas"
 )
 
 // TestPoolSweepClose pins the session lifecycle: Close drops the module-table
@@ -85,5 +87,66 @@ func TestFullPairwiseSessionIgnoresEngineSettings(t *testing.T) {
 			t.Errorf("%s: stages %+v elapsed %v timing %+v, want the oracle's %+v %v %+v",
 				name, got.Stages, got.Elapsed, got.Timing, want.Stages, want.Elapsed, want.Timing)
 		}
+	}
+}
+
+// countingPool is a target slice under a fixed identity stamp that records
+// every VM whose identity a session asks for.
+type countingPool struct {
+	targetPool
+	stamp uint64
+	asked []int
+}
+
+func (p *countingPool) Identity(i int) (uint64, bool) {
+	p.asked = append(p.asked, i)
+	return p.targetPool.Identity(i)
+}
+
+func (p *countingPool) IdentityStamp() (uint64, bool) { return p.stamp, true }
+
+// TestWarmDedupSweepAsksOnlyLeaders: a dedup session over a pool whose
+// identity stamp matches the last one reuses that session's groups, so it
+// asks Pool.Identity only for group leaders (the digest cache's content
+// tokens) and never samples the followers; a new stamp samples every VM
+// again.
+func TestWarmDedupSweepAsksOnlyLeaders(t *testing.T) {
+	_, targets := testPool(t, 6)
+	for i := range targets {
+		id := uint64(i % 2) // two identity groups, led by VMs 0 and 1
+		targets[i].Identity = func() (uint64, bool) { return id, true }
+	}
+	c := NewChecker(Config{DedupIdentical: true, LeanReports: true, DigestCache: cas.NewStore(0)})
+	sweep := func(stamp uint64) (*countingPool, *PoolSweep) {
+		t.Helper()
+		p := &countingPool{targetPool: targets, stamp: stamp}
+		ps, err := c.NewPoolSweepFrom(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := ps.CheckModule("alpha.sys"); rep.Healthy != len(targets) {
+			t.Fatalf("stamp %d: %d healthy VMs, want %d", stamp, rep.Healthy, len(targets))
+		}
+		ps.Close()
+		return p, ps
+	}
+
+	if p, ps := sweep(1); !ps.Regrouped || len(p.asked) < len(targets) {
+		t.Fatalf("cold session: regrouped %v, asked %v; want every VM sampled", ps.Regrouped, p.asked)
+	}
+	p, ps := sweep(1)
+	if ps.Regrouped {
+		t.Error("warm session with an unchanged stamp regrouped")
+	}
+	for _, i := range p.asked {
+		if i > 1 {
+			t.Errorf("warm session asked follower VM %d for its identity (asked %v)", i, p.asked)
+		}
+	}
+	if len(p.asked) == 0 {
+		t.Error("warm session asked no leader for its cache token")
+	}
+	if p, ps := sweep(2); !ps.Regrouped || len(p.asked) < len(targets) {
+		t.Errorf("session under a new stamp: regrouped %v, asked %v; want every VM sampled", ps.Regrouped, p.asked)
 	}
 }

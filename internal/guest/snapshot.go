@@ -42,11 +42,14 @@ func (g *Guest) Snapshot() *Snapshot {
 }
 
 // Restore rewinds the guest to the snapshot. The snapshot itself is not
-// consumed; it can be restored any number of times.
+// consumed; it can be restored any number of times. The guest's memory is
+// replaced by a fresh clone, so the identity epoch moves once the new
+// memory is in place (see mm.IdentityEpoch).
 func (g *Guest) Restore(s *Snapshot) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.phys = s.phys.Clone()
+	mm.BumpIdentityEpoch()
 	g.as = mm.AttachAddressSpace(g.phys, s.cr3)
 	g.pool = &poolAllocator{as: g.as, next: s.poolNext, mappedEnd: s.poolMapped, limit: poolEndVA}
 	g.nextModuleVA = s.nextModuleVA

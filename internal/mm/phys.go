@@ -82,6 +82,30 @@ func (b *baseLayer) fingerprint() uint64 {
 	return b.fp
 }
 
+// identityEpoch moves whenever some memory's ContentID answer may have
+// changed: a base layer swapped in by a freeze, an overlay going from empty
+// to non-empty on a frozen memory or back, or a new memory published in
+// place of another. It is process-wide because a fleet sweep asks about
+// every memory at once; one word here costs nothing per VM, where a field
+// in PhysMemory would cost 16 B per VM (the struct is exactly 128 B).
+//
+// Every bump comes after the change it announces is visible — inside m.mu
+// after the mutation, or after a publisher's pointer swap — never before.
+// A reader that loads the epoch before it samples identities therefore
+// never sees an epoch that covers a state its samples missed: any change
+// whose bump it saw was visible before its samples were taken.
+var identityEpoch atomic.Uint64
+
+// IdentityEpoch returns the process-wide identity epoch. Two loads that
+// return the same value bracket no change to any memory's ContentID answer
+// that the first load could not have observed; see identityEpoch.
+func IdentityEpoch() uint64 { return identityEpoch.Load() }
+
+// BumpIdentityEpoch moves the identity epoch. Code that publishes one memory
+// in place of another (a guest restoring a snapshot swaps its memory
+// pointer) calls it once the new memory is visible to readers.
+func BumpIdentityEpoch() { identityEpoch.Add(1) }
+
 // PhysMemory is sparse guest-physical memory: frames are allocated on
 // demand from a fixed-size pool. The frame allocator hands out page frame
 // numbers in a deterministic pseudo-random permutation so that contiguous
@@ -151,6 +175,20 @@ func NewPhysMemory(size uint64, seed int64) *PhysMemory {
 // Size returns the physical memory size in bytes.
 func (m *PhysMemory) Size() uint64 { return uint64(m.numFrames) * PageSize }
 
+// identifiedLocked reports whether ContentID would answer ok: the memory
+// sits unmodified on a frozen base layer.
+func (m *PhysMemory) identifiedLocked() bool { return m.base != nil && len(m.dirty) == 0 }
+
+// noteOverlayLocked bumps the identity epoch when an overlay mutation
+// changed ContentID's answer; was is identifiedLocked from before it.
+// Writes to an already-dirty or never-frozen memory change nothing and cost
+// no shared-cache-line write.
+func (m *PhysMemory) noteOverlayLocked(was bool) {
+	if m.identifiedLocked() != was {
+		identityEpoch.Add(1)
+	}
+}
+
 // FramesInUse returns how many frames are currently allocated.
 func (m *PhysMemory) FramesInUse() int {
 	m.mu.RLock()
@@ -205,8 +243,10 @@ func (m *PhysMemory) AllocFrame() (uint32, error) {
 	if !ok {
 		return 0, ErrOutOfMemory
 	}
+	was := m.identifiedLocked()
 	m.dirty[pfn] = make([]byte, PageSize)
 	m.inUse++
+	m.noteOverlayLocked(was)
 	return pfn, nil
 }
 
@@ -215,6 +255,7 @@ func (m *PhysMemory) AllocFrame() (uint32, error) {
 func (m *PhysMemory) FreeFrame(pfn uint32) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	was := m.identifiedLocked()
 	f, inDirty := m.dirty[pfn]
 	switch {
 	case inDirty && f != nil:
@@ -241,6 +282,7 @@ func (m *PhysMemory) FreeFrame(pfn uint32) error {
 	}
 	m.inUse--
 	m.returned = append(m.returned, pfn)
+	m.noteOverlayLocked(was)
 	return nil
 }
 
@@ -329,6 +371,7 @@ func (m *PhysMemory) WritePhys(pa uint32, b []byte) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	was := m.identifiedLocked()
 	for len(b) > 0 {
 		pfn := pa >> PageShift
 		off := pa & (PageSize - 1)
@@ -341,6 +384,7 @@ func (m *PhysMemory) WritePhys(pa uint32, b []byte) error {
 		b = b[n:]
 		pa += n
 	}
+	m.noteOverlayLocked(was)
 	return nil
 }
 
@@ -348,6 +392,7 @@ func (m *PhysMemory) WritePhys(pa uint32, b []byte) error {
 // layer: the effective frame table (base overlaid with dirty) becomes the
 // shared image, the overlay empties, and the free order is re-materialized
 // with the same pop sequence the live bookkeeping would have produced.
+// The base layer changes, so the identity epoch moves.
 // Frame slices are shared into the new layer without copying — safe because
 // every later write lands in an overlay, never in a frozen layer.
 func (m *PhysMemory) freezeLocked() {
@@ -383,13 +428,16 @@ func (m *PhysMemory) freezeLocked() {
 	m.freeTop = len(free)
 	m.returned = nil
 	m.stolen = nil
+	identityEpoch.Add(1)
 }
 
 // Fork returns a copy-on-write clone of the memory. The current image is
 // frozen into a base layer shared by both sides (a no-op when the memory is
 // an unmodified fork already), so the clone costs O(1) frames up front and
 // each side pays only for the frames it subsequently dirties. Forking and
-// the clone are safe for concurrent use like any other PhysMemory.
+// the clone are safe for concurrent use like any other PhysMemory. The
+// clone is a new identified memory, so the identity epoch moves once it is
+// built, whether or not the parent had to be frozen.
 func (m *PhysMemory) Fork() *PhysMemory {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -412,6 +460,7 @@ func (m *PhysMemory) Fork() *PhysMemory {
 			out.stolen[pfn] = struct{}{}
 		}
 	}
+	identityEpoch.Add(1)
 	return out
 }
 

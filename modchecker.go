@@ -157,6 +157,9 @@ type Cloud struct {
 	noTLB   bool
 	// mOpened counts introspection handles opened (vmi/handles_opened).
 	mOpened *metrics.Counter
+	// mRegroups counts sweep sessions that sampled every VM's identity to
+	// build dedup groups (core/dedup_regroups): one per rebuild, not per VM.
+	mRegroups *metrics.Counter
 }
 
 // NewCloud builds and boots the testbed.
@@ -197,6 +200,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	c.stats.Bind(c.reg)
 	c.hv.Bind(c.reg)
 	c.mOpened = c.reg.Counter("vmi/handles_opened")
+	c.mRegroups = c.reg.Counter("core/dedup_regroups")
 	return c, nil
 }
 
@@ -656,7 +660,11 @@ func (c *Checker) NewPoolSweep(vms ...string) (*PoolSweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.inner.NewPoolSweep(targets)
+	ps, err := c.inner.NewPoolSweep(targets)
+	if err == nil && ps.Regrouped {
+		c.cloud.mRegroups.Inc()
+	}
+	return ps, err
 }
 
 // ClusterPool groups the named VMs' copies of module into equivalence

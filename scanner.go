@@ -7,11 +7,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"modchecker/internal/core"
 	"modchecker/internal/hypervisor"
 	"modchecker/internal/metrics"
+	"modchecker/internal/mm"
 	"modchecker/internal/trace"
 	"modchecker/internal/vmi"
 )
@@ -96,12 +98,14 @@ func DefaultBreakerPolicy() BreakerPolicy {
 }
 
 // vmHealth is one roster VM's scanner state: its place in the health
-// machine, plus what the current sweep has learned about it.
+// machine, plus what the current sweep has learned about it. It is kept to
+// 24 bytes — the state in one byte, the counters in 32 bits — because the
+// roster holds one per VM for the scanner's lifetime (2.4 MB at 100k VMs).
 type vmHealth struct {
-	state         HealthState
-	strikes       int // consecutive failing sweeps
-	quarantinedAt int // sweep number of the (latest) quarantine decision
-	permStrikes   int // consecutive permanent-class failing sweeps
+	strikes       int32 // consecutive failing sweeps
+	quarantinedAt int32 // sweep number of the (latest) quarantine decision
+	permStrikes   int32 // consecutive permanent-class failing sweeps
+	state         uint8 // a HealthState
 	breakerOpen   bool
 
 	// The current sweep's marks, reset by partition.
@@ -112,6 +116,15 @@ type vmHealth struct {
 	// pool that still had healthy members (permanent outranks transient;
 	// permanent classes feed the breaker). Zero: no such failure.
 	failed FaultClass
+}
+
+// health returns the VM's health state.
+func (h *vmHealth) health() HealthState { return HealthState(h.state) }
+
+// quarantine moves the VM to quarantine as of sweep number sweep.
+func (h *vmHealth) quarantine(sweep int) {
+	h.state = uint8(HealthQuarantined)
+	h.quarantinedAt = int32(sweep)
 }
 
 // sweepRole is how the current sweep treats a VM.
@@ -233,6 +246,12 @@ type Scanner struct {
 	// checkpoint is the sorted remainder of a budget-cut sweep; the next
 	// Sweep checks it (and only it) before returning to full coverage.
 	checkpoint []string
+	// The identity stamp of the last partition, minted at identity epoch
+	// stampEpoch; stamped is false before the first stamp and after a
+	// partition that could not carry one. See partition.
+	stamp      uint64
+	stampEpoch uint64
+	stamped    bool
 
 	// Sweep counters and histograms, resolved once against the cloud's
 	// registry so the hot path never takes the registry lock.
@@ -246,6 +265,7 @@ type Scanner struct {
 	mDeferred     *metrics.Counter
 	mVMBudget     *metrics.Counter
 	mResumed      *metrics.Counter
+	mRegroups     *metrics.Counter
 	hSweepSim     *metrics.Histogram
 	hModuleSim    *metrics.Histogram
 }
@@ -294,6 +314,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mDeferred:     reg.Counter("scanner/budget_deferred_modules"),
 		mVMBudget:     reg.Counter("scanner/vm_budget_skips"),
 		mResumed:      reg.Counter("scanner/resumed_sweeps"),
+		mRegroups:     c.mRegroups,
 		hSweepSim:     reg.Histogram("scanner/sweep_sim_seconds", nil),
 		hModuleSim:    reg.Histogram("scanner/module_sim_seconds", nil),
 	}
@@ -342,7 +363,7 @@ func (s *Scanner) Sweeps() int { return s.sweeps }
 // Health returns the named VM's current health state.
 func (s *Scanner) Health(vm string) HealthState {
 	if h := s.slot(vm); h != nil {
-		return h.state
+		return h.health()
 	}
 	return HealthHealthy
 }
@@ -361,59 +382,38 @@ func (s *Scanner) slot(vm string) *vmHealth {
 // describes, in pool order, the VMs the sweep checks: healthy and suspect
 // VMs, and quarantined VMs due for a readmission probe. No handle is opened
 // here — the sweep session opens only the VMs it lists, so identity dups
-// never get one. Skipped quarantined VMs are left out. Destroyed domains go
-// straight to quarantine and are skipped — there is nothing left to probe,
-// but the operator should still see them accounted. Each VM is checked
-// against the roster's own domain; only when that domain is destroyed is
-// the name resolved against the hypervisor again, so a domain later
-// re-created under the same name re-enters through the normal
-// readmission-probe path once its timer expires.
+// never get one. Skipped quarantined VMs are left out.
+//
+// The pool carries an identity stamp (see core.Pool.IdentityStamp) that
+// stays the same from sweep to sweep while no memory's identity answer can
+// have changed — the identity epoch is read first, before the session
+// samples anything — and the eligible set is the previous sweep's. A fault
+// plan (no identities are advertised) or a roster name resolving to a
+// re-created domain leaves the pool unstamped.
 func (s *Scanner) partition(sweep int) *sweepPool {
+	epoch := mm.IdentityEpoch()
 	p := &sweepPool{c: s.cloud, identity: s.cloud.plan == nil}
 	eligible := 0
+	same := s.stamped && epoch == s.stampEpoch
 	for i, d := range s.cloud.domains {
-		name := d.Name
 		h := &s.vms[i]
-		h.role, h.overBudget, h.failed = roleSkipped, false, 0
-		if d.Destroyed() {
-			if d = s.cloud.Domain(name); d != nil && !d.Destroyed() {
-				if p.moved == nil {
-					p.moved = make(map[int32]*hypervisor.Domain)
-				}
-				p.moved[int32(i)] = d
-			}
+		was := h.role
+		h.overBudget, h.failed = false, 0
+		h.role = s.classify(sweep, p, int32(i), d, h)
+		if h.role != roleSkipped {
+			eligible++
 		}
-		if d == nil || d.Destroyed() {
-			if h.state != HealthQuarantined {
-				h.state = HealthQuarantined
-				h.quarantinedAt = sweep
-				s.mQuarantines.Inc()
-				s.traceHealth(name, "destroyed", HealthQuarantined)
-			}
-			continue
+		if (h.role == roleSkipped) != (was == roleSkipped) {
+			same = false
 		}
-		if h.state != HealthQuarantined && d.ControlFailures() >= s.breaker.TripAfter {
-			// The domain's control plane keeps failing: open the breaker
-			// without waiting for read-path strikes. The readmission probe
-			// is the half-open state; a clean probe closes it again.
-			h.state = HealthQuarantined
-			h.quarantinedAt = sweep
-			h.breakerOpen = true
-			s.mQuarantines.Inc()
-			s.mBreakerTrips.Inc()
-			s.traceHealth(name, "breaker open", HealthQuarantined)
-			continue
-		}
-		if h.state == HealthQuarantined {
-			if sweep-h.quarantinedAt < s.policy.ReadmitAfter {
-				continue
-			}
-			h.role = roleProbe
-		} else {
-			h.role = roleChecked
-		}
-		eligible++
 	}
+	switch {
+	case !p.identity || p.moved != nil:
+		s.stamped = false
+	case !same:
+		s.stamp, s.stampEpoch, s.stamped = identityStamps.Add(1), epoch, true
+	}
+	p.stamp, p.stamped = s.stamp, s.stamped
 	p.n = eligible
 	if eligible < len(s.vms) {
 		p.idx = make([]int32, 0, eligible)
@@ -424,6 +424,56 @@ func (s *Scanner) partition(sweep int) *sweepPool {
 		}
 	}
 	return p
+}
+
+// identityStamps mints sweep pools' identity stamps: unique process-wide,
+// so pools of different scanners never promise each other anything.
+var identityStamps atomic.Uint64
+
+// classify decides roster VM i's role in sweep number `sweep`, moving it
+// through quarantine on the way. Destroyed domains go straight to
+// quarantine and are skipped — there is nothing left to probe, but the
+// operator should still see them accounted. Each VM is checked against the
+// roster's own domain; only when that domain is destroyed is the name
+// resolved against the hypervisor again (recorded in p.moved), so a domain
+// later re-created under the same name re-enters through the normal
+// readmission-probe path once its timer expires.
+func (s *Scanner) classify(sweep int, p *sweepPool, i int32, d *hypervisor.Domain, h *vmHealth) sweepRole {
+	name := d.Name
+	if d.Destroyed() {
+		if d = s.cloud.Domain(name); d != nil && !d.Destroyed() {
+			if p.moved == nil {
+				p.moved = make(map[int32]*hypervisor.Domain)
+			}
+			p.moved[i] = d
+		}
+	}
+	if d == nil || d.Destroyed() {
+		if h.health() != HealthQuarantined {
+			h.quarantine(sweep)
+			s.mQuarantines.Inc()
+			s.traceHealth(name, "destroyed", HealthQuarantined)
+		}
+		return roleSkipped
+	}
+	if h.health() != HealthQuarantined && d.ControlFailures() >= s.breaker.TripAfter {
+		// The domain's control plane keeps failing: open the breaker
+		// without waiting for read-path strikes. The readmission probe is
+		// the half-open state; a clean probe closes it again.
+		h.quarantine(sweep)
+		h.breakerOpen = true
+		s.mQuarantines.Inc()
+		s.mBreakerTrips.Inc()
+		s.traceHealth(name, "breaker open", HealthQuarantined)
+		return roleSkipped
+	}
+	if h.health() == HealthQuarantined {
+		if sweep-int(h.quarantinedAt) < s.policy.ReadmitAfter {
+			return roleSkipped
+		}
+		return roleProbe
+	}
+	return roleChecked
 }
 
 // sweepPool is one sweep's eligible VMs as a core.Pool, read straight from
@@ -441,6 +491,9 @@ type sweepPool struct {
 	// identity: no fault plan was installed at partition time, so the VMs
 	// advertise identity tokens (see Cloud.Target).
 	identity bool
+	// stamp names the VMs' identity answers when stamped (see partition).
+	stamp   uint64
+	stamped bool
 }
 
 // domain resolves pool VM k.
@@ -465,6 +518,8 @@ func (p *sweepPool) Identity(k int) (uint64, bool) {
 	}
 	return identity(p.domain(k))
 }
+
+func (p *sweepPool) IdentityStamp() (uint64, bool) { return p.stamp, p.stamped }
 
 func (p *sweepPool) Epoch(k int) uint64 {
 	if !p.identity {
@@ -535,6 +590,9 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf("modchecker: sweep %d: %w", sweep, err))
 	}
 	defer session.Close()
+	if session.Regrouped {
+		s.mRegroups.Inc()
+	}
 	rep.Timing.List = session.ListElapsed
 
 	// A pending checkpoint takes priority over fresh discovery: the budget
@@ -712,8 +770,8 @@ func (s *Scanner) updateHealth(rep *SweepReport) {
 		case !frozen:
 			s.advance(rep, vm, h, quarantineAfter)
 		}
-		rep.Health.states[k] = uint8(h.state)
-		if h.state == HealthQuarantined {
+		rep.Health.states[k] = h.state
+		if h.health() == HealthQuarantined {
 			rep.Quarantined = append(rep.Quarantined, vm)
 		}
 		if h.breakerOpen {
@@ -725,7 +783,7 @@ func (s *Scanner) updateHealth(rep *SweepReport) {
 
 // advance moves one VM the sweep checked through the health machine.
 func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAfter int) {
-	was := h.state
+	was := h.health()
 	probing := h.role == roleProbe
 	if class := h.failed; class != 0 {
 		h.strikes++
@@ -734,14 +792,13 @@ func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAf
 		} else {
 			h.permStrikes = 0
 		}
-		trip := h.permStrikes >= s.breaker.TripAfter
+		trip := int(h.permStrikes) >= s.breaker.TripAfter
 		switch {
-		case probing || h.strikes >= quarantineAfter || trip:
+		case probing || int(h.strikes) >= quarantineAfter || trip:
 			// A failed probe re-quarantines immediately; repeat
 			// offenders graduate from suspect; a run of permanent
 			// failures trips the breaker without waiting for either.
-			h.state = HealthQuarantined
-			h.quarantinedAt = s.sweeps
+			h.quarantine(s.sweeps)
 			s.mQuarantines.Inc()
 			cause := "failed sweep"
 			if trip {
@@ -751,11 +808,11 @@ func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAf
 				}
 				h.breakerOpen = true
 			}
-			s.traceHealth(vm, cause, h.state)
+			s.traceHealth(vm, cause, HealthQuarantined)
 		default:
-			h.state = HealthSuspect
+			h.state = uint8(HealthSuspect)
 			if was != HealthSuspect {
-				s.traceHealth(vm, "failed sweep", h.state)
+				s.traceHealth(vm, "failed sweep", HealthSuspect)
 			}
 		}
 		return
@@ -764,7 +821,7 @@ func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAf
 		rep.Readmitted = append(rep.Readmitted, vm)
 		s.mReadmissions.Inc()
 	}
-	h.state = HealthHealthy
+	h.state = uint8(HealthHealthy)
 	h.strikes = 0
 	h.permStrikes = 0
 	if h.breakerOpen {
@@ -774,8 +831,8 @@ func (s *Scanner) advance(rep *SweepReport, vm string, h *vmHealth, quarantineAf
 		if d := s.cloud.Domain(vm); d != nil {
 			d.ResetControlFailures()
 		}
-		s.traceHealth(vm, "breaker close", h.state)
+		s.traceHealth(vm, "breaker close", HealthHealthy)
 	} else if was != HealthHealthy {
-		s.traceHealth(vm, "clean sweep", h.state)
+		s.traceHealth(vm, "clean sweep", HealthHealthy)
 	}
 }

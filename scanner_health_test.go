@@ -2,6 +2,7 @@ package modchecker
 
 import (
 	"testing"
+	"unsafe"
 
 	"modchecker/internal/guest"
 )
@@ -278,5 +279,15 @@ func TestHealthDeterministicAcrossRuns(t *testing.T) {
 			t.Errorf("parallel=%v: health machine diverges across identically seeded runs:\n--- run 1\n%s--- run 2\n%s",
 				parallel, a, b)
 		}
+	}
+}
+
+// TestRosterStateSize pins the scanner roster's per-VM footprint: the
+// roster lives as long as the scanner, one entry per VM, so at 100k VMs
+// every 8 bytes of vmHealth is 0.8 MB of live heap — more than the dedup
+// group map a warm sweep keeps.
+func TestRosterStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(vmHealth{}); n > 24 {
+		t.Errorf("vmHealth is %d bytes, want at most 24", n)
 	}
 }

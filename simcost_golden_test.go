@@ -78,6 +78,9 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //     templates (shard 64), swept twice, plus the SHA-256 of the Chrome
 //     trace export: every dedup follower's zero-cost list and fetch task
 //     keeps its event, lane and timestamp.
+//   - mapped15: the fig7-pipeline sweep with WithMappedCopy — the bulk
+//     mapping copy strategy (ablation A3), which pays vmi.CostMappedPage
+//     per page instead of a translated page-wise copy.
 func simcostRun(t *testing.T) []byte {
 	t.Helper()
 	var l simcostLedger
@@ -95,55 +98,37 @@ func simcostRun(t *testing.T) []byte {
 	l.sweep(t, "paper15 sweep=1", sc)
 	l.sweep(t, "paper15 sweep=2", sc)
 
-	for _, legacy := range []bool{true, false} {
-		cloud, err := NewCloud(CloudConfig{VMs: 15, Seed: 42, NoTranslationCache: legacy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, step := WithParallel(), "fig7-pipeline"
-		if legacy {
-			opt, step = WithFullPairwise(), "fig7-legacy"
-		}
-		checker := cloud.NewChecker(opt)
-		mods, err := checker.ListModules("Dom1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.begin(cloud, nil)
-		var sim time.Duration
-		var stages StageTiming
-		flagged := 0
-		add := func(rep *PoolReport) {
-			sim += rep.Elapsed
-			stages.Fetch += rep.Stages.Fetch
-			stages.Digest += rep.Stages.Digest
-			stages.Compare += rep.Stages.Compare
-			flagged += len(rep.Flagged)
-		}
-		if legacy {
-			for _, m := range mods {
-				rep, err := checker.CheckPool(m.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				add(rep)
-			}
-		} else {
-			sweep, err := checker.NewPoolSweep()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim += sweep.ListElapsed
-			modules := make([]string, len(mods))
-			for i, m := range mods {
-				modules[i] = m.Name
-			}
-			for _, rep := range sweep.CheckModules(modules) {
-				add(rep)
-			}
-		}
-		l.record(step, sim, stages.Fetch, stages.Digest, stages.Compare, flagged)
+	legacy, err := NewCloud(CloudConfig{VMs: 15, Seed: 42, NoTranslationCache: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checker := legacy.NewChecker(WithFullPairwise())
+	mods, err := checker.ListModules("Dom1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.begin(legacy, nil)
+	var sim time.Duration
+	var stages StageTiming
+	flagged := 0
+	for _, m := range mods {
+		rep, err := checker.CheckPool(m.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim += rep.Elapsed
+		stages.Fetch += rep.Stages.Fetch
+		stages.Digest += rep.Stages.Digest
+		stages.Compare += rep.Stages.Compare
+		flagged += len(rep.Flagged)
+	}
+	l.record("fig7-legacy", sim, stages.Fetch, stages.Digest, stages.Compare, flagged)
+
+	pipeline, err := NewCloud(CloudConfig{VMs: 15, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.poolSweep(t, "fig7-pipeline", pipeline.NewChecker(WithParallel()))
 
 	fleet, err := NewCloud(CloudConfig{VMs: 1000, Templates: 4, Seed: 42, Cores: 8})
 	if err != nil {
@@ -155,9 +140,8 @@ func simcostRun(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := sweep.ListElapsed
-	var stages StageTiming
-	flagged := 0
+	sim = sweep.ListElapsed
+	stages, flagged = StageTiming{}, 0
 	sweep.CheckModulesFunc([]string{"dummy.sys", "hal.dll", "ndis.sys"}, func(rep *PoolReport) {
 		sim += rep.Elapsed
 		stages.Fetch += rep.Stages.Fetch
@@ -252,14 +236,53 @@ func simcostRun(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&l.buf, "trace300 trace_sha256=%x\n", export.Sum(nil))
+
+	mapped, err := NewCloud(CloudConfig{VMs: 15, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.poolSweep(t, "mapped15", mapped.NewChecker(WithParallel(), WithMappedCopy()))
 	return l.buf.Bytes()
+}
+
+// poolSweep checks every module Dom1 lists in one pool sweep over all of
+// the checker's VMs and records the sweep, its list walk included (Dom1's
+// discovery walk is not).
+func (l *simcostLedger) poolSweep(t *testing.T, step string, checker *Checker) {
+	t.Helper()
+	mods, err := checker.ListModules("Dom1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.begin(checker.cloud, nil)
+	sweep, err := checker.NewPoolSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sweep.Close()
+	sim := sweep.ListElapsed
+	var stages StageTiming
+	flagged := 0
+	modules := make([]string, len(mods))
+	for i, m := range mods {
+		modules[i] = m.Name
+	}
+	for _, rep := range sweep.CheckModules(modules) {
+		sim += rep.Elapsed
+		stages.Fetch += rep.Stages.Fetch
+		stages.Digest += rep.Stages.Digest
+		stages.Compare += rep.Stages.Compare
+		flagged += len(rep.Flagged)
+	}
+	l.record(step, sim, stages.Fetch, stages.Digest, stages.Compare, flagged)
 }
 
 // TestSimCostGolden byte-compares the simulated cost of the simcost
 // scenarios with testdata/simcost.golden, generated before the leaf-layer
 // optimizations of Algorithm 2 and MD5, for scan4k before lazy
-// introspection targets, and for trace300 before per-group sweep state
-// (see testdata/README.md for the exact commands).
+// introspection targets, for trace300 before per-group sweep state, and
+// for mapped15 before dedup sweeps kept their identity groups (see
+// testdata/README.md for the exact commands).
 // Host-side optimizations must leave every simulated nanosecond, stage
 // split, page-table walk, byte read, store hit and scan4k report byte as
 // it was; any drift shows up here.
