@@ -63,7 +63,7 @@ func benchCachedSweep(b *testing.B, n int) {
 	b.ReportMetric(float64(bytesRead)/float64(b.N), "bytes-read/op")
 }
 
-// BenchmarkCachedSweep is the BENCH_9 steady-state curve: warm cached
+// BenchmarkCachedSweep is the steady-state curve: warm cached
 // sweeps at the paper's 15-VM pool and at fleet scale. The 1000-VM size is
 // skipped in -short mode.
 func BenchmarkCachedSweep(b *testing.B) {

@@ -70,7 +70,7 @@ func benchFleetSweep(b *testing.B, n int) {
 	runtime.KeepAlive(checker)
 }
 
-// BenchmarkFleetSweep is the scaling curve behind BENCH_8: the fleet sweep
+// BenchmarkFleetSweep is the fleet scaling curve: the fleet sweep
 // at 1k, 10k, and 100k VMs. 1k runs everywhere (it is the CI fleet-smoke
 // leg); the larger sizes are skipped in -short mode.
 func BenchmarkFleetSweep(b *testing.B) {

@@ -22,14 +22,13 @@ import (
 // The traced mode is the pipeline configuration with the deterministic
 // tracer recording every stage; the pipeline/traced pair measures the
 // tracing overhead the observability layer must keep under 10% host wall
-// time (cmd/benchjson computes trace_overhead from it).
+// time (perfbench's trace.overhead_frac is the recorded figure).
 //
 // The chaos mode is the pipeline configuration with the robustness
 // machinery armed but inert: an empty fault plan wraps every memory read
 // and lifecycle op, and a per-VM budget (too large to ever trip) keeps the
 // budget accounting on the hot path. The pipeline/chaos pair prices the
-// fault plane + budget bookkeeping (cmd/benchjson computes chaos_overhead
-// from it).
+// fault plane + budget bookkeeping.
 func benchSweep15(b *testing.B, legacy, traced, chaos bool) {
 	cloud, err := modchecker.NewCloud(modchecker.CloudConfig{
 		VMs: 15, Seed: 42, NoTranslationCache: legacy,
@@ -117,8 +116,9 @@ func benchSweep15(b *testing.B, legacy, traced, chaos bool) {
 
 // BenchmarkFig7Sweep15 pits the paper-faithful sweep against the optimized
 // pipeline on the full 15-VM Figure-7 configuration, plus the pipeline with
-// deterministic tracing on. cmd/benchjson computes the headline speedup and
-// the tracing overhead from these sub-benchmarks.
+// deterministic tracing on: compare the sub-benchmarks' ns/op, sim-ms/op
+// and ptwalks/op for the headline speedup and the tracing overhead. The
+// host-time record is perfbench (docs/performance.md).
 func BenchmarkFig7Sweep15(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) { benchSweep15(b, true, false, false) })
 	b.Run("pipeline", func(b *testing.B) { benchSweep15(b, false, false, false) })

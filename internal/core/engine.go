@@ -323,7 +323,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 		if len(batch) > 0 && ref >= 0 && o.clusters[0].f == nil && !materialize(0) {
 			return nil, false
 		}
-		runBounded("fetch", len(batch), c.stageWorkers(), func(k int) {
+		runBounded(len(batch), c.stageWorkers(), func(k int) {
 			sl[batch[k]-lo].f = e.fetch(batch[k], module)
 		})
 		toDigest = toDigest[:0]
@@ -351,7 +351,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 			memo.seal()
 			from = 1
 		}
-		runBounded("digest", len(toDigest)-from, c.stageWorkers(), func(k int) { digest(from + k) })
+		runBounded(len(toDigest)-from, c.stageWorkers(), func(k int) { digest(from + k) })
 		digestIdx = append(digestIdx, toDigest...)
 		for _, d := range digestCosts[first:] {
 			work += d
@@ -416,7 +416,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 			return nil, false
 		}
 	}
-	runBounded("compare", len(toCompare), c.stageWorkers(), func(k int) {
+	runBounded(len(toCompare), c.stageWorkers(), func(k int) {
 		p := cpairs[toCompare[k]]
 		mm, cost := c.compare(o.clusters[p.a].f, o.clusters[p.b].f)
 		mms[toCompare[k]] = mm

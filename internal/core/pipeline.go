@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"crypto/md5"
 	"encoding/binary"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -30,11 +28,12 @@ import (
 const DefaultWorkers = 8
 
 // runBounded executes task(i) for every i in [0, n) on at most w concurrent
-// goroutines, each labeled with the pipeline stage for pprof attribution
-// (`go test -cpuprofile` samples carry a stage= label). Tasks must record
-// results by index; the shared cursor only balances load, so completion
-// order never affects the outcome.
-func runBounded(stage string, n, w int, task func(int)) {
+// goroutines. Workers inherit the caller's pprof labels (a sweep profiled
+// under phase=sweep keeps its worker samples there); their frames name the
+// stage (fetchVM, digestAgainst, compare). Tasks must record results by
+// index; the shared cursor only balances load, so completion order never
+// affects the outcome.
+func runBounded(n, w int, task func(int)) {
 	if w > n {
 		w = n
 	}
@@ -46,20 +45,17 @@ func runBounded(stage string, n, w int, task func(int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	labels := pprof.Labels("stage", stage)
 	for g := 0; g < w; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					task(i)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			})
+				task(i)
+			}
 		}()
 	}
 	wg.Wait()
@@ -164,7 +160,7 @@ func (c *Checker) traceStage(stage, module string, nameFn func(int) string, cost
 //modown:pool module-fetch get
 func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Duration) {
 	fetches := make([]*fetched, len(vms))
-	runBounded("fetch", len(vms), c.stageWorkers(), func(i int) {
+	runBounded(len(vms), c.stageWorkers(), func(i int) {
 		fetches[i] = c.fetchAndParse(vms[i].Handle, vms[i].Name, module)
 	})
 	costs := make([]time.Duration, len(fetches))

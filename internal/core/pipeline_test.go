@@ -45,7 +45,7 @@ func TestRunBoundedExecutesEveryIndexOnce(t *testing.T) {
 	const n = 257
 	counts := make([]int32, n)
 	var mu sync.Mutex
-	runBounded("test", n, 8, func(i int) {
+	runBounded(n, 8, func(i int) {
 		mu.Lock()
 		counts[i]++
 		mu.Unlock()
@@ -57,8 +57,8 @@ func TestRunBoundedExecutesEveryIndexOnce(t *testing.T) {
 	}
 	// Degenerate bounds: sequential path and w > n.
 	ran := 0
-	runBounded("test", 3, 1, func(int) { ran++ })
-	runBounded("test", 3, 64, func(int) {})
+	runBounded(3, 1, func(int) { ran++ })
+	runBounded(3, 64, func(int) {})
 	if ran != 3 {
 		t.Errorf("sequential runBounded ran %d tasks", ran)
 	}

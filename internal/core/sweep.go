@@ -134,7 +134,7 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 		ps.handles[g] = p.Open(grp.leader(g))
 	}
 	costs := make([]time.Duration, ng)
-	runBounded("list", ng, c.stageWorkers(), func(g int) {
+	runBounded(ng, c.stageWorkers(), func(g int) {
 		s := NewSearcher(ps.handles[g], c.cfg.Strategy).WithRetry(c.cfg.Retry)
 		mods, cost, err := s.ListModulesCosted()
 		costs[g] = c.charge(cost)

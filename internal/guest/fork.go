@@ -18,13 +18,11 @@ import "modchecker/internal/mm"
 func (g *Guest) Fork(name string, seed int64) *Guest {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	phys := g.phys.Fork()
-	as := mm.AttachAddressSpace(phys, g.as.CR3())
+	parent := g.AddressSpace()
+	as := mm.AttachAddressSpace(parent.Phys().Fork(), parent.CR3())
 	c := &Guest{
 		name:         name,
 		seed:         seed,
-		phys:         phys,
-		as:           as,
 		res:          idleResources(seed),
 		nextModuleVA: g.nextModuleVA,
 		disk:         g.disk,
@@ -36,6 +34,7 @@ func (g *Guest) Fork(name string, seed int64) *Guest {
 	for k, v := range g.modules {
 		c.modules[k] = v
 	}
+	c.as.Store(as)
 	c.pool = &poolAllocator{as: as, next: g.pool.next, mappedEnd: g.pool.mappedEnd, limit: g.pool.limit}
 	return c
 }

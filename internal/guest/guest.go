@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"modchecker/internal/mm"
 	"modchecker/internal/nt"
@@ -65,8 +66,10 @@ type Config struct {
 type Guest struct {
 	name string
 	seed int64 // boot seed; drives the lazily created rng
-	phys *mm.PhysMemory
-	as   *mm.AddressSpace
+	// as is the kernel address space and, through AddressSpace.Phys, the
+	// guest-physical memory behind it. Restore swaps the pair whole, so
+	// readers load it without taking mu.
+	as atomic.Pointer[mm.AddressSpace]
 
 	// loadObs, when set, is invoked with the new CPU demand after every
 	// SetLoad (outside the resource lock). The hypervisor installs it
@@ -115,14 +118,13 @@ func New(cfg Config) (*Guest, error) {
 	g := &Guest{
 		name:    cfg.Name,
 		seed:    cfg.BootSeed,
-		phys:    phys,
-		as:      as,
 		res:     idleResources(cfg.BootSeed),
 		rng:     rand.New(rand.NewSource(cfg.BootSeed)), // booting draws from it at once
 		pool:    newPoolAllocator(as, poolBaseVA, poolEndVA),
 		disk:    cfg.Disk,
 		modules: make(map[string]*LoadedModule),
 	}
+	g.as.Store(as)
 
 	// Map the kernel-globals page and initialize the empty module list
 	// (head points at itself).
@@ -158,15 +160,15 @@ func (g *Guest) Name() string { return g.name }
 
 // Phys exposes guest-physical memory; the hypervisor hands this (read-only)
 // to the VMI layer.
-func (g *Guest) Phys() *mm.PhysMemory { return g.phys }
+func (g *Guest) Phys() *mm.PhysMemory { return g.as.Load().Phys() }
 
 // CR3 returns the kernel address space's page-directory physical address,
 // as the hypervisor would report the vCPU's CR3 to an introspection client.
-func (g *Guest) CR3() uint32 { return g.as.CR3() }
+func (g *Guest) CR3() uint32 { return g.as.Load().CR3() }
 
 // AddressSpace exposes the kernel address space for guest-side code (the
 // infection toolkit patching live memory, tests checking ground truth).
-func (g *Guest) AddressSpace() *mm.AddressSpace { return g.as }
+func (g *Guest) AddressSpace() *mm.AddressSpace { return g.as.Load() }
 
 // Modules returns the guest-side records of loaded modules, sorted by name.
 func (g *Guest) Modules() []*LoadedModule {

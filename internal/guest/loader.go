@@ -42,10 +42,10 @@ func (g *Guest) LoadModule(filename string) (*LoadedModule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guest %q: laying out %s: %w", g.name, filename, err)
 	}
-	if _, err := g.as.AllocAndMap(base, img.Optional.SizeOfImage, mm.PteWritable); err != nil {
+	if _, err := g.AddressSpace().AllocAndMap(base, img.Optional.SizeOfImage, mm.PteWritable); err != nil {
 		return nil, fmt.Errorf("guest %q: mapping %s: %w", g.name, filename, err)
 	}
-	if err := g.as.Write(base, mem); err != nil {
+	if err := g.AddressSpace().Write(base, mem); err != nil {
 		return nil, fmt.Errorf("guest %q: copying %s: %w", g.name, filename, err)
 	}
 
@@ -76,14 +76,14 @@ func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
 	if err != nil {
 		return err
 	}
-	if err := g.as.Write(baseBufVA, baseBuf); err != nil {
+	if err := g.AddressSpace().Write(baseBufVA, baseBuf); err != nil {
 		return err
 	}
 	fullBufVA, err := g.pool.alloc(uint32(len(fullBuf)), 2)
 	if err != nil {
 		return err
 	}
-	if err := g.as.Write(fullBufVA, fullBuf); err != nil {
+	if err := g.AddressSpace().Write(fullBufVA, fullBuf); err != nil {
 		return err
 	}
 	entryVA, err := g.pool.alloc(nt.LdrDataTableEntrySize, 8)
@@ -114,7 +114,7 @@ func (g *Guest) linkLoaderEntry(mod *LoadedModule) error {
 		Flags:     0x09004000, // LDRP_ENTRY_PROCESSED | image-dll bits, as XP sets
 		LoadCount: 1,
 	}
-	if err := g.as.Write(entryVA, entry.Encode()); err != nil {
+	if err := g.AddressSpace().Write(entryVA, entry.Encode()); err != nil {
 		return err
 	}
 	// tail.Flink = entry
@@ -149,7 +149,7 @@ func (g *Guest) UnloadModule(name string) error {
 	if err := g.writeListBlink(links.Flink, links.Blink); err != nil {
 		return err
 	}
-	if err := g.as.UnmapAndFree(mod.Base, mod.SizeOfImage); err != nil {
+	if err := g.AddressSpace().UnmapAndFree(mod.Base, mod.SizeOfImage); err != nil {
 		return err
 	}
 	delete(g.modules, key)
@@ -159,7 +159,7 @@ func (g *Guest) UnloadModule(name string) error {
 
 func (g *Guest) readListEntry(va uint32) (nt.ListEntry, error) {
 	b := make([]byte, nt.ListEntrySize)
-	if err := g.as.Read(va, b); err != nil {
+	if err := g.AddressSpace().Read(va, b); err != nil {
 		return nt.ListEntry{}, err
 	}
 	return nt.DecodeListEntry(b)
@@ -171,7 +171,7 @@ func (g *Guest) writeListFlink(entryVA, flink uint32) error {
 		return err
 	}
 	le.Flink = flink
-	return g.as.Write(entryVA, nt.EncodeListEntry(le))
+	return g.AddressSpace().Write(entryVA, nt.EncodeListEntry(le))
 }
 
 func (g *Guest) writeListBlink(entryVA, blink uint32) error {
@@ -180,5 +180,5 @@ func (g *Guest) writeListBlink(entryVA, blink uint32) error {
 		return err
 	}
 	le.Blink = blink
-	return g.as.Write(entryVA, nt.EncodeListEntry(le))
+	return g.AddressSpace().Write(entryVA, nt.EncodeListEntry(le))
 }

@@ -30,9 +30,10 @@ func (g *Guest) Snapshot() *Snapshot {
 		c := *v
 		mods[k] = &c
 	}
+	as := g.AddressSpace()
 	return &Snapshot{
-		phys:         g.phys.Clone(),
-		cr3:          g.as.CR3(),
+		phys:         as.Phys().Clone(),
+		cr3:          as.CR3(),
 		modules:      mods,
 		nextModuleVA: g.nextModuleVA,
 		poolNext:     g.pool.next,
@@ -43,15 +44,16 @@ func (g *Guest) Snapshot() *Snapshot {
 
 // Restore rewinds the guest to the snapshot. The snapshot itself is not
 // consumed; it can be restored any number of times. The guest's memory is
-// replaced by a fresh clone, so the identity epoch moves once the new
-// memory is in place (see mm.IdentityEpoch).
+// replaced by a fresh clone, published together with its address space so
+// a concurrent Phys or CR3 never pairs old and new; the identity epoch
+// moves once the new memory is in place (see mm.IdentityEpoch).
 func (g *Guest) Restore(s *Snapshot) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.phys = s.phys.Clone()
+	as := mm.AttachAddressSpace(s.phys.Clone(), s.cr3)
+	g.as.Store(as)
 	mm.BumpIdentityEpoch()
-	g.as = mm.AttachAddressSpace(g.phys, s.cr3)
-	g.pool = &poolAllocator{as: g.as, next: s.poolNext, mappedEnd: s.poolMapped, limit: poolEndVA}
+	g.pool = &poolAllocator{as: as, next: s.poolNext, mappedEnd: s.poolMapped, limit: poolEndVA}
 	g.nextModuleVA = s.nextModuleVA
 	g.disk = s.disk
 	g.modules = make(map[string]*LoadedModule, len(s.modules))

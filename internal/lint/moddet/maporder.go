@@ -43,28 +43,15 @@ type mapSite struct {
 // mapOrder scans every function body in the module.
 func mapOrder(m *modgraph.Module) []*mapSite {
 	var sites []*mapSite
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
+	modgraph.Funcs(m, func(p *lint.Package, fd *ast.FuncDecl) {
+		fn, _ := m.Info.Defs[fd.Name].(*types.Func)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok {
+				sites = append(sites, checkMapRange(m, p, fn, fd, rs)...)
 			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := m.Info.Defs[fd.Name].(*types.Func)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					rs, ok := n.(*ast.RangeStmt)
-					if !ok {
-						return true
-					}
-					sites = append(sites, checkMapRange(m, p, fn, fd, rs)...)
-					return true
-				})
-			}
-		}
-	}
+			return true
+		})
+	})
 	return sites
 }
 

@@ -55,26 +55,14 @@ func Build(m *Module) *Graph {
 	}
 	// Pass 1: declare nodes, so edge resolution can distinguish module
 	// functions from externals.
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := m.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue // type-checking failed for this decl
-				}
-				n := &FuncNode{Obj: obj, Decl: fd, Pkg: p}
-				g.Funcs = append(g.Funcs, n)
-				g.Node[obj] = n
-			}
+	Funcs(m, func(p *lint.Package, fd *ast.FuncDecl) {
+		// A declaration type-checking failed for has no object.
+		if obj, ok := m.Info.Defs[fd.Name].(*types.Func); ok {
+			n := &FuncNode{Obj: obj, Decl: fd, Pkg: p}
+			g.Funcs = append(g.Funcs, n)
+			g.Node[obj] = n
 		}
-	}
+	})
 
 	impls := newImplIndex(m)
 

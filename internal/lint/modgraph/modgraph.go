@@ -356,6 +356,23 @@ func BaseIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
+// Funcs calls visit for every function declaration with a body in the
+// module's non-test files, in load order.
+func Funcs(m *Module, visit func(p *lint.Package, fd *ast.FuncDecl)) {
+	for _, p := range m.Pkgs {
+		for _, sf := range p.Files {
+			if sf.IsTest {
+				continue
+			}
+			for _, d := range sf.AST.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					visit(p, fd)
+				}
+			}
+		}
+	}
+}
+
 // LocalTo reports whether e's base identifier is a variable declared inside
 // fd's body (not a parameter or receiver) — a value the function created
 // itself and has not shared yet.

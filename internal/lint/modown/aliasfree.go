@@ -41,20 +41,9 @@ func aliasFree(m *modgraph.Module, ann *annotations, sup lint.SuppressionSet) []
 		return nil
 	}
 	var out []lint.Finding
-	for _, p := range m.Pkgs {
-		for _, sf := range p.Files {
-			if sf.IsTest {
-				continue
-			}
-			for _, d := range sf.AST.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				out = append(out, checkBorrows(m, ann, sup, p, fd)...)
-			}
-		}
-	}
+	modgraph.Funcs(m, func(p *lint.Package, fd *ast.FuncDecl) {
+		out = append(out, checkBorrows(m, ann, sup, p, fd)...)
+	})
 	return out
 }
 

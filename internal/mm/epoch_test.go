@@ -1,6 +1,8 @@
 package mm_test
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"modchecker/internal/guest"
@@ -191,6 +193,47 @@ func TestIdentityEpochMovesExactlyOnIdentityChange(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreEpochConcurrentReaders restores a guest in a loop while
+// readers take its memory the way the hypervisor's introspection path does:
+// Restore must publish the new memory and address space without racing
+// Phys and CR3 (run under -race), and a reader must always see a memory
+// whose pages read back.
+func TestRestoreEpochConcurrentReaders(t *testing.T) {
+	g := epochGuest(t)
+	snap := g.Snapshot()
+	stop := make(chan struct{})
+	var readers, started sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		started.Add(1)
+		go func() {
+			defer readers.Done()
+			var b [4]byte
+			for i := 0; ; i++ {
+				g.Phys().ContentID()
+				if err := g.Phys().ReadPhys(g.CR3(), b[:]); err != nil {
+					t.Error(err)
+				}
+				if i == 0 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	started.Wait()
+	for i := 0; i < 50; i++ {
+		g.Restore(snap)
+		runtime.Gosched()
+	}
+	close(stop)
+	readers.Wait()
 }
 
 // epochGuest boots a small guest on a one-module disk.

@@ -9,6 +9,10 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"modchecker/internal/core"
+	"modchecker/internal/monitor"
+	"modchecker/internal/stress"
 )
 
 // simcostLedger renders one line per measured step of the simcost
@@ -81,6 +85,12 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //   - mapped15: the fig7-pipeline sweep with WithMappedCopy — the bulk
 //     mapping copy strategy (ablation A3), which pays vmi.CostMappedPage
 //     per page instead of a translated page-wise copy.
+//   - fig8-loaded: one BenchmarkFig8RuntimeLoaded/VMs=12 iteration on the
+//     mapped15 cloud — 12 guests under HeavyLoad, past the 8-core knee, so
+//     the hypervisor's contention curve stretches every charge.
+//   - fig9: experiments.Fig9 at seed 1 (120 ticks, two windows in which a
+//     searcher copies http.sys out of Dom1 of a 2-VM cloud), plus the
+//     SHA-256 of the sampled guest counters.
 func simcostRun(t *testing.T) []byte {
 	t.Helper()
 	var l simcostLedger
@@ -242,7 +252,68 @@ func simcostRun(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	l.poolSweep(t, "mapped15", mapped.NewChecker(WithParallel(), WithMappedCopy()))
+
+	loaded := mapped.VMNames()[:12]
+	for _, vm := range loaded {
+		stress.Apply(mapped.Guest(vm), stress.HeavyLoad)
+	}
+	l.begin(mapped, nil)
+	rep, err := mapped.NewChecker().CheckModule("http.sys", loaded[0], loaded[1:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mapped.IntrospectionStats()
+	fmt.Fprintf(&l.buf, "fig8-loaded vms=%d slowdown=%.6f sim_ns=%d searcher_ns=%d parser_ns=%d checker_ns=%d pt_walks=%d bytes_read=%d successes=%d\n",
+		len(loaded), mapped.Hypervisor().Slowdown(), rep.Timing.Total().Nanoseconds(), rep.Timing.Searcher.Nanoseconds(),
+		rep.Timing.Parser.Nanoseconds(), rep.Timing.Checker.Nanoseconds(), st.PTWalks-l.walks, st.BytesRead-l.read, rep.Successes)
+
+	l.fig9(t)
 	return l.buf.Bytes()
+}
+
+// fig9 replays experiments.Fig9(120, 1), which this package cannot import,
+// and records the Dom0 time its copies charged and the sampled counters.
+func (l *simcostLedger) fig9(t *testing.T) {
+	t.Helper()
+	const steps = 120
+	cloud, err := NewCloud(CloudConfig{VMs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := cloud.OpenVMI("Dom1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	searcher := core.NewSearcher(h, core.CopyPageWise)
+	inWindow := func(i int) bool {
+		return i >= steps/4 && i < steps/4+steps/8 || i >= 2*steps/3 && i < 2*steps/3+steps/8
+	}
+	l.begin(cloud, nil)
+	start := cloud.Hypervisor().Clock().Now()
+	trace := monitor.NewRecorder(cloud.Guest("Dom1")).RunWith(steps, 100,
+		func(i int) string {
+			if inWindow(i) {
+				return "vmi-access"
+			}
+			return "baseline"
+		},
+		func(i int) {
+			if !inWindow(i) {
+				return
+			}
+			_, buf, _, err := searcher.FetchModule("http.sys")
+			if err != nil {
+				t.Fatal(err)
+			}
+			core.ReleaseModuleCopy(buf)
+		})
+	samples := sha256.New()
+	if err := trace.WriteCSV(samples); err != nil {
+		t.Fatal(err)
+	}
+	st := cloud.IntrospectionStats()
+	fmt.Fprintf(&l.buf, "fig9 sim_ns=%d pt_walks=%d bytes_read=%d samples_sha256=%x\n",
+		(cloud.Hypervisor().Clock().Now() - start).Nanoseconds(), st.PTWalks-l.walks, st.BytesRead-l.read, samples.Sum(nil))
 }
 
 // poolSweep checks every module Dom1 lists in one pool sweep over all of
