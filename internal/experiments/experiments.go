@@ -234,12 +234,16 @@ func Fig8(maxVMs int, seed int64) ([]RuntimeRow, error) {
 }
 
 // Fig9Result is the guest-impact experiment: a monitor trace with
-// VMI-access windows marked and the per-counter perturbation (z-score of
-// each window mean against baseline variation).
+// VMI-access windows marked, the per-counter perturbation (z-score of
+// each window mean against baseline variation), and the Dom0 cost of the
+// windows' copies: simulated time, page-table walks and bytes read.
 type Fig9Result struct {
 	Trace           *monitor.Trace
 	Perturbations   map[string]float64
 	MaxPerturbation float64
+	Dom0            time.Duration
+	PTWalks         uint64
+	BytesRead       uint64
 }
 
 // fig9Fields are the counters Figure 9 plots.
@@ -276,6 +280,7 @@ func Fig9(steps int, seed int64) (*Fig9Result, error) {
 	w2lo, w2hi := 2*steps/3, 2*steps/3+steps/8
 	inWindow := func(i int) bool { return (i >= w1lo && i < w1hi) || (i >= w2lo && i < w2hi) }
 
+	start, before := cloud.Hypervisor().Clock().Now(), cloud.IntrospectionStats()
 	rec := monitor.NewRecorder(cloud.Guest("Dom1"))
 	trace := rec.RunWith(steps, 100,
 		func(i int) string {
@@ -295,7 +300,14 @@ func Fig9(steps int, seed int64) (*Fig9Result, error) {
 			}
 		})
 
-	res := &Fig9Result{Trace: trace, Perturbations: make(map[string]float64)}
+	after := cloud.IntrospectionStats()
+	res := &Fig9Result{
+		Trace:         trace,
+		Perturbations: make(map[string]float64),
+		Dom0:          cloud.Hypervisor().Clock().Now() - start,
+		PTWalks:       after.PTWalks - before.PTWalks,
+		BytesRead:     after.BytesRead - before.BytesRead,
+	}
 	for name, f := range fig9Fields {
 		z := trace.Perturbation(f, "baseline", "vmi-access")
 		res.Perturbations[name] = z

@@ -41,20 +41,37 @@ type Rules[S any] interface {
 //     without a default also merges the path that matches no case;
 //   - a loop body runs twice, once from the entry state and once from the
 //     entry merged with the first pass's end, so loop-carried misuse
-//     surfaces; the loop's exit state is the entry merged with both passes;
+//     surfaces; the loop's exit state is the entry merged with both passes.
+//     Inside a second pass, nested loops run once, which keeps a deep nest
+//     of loops quadratic rather than exponential;
+//   - break, continue and fallthrough carry their path's state to their
+//     target: the exit of the loop, switch or select (a break), the end of
+//     the loop pass (a continue), or the entry of the next case clause (a
+//     fallthrough); labels pick the target by name; goto falls through;
 //   - return and panic end a path at an Exit, and so does the end of the
-//     body; break, continue and fallthrough end the path they are on
-//     without carrying its state to their target, so what happens on such
-//     a path is not seen after it; goto falls through;
+//     body;
 //   - Lit walks a function literal's body as a function of its own: its
 //     returns and end are the literal's exits. The rules pick the state it
 //     starts from: an empty one when the literal's obligations are its own,
 //     the enclosing path when the literal runs where it is written.
 type Walker[S any] struct {
-	Mod   *Module
-	Decl  *ast.FuncDecl
-	Rules Rules[S]
-	lits  int
+	Mod     *Module
+	Decl    *ast.FuncDecl
+	Rules   Rules[S]
+	lits    int
+	again   int          // enclosing loops in their second pass
+	label   string       // label of the statement being walked
+	targets []*target[S] // enclosing loops, switches and selects
+}
+
+// target is an enclosing loop, switch or select, collecting the states its
+// branch statements carry to it.
+type target[S any] struct {
+	label string
+	loop  bool
+	brk   []S // states leaving by break
+	cont  []S // states leaving by continue
+	fall  []S // states falling through into the next case clause
 }
 
 // Walk interprets the declaration's body from st.
@@ -62,9 +79,10 @@ func (w *Walker[S]) Walk(st S) { w.body(w.Decl.Body, st) }
 
 // Lit walks a function literal's body from st as a function of its own.
 func (w *Walker[S]) Lit(lit *ast.FuncLit, st S) {
-	w.lits++
+	targets := w.targets
+	w.lits, w.targets = w.lits+1, nil
 	w.body(lit.Body, st)
-	w.lits--
+	w.lits, w.targets = w.lits-1, targets
 }
 
 // InLit reports whether the walk is inside a function literal.
@@ -89,7 +107,8 @@ func (w *Walker[S]) stmts(list []ast.Stmt, st S) (S, bool) {
 }
 
 func (w *Walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
-	r := w.Rules
+	r, label := w.Rules, w.label
+	w.label = ""
 	switch s := s.(type) {
 	case *ast.ReturnStmt:
 		r.Exit(st, s.Pos(), s)
@@ -115,10 +134,11 @@ func (w *Walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		}
 		return st, false
 	case *ast.BranchStmt:
-		return st, s.Tok != token.GOTO
+		return st, w.branch(s, st)
 	case *ast.BlockStmt:
 		return w.stmts(s.List, st)
 	case *ast.LabeledStmt:
+		w.label = s.Label.Name
 		return w.stmt(s.Stmt, st)
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -144,14 +164,10 @@ func (w *Walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Cond != nil {
 			r.Expr(s.Cond, st)
 		}
-		list := s.Body.List
-		if s.Post != nil {
-			list = append(list[:len(list):len(list)], s.Post)
-		}
-		return w.loop(list, nil, st), false
+		return w.loop(s.Body.List, s.Post, nil, label, st), false
 	case *ast.RangeStmt:
 		r.Expr(s.X, st)
-		return w.loop(s.Body.List, s, st), false
+		return w.loop(s.Body.List, nil, s, label, st), false
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			st, _ = w.stmt(s.Init, st)
@@ -159,7 +175,7 @@ func (w *Walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 		if s.Tag != nil {
 			r.Expr(s.Tag, st)
 		}
-		return w.arms(s.Body, st)
+		return w.arms(s.Body, label, st)
 	case *ast.TypeSwitchStmt:
 		if s.Init != nil {
 			st, _ = w.stmt(s.Init, st)
@@ -172,37 +188,91 @@ func (w *Walker[S]) stmt(s ast.Stmt, st S) (S, bool) {
 				r.Expr(a.Rhs[0], st)
 			}
 		}
-		return w.arms(s.Body, st)
+		return w.arms(s.Body, label, st)
 	case *ast.SelectStmt:
-		return w.arms(s.Body, st)
+		return w.arms(s.Body, label, st)
 	}
 	return r.Stmt(s, st), false
 }
 
-// loop walks a loop body twice (see Walker); rng, when set, rebinds its
-// iteration variables before each pass.
-func (w *Walker[S]) loop(list []ast.Stmt, rng *ast.RangeStmt, st S) S {
-	for pass := 0; pass < 2; pass++ {
+// branch sends st to the target of a break, continue or fallthrough and
+// reports whether the path ends there (goto falls through).
+func (w *Walker[S]) branch(s *ast.BranchStmt, st S) bool {
+	if s.Tok == token.GOTO {
+		return false
+	}
+	for i := len(w.targets) - 1; i >= 0; i-- {
+		t := w.targets[i]
+		switch {
+		case s.Label != nil && s.Label.Name != t.label:
+			continue
+		case s.Tok == token.BREAK:
+			t.brk = append(t.brk, st)
+		case s.Tok == token.FALLTHROUGH:
+			t.fall = append(t.fall, st)
+		case t.loop:
+			t.cont = append(t.cont, st)
+		default: // continue skips the switches and selects inside its loop
+			continue
+		}
+		return true
+	}
+	return true
+}
+
+// join merges the states of the paths that reach one point, or reports
+// that none does.
+func (w *Walker[S]) join(paths []S, none S) (S, bool) {
+	if len(paths) == 0 {
+		return none, true
+	}
+	st := paths[0]
+	for _, p := range paths[1:] {
+		st = w.Rules.Join(st, p)
+	}
+	return st, false
+}
+
+// loop walks a loop body (see Walker); post, when set, ends each pass that
+// falls through or continues, and rng, when set, rebinds its iteration
+// variables before each pass.
+func (w *Walker[S]) loop(list []ast.Stmt, post ast.Stmt, rng *ast.RangeStmt, label string, st S) S {
+	var brk []S
+	for pass := 0; pass < 2 && (pass == 0 || w.again == 0); pass++ {
+		t := &target[S]{label: label, loop: true}
+		w.again, w.targets = w.again+pass, append(w.targets, t)
 		entry := w.Rules.Clone(st)
 		if rng != nil {
 			entry = w.Rules.Stmt(rng, entry)
 		}
 		if end, term := w.stmts(list, entry); !term {
+			t.cont = append([]S{end}, t.cont...)
+		}
+		if end, term := w.join(t.cont, st); !term {
+			if post != nil {
+				end, _ = w.stmt(post, end)
+			}
 			st = w.Rules.Join(st, end)
 		}
+		brk = append(brk, t.brk...)
+		w.again, w.targets = w.again-pass, w.targets[:len(w.targets)-1]
 	}
+	st, _ = w.join(append([]S{st}, brk...), st)
 	return st
 }
 
 // arms walks the clauses of a switch, type switch or select from st and
-// merges those that fall through. A switch without a default (or with no
-// clauses) also falls through with st unchanged; a select always runs one
-// of its clauses.
-func (w *Walker[S]) arms(body *ast.BlockStmt, st S) (S, bool) {
-	var merged S
-	through, cases, deflt := false, false, false
+// merges the paths that leave it: clauses that fall through and breaks. A
+// switch without a default (or with no clauses) also falls through with st
+// unchanged; a select always runs one of its clauses.
+func (w *Walker[S]) arms(body *ast.BlockStmt, label string, st S) (S, bool) {
+	t := &target[S]{label: label}
+	w.targets = append(w.targets, t)
+	defer func() { w.targets = w.targets[:len(w.targets)-1] }()
+	var ends []S
+	cases, deflt := false, false
 	for _, c := range body.List {
-		var arm S
+		arm := w.Rules.Clone(st)
 		var list []ast.Stmt
 		switch c := c.(type) {
 		case *ast.CaseClause:
@@ -210,29 +280,25 @@ func (w *Walker[S]) arms(body *ast.BlockStmt, st S) (S, bool) {
 			for _, e := range c.List {
 				w.Rules.Expr(e, st)
 			}
-			arm, list = w.Rules.Clone(st), c.Body
+			list = c.Body
 		case *ast.CommClause:
-			arm, list = w.Rules.Clone(st), c.Body
+			list = c.Body
 			if c.Comm != nil {
 				arm, _ = w.stmt(c.Comm, arm)
 			}
 		}
-		end, term := w.stmts(list, arm)
-		switch {
-		case term:
-		case through:
-			merged = w.Rules.Join(merged, end)
-		default:
-			merged, through = end, true
+		for _, f := range t.fall {
+			arm = w.Rules.Join(arm, f)
+		}
+		t.fall = nil
+		if end, term := w.stmts(list, arm); !term {
+			ends = append(ends, end)
 		}
 	}
 	if len(body.List) == 0 || cases && !deflt {
-		if !through {
-			return st, false
-		}
-		return w.Rules.Join(merged, st), false
+		ends = append(ends, st)
 	}
-	return merged, !through
+	return w.join(append(ends, t.brk...), st)
 }
 
 // isPanic matches the panic builtin (an unresolved panic counts too).

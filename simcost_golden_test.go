@@ -10,8 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"modchecker/internal/core"
-	"modchecker/internal/monitor"
 	"modchecker/internal/stress"
 )
 
@@ -271,49 +269,23 @@ func simcostRun(t *testing.T) []byte {
 	return l.buf.Bytes()
 }
 
-// fig9 replays experiments.Fig9(120, 1), which this package cannot import,
-// and records the Dom0 time its copies charged and the sampled counters.
+// SimcostFig9Line renders the fig9 ledger line from experiments.Fig9(120,
+// 1). That package imports this one, so the external test package, which
+// may import both, sets it.
+var SimcostFig9Line func() (string, error)
+
+// fig9 records the fig9 line: the Dom0 time, walks and bytes of the
+// window copies, and the SHA-256 of the sampled guest counters.
 func (l *simcostLedger) fig9(t *testing.T) {
 	t.Helper()
-	const steps = 120
-	cloud, err := NewCloud(CloudConfig{VMs: 2, Seed: 1})
+	if SimcostFig9Line == nil {
+		t.Fatal("SimcostFig9Line is not set")
+	}
+	line, err := SimcostFig9Line()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := cloud.OpenVMI("Dom1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	searcher := core.NewSearcher(h, core.CopyPageWise)
-	inWindow := func(i int) bool {
-		return i >= steps/4 && i < steps/4+steps/8 || i >= 2*steps/3 && i < 2*steps/3+steps/8
-	}
-	l.begin(cloud, nil)
-	start := cloud.Hypervisor().Clock().Now()
-	trace := monitor.NewRecorder(cloud.Guest("Dom1")).RunWith(steps, 100,
-		func(i int) string {
-			if inWindow(i) {
-				return "vmi-access"
-			}
-			return "baseline"
-		},
-		func(i int) {
-			if !inWindow(i) {
-				return
-			}
-			_, buf, _, err := searcher.FetchModule("http.sys")
-			if err != nil {
-				t.Fatal(err)
-			}
-			core.ReleaseModuleCopy(buf)
-		})
-	samples := sha256.New()
-	if err := trace.WriteCSV(samples); err != nil {
-		t.Fatal(err)
-	}
-	st := cloud.IntrospectionStats()
-	fmt.Fprintf(&l.buf, "fig9 sim_ns=%d pt_walks=%d bytes_read=%d samples_sha256=%x\n",
-		(cloud.Hypervisor().Clock().Now() - start).Nanoseconds(), st.PTWalks-l.walks, st.BytesRead-l.read, samples.Sum(nil))
+	l.buf.WriteString(line)
 }
 
 // poolSweep checks every module Dom1 lists in one pool sweep over all of
