@@ -53,7 +53,7 @@ check: build vet fmt race-test lint golden-check
 # Focused run of the fault-injection suite under the race detector;
 # mirrored as a CI step so robustness regressions fail fast.
 fault-suite:
-	$(GO) test -race -run 'Fault|Torn|Quarantine|Retry|Sweep|Health|Destroy|Epoch|Regroup' . ./internal/faults ./internal/vmi ./internal/hypervisor ./internal/core ./internal/mm
+	$(GO) test -race -run 'Fault|Torn|Quarantine|Retry|Sweep|Health|Destroy|Epoch|Regroup|Memo' . ./internal/faults ./internal/vmi ./internal/hypervisor ./internal/core ./internal/mm
 
 # Seeded chaos soak under the race detector: $(CHAOS_SEEDS) randomized
 # fault plans over a 15-VM pool, each run twice and required to converge,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -245,6 +246,10 @@ type Checker struct {
 	// carries the same one (see NewPoolSweepFrom). Atomic because sessions
 	// may be opened from several goroutines.
 	dedup atomic.Pointer[stampedGroups]
+	// memos keeps each module's reference memo between engine runs (see
+	// takeMemo).
+	memoMu sync.Mutex
+	memos  map[string]*refMemo // guarded by memoMu
 }
 
 // stampedGroups is an identity grouping and the pool stamp it was built

@@ -91,7 +91,7 @@ type outcome struct {
 	clusterOf []int       // by group; -1: no healthy copy
 	clusters  []cluster
 	mm        map[clusterPair][]string // representative comparisons
-	memoHits  int64                    // digest components the reference memo's window check answered
+	memoHits  int64                    // digest components the reference memo's window check answered in this run
 }
 
 // mismatches returns the representative comparison between two clusters:
@@ -207,9 +207,17 @@ func (e *engine) run(module string) (*outcome, bool) {
 			toks[g] = sourceToken(e.pool, e.grp.leader(g))
 		}
 	}
-	// memo holds how Algorithm 2 rewrote the reference, for the whole run;
-	// it is made only once a shard has something to digest.
+	// memo holds how Algorithm 2 rewrote the reference. It is taken from
+	// the Checker only once a shard has something to digest, and put back
+	// when the run ends; a run that digests nothing drops the kept one.
 	var memo *refMemo
+	// The memo's stamp is the reference's token, sampled before any fetch
+	// like the store's. Without the store only the first group's token is
+	// sampled, and it stamps the memo only if that group is the reference.
+	var firstTok cas.Token
+	if toks == nil && !pairwise {
+		firstTok = sourceToken(e.pool, e.grp.leader(0))
+	}
 	// Cluster copies outlive their shard; every other buffer is released
 	// as soon as its VM is clustered.
 	defer func() {
@@ -218,8 +226,8 @@ func (e *engine) run(module string) (*outcome, bool) {
 		}
 		if memo != nil {
 			o.memoHits = memo.hits.Load()
-			memo.release()
 		}
+		c.putMemo(module, memo)
 	}()
 	byKey := map[string]int{"": 0} // only store hits of the reference's own token carry ""
 
@@ -346,7 +354,15 @@ func (e *engine) run(module string) (*outcome, bool) {
 		if len(toDigest) > 0 && memo == nil {
 			// The run's first digest fills the memo here, on the driving
 			// goroutine; the workers only ever read it.
-			memo = newRefMemo(len(o.clusters[0].f.parsed.Components))
+			tok := refTok
+			if toks == nil && ref == 0 {
+				tok = firstTok
+			}
+			var reused bool
+			memo, reused = c.takeMemo(module, tok, len(o.clusters[0].f.parsed.Components))
+			if reused && e.ps != nil {
+				e.ps.MemoReuses++
+			}
 			digest(0)
 			memo.seal()
 			from = 1

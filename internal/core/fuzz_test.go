@@ -91,12 +91,19 @@ func rebase(data []byte, sites []uint32, base, newBase uint32) []byte {
 //     leaves both sides byte-equal to the entry's normalized reference
 //     side;
 //   - digestAgainst's key equals NormalizePair followed by two MD5s.
+//
+// It then runs the memo a second time, as a Checker does with a kept
+// memo: reopened for filling, with a different partner, partner2, as its
+// first digest, then sealed again for the copy. Every sum of that run must
+// equal the sum a fresh memo computes for the same digest.
 func FuzzDigestMemo(f *testing.F) {
 	for _, s := range normalizeSeeds(f) {
-		// A clean copy at a third base, rebased from the partner.
+		// A clean copy at a third base, rebased from the partner; the
+		// second run's partner is the copy itself.
 		_, _, sites := NormalizePair(s.d1, s.d2, s.b1, s.b2)
 		b3 := s.b2 + 0x00040000
-		f.Add(s.d1, rebase(s.d1, sites, s.b1, b3), s.d2, s.b1, b3, s.b2)
+		cp := rebase(s.d1, sites, s.b1, b3)
+		f.Add(s.d1, cp, s.d2, s.b1, b3, s.b2, cp, b3)
 	}
 	le := binary.LittleEndian
 	const b1, b2, b3 = 0xF8CC0000, 0xF8D00000, 0xF8D40000 // first differing byte: 2
@@ -110,20 +117,20 @@ func FuzzDigestMemo(f *testing.F) {
 	le.PutUint32(partner[20:], b1+0x5678)
 	le.PutUint32(ref[20:], b2+0x5678)
 	clean := rebase(partner, []uint32{8, 20}, b1, b3)
-	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2))
+	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), clean, uint32(b3))
 	// Same-base pairs: the copy, then the partner, loaded at the reference's base.
-	f.Add(partner, ref, ref, uint32(b1), uint32(b2), uint32(b2))
+	f.Add(partner, ref, ref, uint32(b1), uint32(b2), uint32(b2), ref, uint32(b2))
 	tampered := append([]byte(nil), ref...)
 	tampered[3] ^= 0x40
-	f.Add(partner, tampered, ref, uint32(b1), uint32(b2), uint32(b2))
-	f.Add(ref, clean, ref, uint32(b2), uint32(b3), uint32(b2))
+	f.Add(partner, tampered, ref, uint32(b1), uint32(b2), uint32(b2), partner, uint32(b1))
+	f.Add(ref, clean, ref, uint32(b2), uint32(b3), uint32(b2), partner, uint32(b1))
 	// A tamper inside a window, above the offset: the RVAs disagree.
 	tampered = append([]byte(nil), clean...)
 	tampered[8+3] ^= 0x01
-	f.Add(partner, tampered, ref, uint32(b1), uint32(b3), uint32(b2))
+	f.Add(partner, tampered, ref, uint32(b1), uint32(b3), uint32(b2), tampered, uint32(b3))
 	// A shorter and a longer copy.
-	f.Add(partner, clean[:30], ref, uint32(b1), uint32(b3), uint32(b2))
-	f.Add(partner, append(clean, 0xEE), ref, uint32(b1), uint32(b3), uint32(b2))
+	f.Add(partner, clean[:30], ref, uint32(b1), uint32(b3), uint32(b2), clean[:30], uint32(b3))
+	f.Add(partner, append(clean, 0xEE), ref, uint32(b1), uint32(b3), uint32(b2), clean, uint32(b3))
 	// Overlapping windows: after the site at 8 is rewritten, the field at
 	// 10 (its high half plus the next two bytes) also decodes to equal
 	// RVAs, so Algorithm 2 records sites 8 and 10.
@@ -133,10 +140,22 @@ func FuzzDigestMemo(f *testing.F) {
 	if _, _, s := NormalizePair(op, or, b1, b2); !slices.Equal(s, []uint32{8, 10, 20}) {
 		f.Fatalf("overlapping-window seed records sites %v", s)
 	}
-	f.Add(op, op, or, uint32(b1), uint32(b1), uint32(b2))
+	f.Add(op, op, or, uint32(b1), uint32(b1), uint32(b2), op, uint32(b1))
+	// Second runs that fill the slot the first run left empty: after a
+	// same-base partner, and after overlapping windows.
+	f.Add(ref, clean, ref, uint32(b2), uint32(b3), uint32(b2), clean, uint32(b3))
+	f.Add(op, clean, ref, uint32(b1), uint32(b3), uint32(b2), partner, uint32(b1))
+	// A second partner whose base first differs from the reference's in
+	// another byte than the first partner's does; one shorter than the
+	// reference, which leaves the slot's entry unmatched; one loaded at the
+	// reference's base.
+	const b4 = 0xF9D00000 // first differing byte: 3
+	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), rebase(partner, []uint32{8, 20}, b1, b4), uint32(b4))
+	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), clean[:26], uint32(b3))
+	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), ref, uint32(b2))
 
 	c := NewChecker(Config{})
-	f.Fuzz(func(t *testing.T, partner, cp, ref []byte, bp, bc, br uint32) {
+	f.Fuzz(func(t *testing.T, partner, cp, ref []byte, bp, bc, br uint32, partner2 []byte, bp2 uint32) {
 		refF := digestFetch(ref, br)
 		m := newRefMemo(1)
 		defer m.release()
@@ -158,6 +177,24 @@ func FuzzDigestMemo(f *testing.F) {
 		cf := digestFetch(cp, bc)
 		if key, _ := c.digestAgainst(refF, cf, m); key != digestByPair(refF, cf) {
 			t.Fatal("copy: digestAgainst key differs from NormalizePair+MD5")
+		}
+
+		// The second run, against a fresh memo fed the same digests.
+		m.reopen()
+		fresh := newRefMemo(1)
+		defer fresh.release()
+		for _, d := range []struct {
+			name string
+			data []byte
+			base uint32
+		}{{"second partner", partner2, bp2}, {"copy", cp, bc}} {
+			sum, refSum := m.digestPair(0, d.data, ref, d.base, br)
+			wantSum, wantRef := fresh.digestPair(0, d.data, ref, d.base, br)
+			if sum != wantSum || refSum != wantRef {
+				t.Fatalf("second run: %s: the reopened memo's sums differ from a fresh memo's", d.name)
+			}
+			m.seal()
+			fresh.seal()
 		}
 	})
 }

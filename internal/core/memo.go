@@ -7,17 +7,20 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"modchecker/internal/cas"
 )
 
-// This file holds the per-run reference memo behind digestAgainst. Every
+// This file holds the reference memo behind digestAgainst. Every
 // copy of a module is normalized against the same reference, and Algorithm
 // 2 rewrites a clean copy's pair at exactly the relocation sites the first
 // digest recorded. The memo keeps those sites' windows, not the normalized
 // bytes, so a later copy proves its digest with one read-only pass over the
-// pair instead of copying, rewriting and hashing both sides again.
+// pair instead of copying, rewriting and hashing both sides again. It is
+// kept across runs while the reference's content token holds (takeMemo).
 
 // windowPools recycle the window bitmaps Algorithm 2 records on the
-// digest's miss path, which memo entries keep for the rest of their run.
+// digest's miss path, which memo entries keep for as long as their memo.
 // They are split by size class like the fetch buffers, and they are an
 // eighth of their section's size: pools of their own keep them from
 // displacing section-sized buffers in scratchPool.
@@ -62,12 +65,11 @@ var windowMask = func() (t [256]uint64) {
 	return t
 }()
 
-// refMemo remembers, for one engine run, how Algorithm 2 rewrote each
-// reference component against its first partner: the window bitmap of its
-// rewrite sites and the MD5 of the normalized reference side. It keeps no
-// normalized bytes.
+// refMemo remembers how Algorithm 2 rewrote each reference component
+// against its first partner: the window bitmap of its rewrite sites and the
+// MD5 of the normalized reference side. It keeps no normalized bytes.
 //
-// The run's first digest fills the memo on the engine's driving goroutine;
+// A run's first digest fills the memo on the engine's driving goroutine;
 // seal then closes it, and the digest workers only read it. So whether a
 // digest hits depends only on guest bytes, never on which worker ran
 // first, and a hit returns exactly the sums the miss path would compute.
@@ -75,6 +77,7 @@ type refMemo struct {
 	sides   []refSide // by reference component index
 	filling bool      // until seal: a miss may become its component's entry
 	hits    atomic.Int64
+	tok     cas.Token // the reference's content token when the memo was made
 }
 
 // refSide is one reference component's memo entry.
@@ -101,6 +104,63 @@ func newRefMemo(n int) *refMemo {
 // seal ends filling: from here on the memo is read-only, and concurrent
 // digests may share it.
 func (m *refMemo) seal() { m.filling = false }
+
+// reopen readies a kept memo for a new run: open for filling, with no hits.
+func (m *refMemo) reopen() {
+	m.filling = true
+	m.hits.Store(0)
+}
+
+// takeMemo returns the memo for a run of module whose reference has n
+// components and content token tok, sampled before the reference was
+// fetched: the module's kept memo, reopened, when it carries the same valid
+// token (reused), a fresh one otherwise. The kept memo leaves the Checker
+// either way, so no two runs ever share a memo while it fills.
+//
+// Reuse is exact: an entry is a function of the reference bytes, the
+// reference's base and the entry's sites alone, and an unchanged valid
+// token proves the first two unchanged, as it does for the digest store.
+// covers still checks every copy against the live reference bytes.
+func (c *Checker) takeMemo(module string, tok cas.Token, n int) (m *refMemo, reused bool) {
+	c.memoMu.Lock()
+	m = c.memos[module]
+	delete(c.memos, module)
+	c.memoMu.Unlock()
+	if m != nil && tok.OK && m.tok == tok && len(m.sides) == n {
+		m.reopen()
+		return m, true
+	}
+	if m != nil {
+		m.release()
+	}
+	m = newRefMemo(n)
+	m.tok = tok
+	return m, false
+}
+
+// putMemo ends a run of module: m, the run's memo, becomes the module's
+// kept memo when it carries a valid token. A nil m, from a run that
+// digested nothing, keeps none, so a fleet whose sweeps all hit the digest
+// store holds no bitmaps. Every memo not kept is released.
+func (c *Checker) putMemo(module string, m *refMemo) {
+	c.memoMu.Lock()
+	old := c.memos[module]
+	delete(c.memos, module)
+	if m != nil && m.tok.OK {
+		if c.memos == nil {
+			c.memos = make(map[string]*refMemo)
+		}
+		c.memos[module] = m
+		m = nil // kept
+	}
+	c.memoMu.Unlock()
+	if old != nil {
+		old.release()
+	}
+	if m != nil {
+		m.release()
+	}
+}
 
 // release returns every entry's bitmap to its pool. The memo must not be
 // used afterwards.
@@ -154,7 +214,7 @@ func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, ref
 }
 
 // raw returns the MD5 of reference component k's raw bytes r, hashing
-// them once per run. Workers that race to the first hash store equal sums.
+// them once per memo. Workers that race to the first hash store equal sums.
 func (m *refMemo) raw(k int, r []byte) [md5.Size]byte {
 	e := &m.sides[k]
 	if sum := e.raw.Load(); sum != nil {

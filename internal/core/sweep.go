@@ -55,6 +55,10 @@ type PoolSweep struct {
 	// an earlier session whose pool carried the same identity stamp. Always
 	// false without Config.DedupIdentical.
 	Regrouped bool
+	// MemoReuses counts the module checks of this session whose digests
+	// started from a reference memo an earlier check kept, because the
+	// reference's content token had not changed since.
+	MemoReuses int
 	// closed marks the session released; lookups then fail with
 	// ErrSweepClosed.
 	closed bool

@@ -149,16 +149,17 @@ func lintSrc(t *testing.T, name, src string) []lint.Finding {
 	return findings
 }
 
-// TestReleasetrackBranchTargets matches releasetrack's findings over
-// branchSrc against its // want comments, one for one.
-func TestReleasetrackBranchTargets(t *testing.T) {
+// matchReleasetrack matches releasetrack's findings over src, linted as
+// package name, against its // want comments, one for one.
+func matchReleasetrack(t *testing.T, name, src string) {
+	t.Helper()
 	wants := make(map[int]string)
-	for i, line := range strings.Split(branchSrc, "\n") {
+	for i, line := range strings.Split(src, "\n") {
 		if m := wantRE.FindStringSubmatch(line); m != nil {
 			wants[i+1] = m[2]
 		}
 	}
-	for _, f := range lintSrc(t, "branches", branchSrc) {
+	for _, f := range lintSrc(t, name, src) {
 		if f.Rule != "releasetrack" {
 			continue
 		}
@@ -169,8 +170,14 @@ func TestReleasetrackBranchTargets(t *testing.T) {
 		delete(wants, f.Pos.Line)
 	}
 	for line, want := range wants {
-		t.Errorf("branches.go:%d: expected [releasetrack] %q, not reported", line, want)
+		t.Errorf("%s.go:%d: expected [releasetrack] %q, not reported", name, line, want)
 	}
+}
+
+// TestReleasetrackBranchTargets matches releasetrack's findings over
+// branchSrc against its // want comments.
+func TestReleasetrackBranchTargets(t *testing.T) {
+	matchReleasetrack(t, "branches", branchSrc)
 }
 
 // TestReleasetrackDeepLoopNest walks a 40-deep nest of loops: a walker that

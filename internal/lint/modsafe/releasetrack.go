@@ -215,17 +215,22 @@ func (rt *releaseTracker) assign(st *ast.AssignStmt, obls []obligation) []obliga
 	return obls
 }
 
-// acquire creates the obligation of d's call, keyed by its first non-error
-// destination in lhs or, when nothing the callee returns can hold the
-// resource, by the receiver (d.Pause(), err := g.Engage()). held reports
-// that lhs is every destination of the result: an acquire that reaches no
-// key then is discarded.
+// acquire creates the obligation of d's call, keyed by its first
+// non-error, non-blank destination in lhs or, when nothing the callee
+// returns can hold the resource, by the receiver (d.Pause(),
+// err := g.Engage()). held reports that lhs is every destination of the
+// result: an acquire that reaches no key then is discarded.
 func (rt *releaseTracker) acquire(d *modgraph.Directive, call *ast.CallExpr, lhs []ast.Expr, held bool, obls []obligation) []obligation {
 	key, errKey := "", ""
 	for _, l := range lhs {
-		if id, ok := ast.Unparen(l).(*ast.Ident); ok && id.Name != "_" && isErrorIdent(rt.m, id) {
+		id, ok := ast.Unparen(l).(*ast.Ident)
+		switch {
+		case ok && id.Name == "_":
+			// A blank destination holds nothing: neither the resource nor
+			// the error that conditions it.
+		case ok && isErrorIdent(rt.m, id):
 			errKey = id.Name
-		} else if key == "" {
+		case key == "":
 			key = exprKey(l)
 		}
 	}

@@ -1,0 +1,47 @@
+package modchecker
+
+import "testing"
+
+// TestRefMemoReusesCounter pins core/ref_memo_reuses on a cached scanner
+// over a 16-clone, 2-template fleet: a sweep adds one per module whose
+// check started from the memo an earlier sweep kept. All-hit sweeps digest
+// nothing and drop the kept memos, so warm sweeps leave the counter flat,
+// and the first sweep after one digests from fresh memos.
+func TestRefMemoReusesCounter(t *testing.T) {
+	cloud, err := NewCloud(CloudConfig{VMs: 16, Templates: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vm = "Dom6"
+	if err := cloud.Domain(vm).TakeSnapshot("boot"); err != nil {
+		t.Fatal(err)
+	}
+	modules := []string{"dummy.sys", "hal.dll", "ndis.sys"}
+	sc := cloud.NewScanner(WithDigestCache(NewDigestStore(0)))
+	sc.SetModules(modules)
+	reuses := func() uint64 { return counterValue(cloud.Metrics().Snapshot(), "core/ref_memo_reuses") }
+	sweep := func(step string, want uint64) {
+		t.Helper()
+		before := reuses()
+		if _, err := sc.Sweep(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := reuses() - before; got != want {
+			t.Errorf("%s: %d module checks started from a kept memo, want %d", step, got, want)
+		}
+	}
+	n := uint64(len(modules))
+
+	sweep("cold sweep", 0)
+	sweep("warm sweep", 0)
+	if err := InfectOpcode(cloud, vm, "hal.dll"); err != nil {
+		t.Fatal(err)
+	}
+	sweep("first sweep with a patched VM", 0)
+	sweep("second sweep with a patched VM", n)
+	if err := cloud.Domain(vm).Revert("boot"); err != nil {
+		t.Fatal(err)
+	}
+	sweep("sweep after the revert", n)
+	sweep("warm sweep after the revert", 0)
+}

@@ -266,6 +266,7 @@ type Scanner struct {
 	mVMBudget     *metrics.Counter
 	mResumed      *metrics.Counter
 	mRegroups     *metrics.Counter
+	mMemoReuses   *metrics.Counter
 	hSweepSim     *metrics.Histogram
 	hModuleSim    *metrics.Histogram
 }
@@ -315,6 +316,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mVMBudget:     reg.Counter("scanner/vm_budget_skips"),
 		mResumed:      reg.Counter("scanner/resumed_sweeps"),
 		mRegroups:     c.mRegroups,
+		mMemoReuses:   reg.Counter("core/ref_memo_reuses"),
 		hSweepSim:     reg.Histogram("scanner/sweep_sim_seconds", nil),
 		hModuleSim:    reg.Histogram("scanner/module_sim_seconds", nil),
 	}
@@ -688,6 +690,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 		}
 	})
 	rep.Timing.Work.Searcher += session.ListTiming
+	s.mMemoReuses.Add(uint64(session.MemoReuses))
 
 	// Modules never reached become the checkpoint the next sweep resumes
 	// from. (VMs dropped by the per-VM budget are accounted in updateHealth.)
