@@ -3,6 +3,7 @@ package modchecker
 import (
 	"io"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 )
@@ -144,7 +145,8 @@ func TestWarmScannerSweepAllocatesLinearly(t *testing.T) {
 // dedupSweepAlloc returns the heap objects and bytes each of `sweeps`
 // warm dedup scanner sweeps and their WriteJSON allocate over a clean
 // vms-VM fleet of 4 templates (shard 256, lean, 3 modules). The first
-// sweep warms the scanner; the ones after it are measured.
+// sweep warms the scanner; the ones after it are measured, each on one P
+// with the garbage collector held off.
 func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
 	t.Helper()
 	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 42})
@@ -156,9 +158,18 @@ func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
 	if _, err := sc.Sweep(); err != nil {
 		t.Fatal(err)
 	}
-	for range sweeps {
+	measure := func() {
 		var before, after runtime.MemStats
 		runtime.GC()
+		// A collection during the sweep would empty the fetch-buffer pools,
+		// and a sweep moved to another P misses the buffers left in the
+		// first P's private pool slot; either makes the sweep refill the
+		// pools, and on a loaded host that happens often enough to decide
+		// the result. Hold the collector off and sweep on one P.
+		gc := debug.SetGCPercent(-1)
+		defer debug.SetGCPercent(gc)
+		procs := runtime.GOMAXPROCS(1)
+		defer runtime.GOMAXPROCS(procs)
 		runtime.ReadMemStats(&before)
 		rep, err := sc.Sweep()
 		if err == nil {
@@ -173,6 +184,9 @@ func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
 		}
 		objects = append(objects, after.Mallocs-before.Mallocs)
 		bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	for range sweeps {
+		measure()
 	}
 	return objects, bytes
 }

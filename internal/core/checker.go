@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -397,16 +398,26 @@ type fetched struct {
 	info   *ModuleInfo
 	parsed *ParsedModule
 	timing PhaseTiming
-	// relocSites holds the module's own fixup sites when the reloc-table
-	// normalizer is active; normalized caches per-component normalized
-	// hashes.
-	relocSites []uint32
-	normHashes map[string][md5.Size]byte
+	// normHashes holds each component's hash after the reloc-table
+	// normalizer rewrote the module's own fixup sites, by component index.
+	normHashes [][md5.Size]byte
 	// buf is the raw module copy backing parsed.Raw and every component's
 	// Data. Page-wise copies draw it from the fetch-buffer pool; once a
 	// report no longer needs the bytes, releaseFetched recycles it.
 	buf []byte
 	err error
+
+	// Digest facts: what digestAgainst learned about this copy against the
+	// reference fetch `against` (nil: nothing recorded), one bit per
+	// component index below 64, so the compare stage need not run
+	// Algorithm 2 on the copy again (compareFact).
+	//   - refMatch: compareComponent against the reference's peer matches,
+	//     when the peer has the component's Normalize flag;
+	//   - refCovered: the component equals the reference's peer outside the
+	//     memo entry's windows and carries its RVAs inside them, or the
+	//     bases are equal and the bytes are the reference's.
+	against              *fetched
+	refMatch, refCovered uint64
 }
 
 // releaseFetched recycles a fetch's module buffer once nothing derived from
@@ -466,8 +477,7 @@ func (c *Checker) parseFetched(f *fetched, module string, info *ModuleInfo, buf 
 			f.err = fmt.Errorf("core: reloc table of %s on %s: %w", module, f.name, err)
 			return
 		}
-		f.relocSites = sites
-		f.normHashes = make(map[string][md5.Size]byte, len(parsed.Components))
+		f.normHashes = make([][md5.Size]byte, len(parsed.Components))
 		var cost time.Duration
 		for i := range parsed.Components {
 			comp := &parsed.Components[i]
@@ -476,7 +486,7 @@ func (c *Checker) parseFetched(f *fetched, module string, info *ModuleInfo, buf 
 				data = ApplyRelocNormalization(comp, sites, info.Base)
 				cost += perKB(len(data), scanCostPerKB)
 			}
-			f.normHashes[comp.Name] = md5.Sum(data)
+			f.normHashes[i] = md5.Sum(data)
 			cost += perKB(len(data), hashCostPerKB)
 		}
 		f.timing.Checker = c.charge(cost)
@@ -513,10 +523,9 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 	rep.Elapsed += fetchElapsed
 
 	tallies := make(map[string]*ComponentTally)
-	order := make([]string, 0, len(tf.parsed.Components))
-	for _, comp := range tf.parsed.Components {
-		tallies[comp.Name] = &ComponentTally{Name: comp.Name}
-		order = append(order, comp.Name)
+	order := componentNames(tf)
+	for _, name := range order {
+		tallies[name] = &ComponentTally{Name: name}
 	}
 
 	for _, pf := range peerFetches {
@@ -527,7 +536,7 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 			})
 			continue
 		}
-		mismatched, cost := c.compare(tf, pf)
+		mismatched, cost, _ := c.compare(tf, pf)
 		charged := c.charge(cost)
 		rep.Timing.Checker += charged
 		rep.Elapsed += charged // target-vs-peer comparisons run serially on Dom0
@@ -603,48 +612,98 @@ func vote(successes, comparisons int) Verdict {
 	}
 }
 
-// compare hashes every component of the two copies and returns the names
-// that disagree plus the nominal CPU cost of the comparison.
-func (c *Checker) compare(a, b *fetched) (mismatched []string, cost time.Duration) {
-	names := make(map[string]bool)
-	for _, comp := range a.parsed.Components {
-		names[comp.Name] = true
-	}
-	for _, comp := range b.parsed.Components {
-		names[comp.Name] = true
-	}
-	for _, compA := range a.parsed.Components {
-		delete(names, compA.Name)
-		compB := b.parsed.Component(compA.Name)
-		if compB == nil {
+// compare hashes every component pair of the two copies and returns the
+// names that disagree, sorted and without repeats, plus the nominal CPU
+// cost of the comparison and how many component pairs the digest facts
+// answered without running Algorithm 2 again. Components pair by name and
+// occurrence (see ParsedModule.peer); one that has no peer mismatches.
+func (c *Checker) compare(a, b *fetched) (mismatched []string, cost time.Duration, derived int) {
+	ca, cb := a.parsed.Components, b.parsed.Components
+	for i := range ca {
+		compA := &ca[i]
+		j := b.parsed.peer(compA, i)
+		if j < 0 {
 			mismatched = append(mismatched, compA.Name)
 			continue
 		}
-		eq, d := c.compareComponent(a, b, &compA, compB)
-		cost += d
+		compB := &cb[j]
+		cost += c.compareCost(compA, compB)
+		eq, ok := compareFact(a, b, i, j)
+		if ok {
+			derived++
+		} else {
+			eq = c.compareComponent(a, b, i, j)
+		}
 		if !eq {
 			mismatched = append(mismatched, compA.Name)
 		}
 	}
 	// Components only the peer has.
-	for name := range names {
-		mismatched = append(mismatched, name)
+	for j := range cb {
+		if a.parsed.peer(&cb[j], j) < 0 {
+			mismatched = append(mismatched, cb[j].Name)
+		}
 	}
 	sort.Strings(mismatched)
-	return mismatched, cost
+	return slices.Compact(mismatched), cost, derived
 }
 
-// compareComponent hashes one component pair under the configured
-// normalizer.
-func (c *Checker) compareComponent(a, b *fetched, compA, compB *Component) (bool, time.Duration) {
-	if c.cfg.Normalizer == NormalizeRelocTable {
-		// Hashes were precomputed per VM at parse time; comparing is free.
-		return a.normHashes[compA.Name] == b.normHashes[compB.Name], 0
+// compareFact answers the comparison of component i of a with its peer,
+// component j of b, from the digest facts, when they settle it (ok):
+//
+//   - a is the reference b was digested against: the digest's refMatch
+//     bit. Algorithm 2 is symmetric in its sides, so the digest's sums are
+//     the comparison's.
+//   - both sides were digested against one reference and both are
+//     covered: a match. Both sides equal the reference outside the same
+//     windows and carry the same RVAs inside them, so Algorithm 2 run on
+//     the pair, at the pair's own base offset, rewrites exactly those
+//     windows and leaves the sides equal (refMemo.covers' argument).
+//
+// Everything else, including a pair whose Normalize flags differ, is left
+// to compareComponent.
+func compareFact(a, b *fetched, i, j int) (eq, ok bool) {
+	if i >= 64 || j >= 64 || a.parsed.Components[i].Normalize != b.parsed.Components[j].Normalize {
+		return false, false
 	}
-	var cost time.Duration
-	dataA, dataB := compA.Data, compB.Data
+	switch {
+	case b.against == a:
+		return b.refMatch>>j&1 != 0, true
+	case a.against != nil && a.against == b.against && a.refCovered>>i&1 != 0 && b.refCovered>>j&1 != 0:
+		return true, true
+	}
+	return false, false
+}
+
+// compareCost is the nominal CPU cost of comparing one component pair:
+// scanning both sides when Algorithm 2 normalizes them, and hashing both.
+// It depends only on the lengths, so a comparison the digest facts answer
+// is charged what running it costs.
+func (c *Checker) compareCost(compA, compB *Component) time.Duration {
+	if c.cfg.Normalizer == NormalizeRelocTable {
+		// Hashes were precomputed (and charged) per VM at parse time.
+		return 0
+	}
+	n := len(compA.Data) + len(compB.Data)
 	if compA.Normalize && compB.Normalize {
-		cost += perKB(len(dataA)+len(dataB), scanCostPerKB)
+		return perKB(n, scanCostPerKB) + perKB(n, hashCostPerKB)
+	}
+	return perKB(n, hashCostPerKB)
+}
+
+// compareComponent hashes component i of a and its peer, component j of
+// b, under the configured normalizer; compareCost is its charge.
+func (c *Checker) compareComponent(a, b *fetched, i, j int) bool {
+	if c.cfg.Normalizer == NormalizeRelocTable {
+		return a.normHashes[i] == b.normHashes[j]
+	}
+	compA, compB := &a.parsed.Components[i], &b.parsed.Components[j]
+	dataA, dataB := compA.Data, compB.Data
+	if len(dataA) != len(dataB) {
+		// Unequal lengths never match.
+		return false
+	}
+	if compA.Normalize && compB.Normalize {
 		// Normalize on pooled scratch buffers: a pool sweep runs O(t²)
 		// comparisons over multi-hundred-KiB sections, and per-pair copies
 		// would dominate the allocator.
@@ -657,16 +716,11 @@ func (c *Checker) compareComponent(a, b *fetched, compA, compB *Component) (bool
 		defer putScratch(sa)
 		defer putScratch(sb)
 	}
-	// The charge is the nominal hashing of both sides; the host hashes only
-	// when the verdict depends on it. Unequal lengths never match, and
-	// equal bytes always do; only unequal bytes of equal length need the
-	// MD5 comparison, which keeps its semantics exact, collisions included.
-	cost += perKB(len(dataA)+len(dataB), hashCostPerKB)
-	if len(compA.Data) != len(compB.Data) {
-		return false, cost
-	}
+	// The host hashes only when the verdict depends on it: equal bytes
+	// always match, and only unequal bytes of equal length need the MD5
+	// comparison, which keeps its semantics exact, collisions included.
 	if bytes.Equal(dataA, dataB) {
-		return true, cost
+		return true
 	}
-	return md5.Sum(dataA) == md5.Sum(dataB), cost
+	return md5.Sum(dataA) == md5.Sum(dataB)
 }

@@ -33,7 +33,12 @@ func testDisk(t testing.TB) map[string][]byte {
 // pool boots n identical guests and opens a VMI target on each.
 func testPool(t testing.TB, n int) ([]*guest.Guest, []Target) {
 	t.Helper()
-	disk := testDisk(t)
+	return testPoolFrom(t, n, testDisk(t))
+}
+
+// testPoolFrom is testPool booting from the given disk.
+func testPoolFrom(t testing.TB, n int, disk map[string][]byte) ([]*guest.Guest, []Target) {
+	t.Helper()
 	profile := vmi.XPSP2Profile(guest.PsLoadedModuleListVA)
 	guests := make([]*guest.Guest, n)
 	targets := make([]Target, n)

@@ -46,6 +46,7 @@ package core
 // byte-identically for a fixed seed.
 
 import (
+	"sync/atomic"
 	"time"
 
 	"modchecker/internal/cas"
@@ -92,6 +93,9 @@ type outcome struct {
 	clusters  []cluster
 	mm        map[clusterPair][]string // representative comparisons
 	memoHits  int64                    // digest components the reference memo's window check answered in this run
+	// compareDerived counts the compare stage's component pairs the digest
+	// facts answered in this run; compare workers add to it atomically.
+	compareDerived int64
 }
 
 // mismatches returns the representative comparison between two clusters:
@@ -157,12 +161,15 @@ func sourceToken(p Pool, i int) cas.Token {
 	return cas.Token{ID: id, OK: true, Epoch: p.Epoch(i)}
 }
 
-// componentNames extracts a fetched copy's component names in module order.
+// componentNames extracts a fetched copy's component names in module
+// order, each once: a report tallies components by name.
 func componentNames(f *fetched) []string {
 	comps := f.parsed.Components
-	names := make([]string, len(comps))
+	names := make([]string, 0, len(comps))
 	for k := range comps {
-		names[k] = comps[k].Name
+		if comps[k].occ == 0 {
+			names = append(names, comps[k].Name)
+		}
 	}
 	return names
 }
@@ -432,12 +439,20 @@ func (e *engine) run(module string) (*outcome, bool) {
 			return nil, false
 		}
 	}
+	// Digest facts answer most components: a pair with the reference reads
+	// its partner's digest, and two clusters digested clean against the
+	// reference's windows match there (compareFact). A materialized
+	// cluster has no facts, and its components run Algorithm 2 again.
 	runBounded(len(toCompare), c.stageWorkers(), func(k int) {
 		p := cpairs[toCompare[k]]
-		mm, cost := c.compare(o.clusters[p.a].f, o.clusters[p.b].f)
+		mm, cost, derived := c.compare(o.clusters[p.a].f, o.clusters[p.b].f)
 		mms[toCompare[k]] = mm
 		costs[toCompare[k]] = c.charge(cost)
+		atomic.AddInt64(&o.compareDerived, int64(derived))
 	})
+	if e.ps != nil {
+		e.ps.CompareDerived += int(o.compareDerived)
+	}
 	o.mm = make(map[clusterPair][]string, len(cpairs))
 	for k, p := range cpairs {
 		o.mm[p] = mms[k]

@@ -92,6 +92,13 @@ func rebase(data []byte, sites []uint32, base, newBase uint32) []byte {
 //     side;
 //   - digestAgainst's key equals NormalizePair followed by two MD5s.
 //
+// The digest facts digestAgainst records must answer the compare stage
+// exactly: for the reference paired with the partner and with the copy,
+// and for the partner paired with the copy whenever they answer it,
+// compareFact equals compareComponent; and when the window check or the
+// equal-base shortcut covers both the partner and the copy, Algorithm 2
+// normalizes the two to equal sides at their own bases.
+//
 // It then runs the memo a second time, as a Checker does with a kept
 // memo: reopened for filling, with a different partner, partner2, as its
 // first digest, then sealed again for the copy. Every sum of that run must
@@ -153,6 +160,12 @@ func FuzzDigestMemo(f *testing.F) {
 	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), rebase(partner, []uint32{8, 20}, b1, b4), uint32(b4))
 	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), clean[:26], uint32(b3))
 	f.Add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), ref, uint32(b2))
+	// Partner and copy covered at one base of their own, and at bases that
+	// differ from each other only in their top byte.
+	f.Add(partner, partner, ref, uint32(b1), uint32(b1), uint32(b2), partner, uint32(b1))
+	const b5 = 0xF9CC0000 // b1 with another top byte
+	f.Add(partner, rebase(partner, []uint32{8, 20}, b1, b5), ref, uint32(b1), uint32(b5), uint32(b2), clean, uint32(b3))
+	f.Add(ref, rebase(ref, []uint32{8, 20}, b2, b4), ref, uint32(b2), uint32(b4), uint32(b2), clean, uint32(b3))
 
 	c := NewChecker(Config{})
 	f.Fuzz(func(t *testing.T, partner, cp, ref []byte, bp, bc, br uint32, partner2 []byte, bp2 uint32) {
@@ -179,6 +192,29 @@ func FuzzDigestMemo(f *testing.F) {
 			t.Fatal("copy: digestAgainst key differs from NormalizePair+MD5")
 		}
 
+		for _, d := range []struct {
+			name string
+			f    *fetched
+		}{{"partner", pf}, {"copy", cf}} {
+			eq, ok := compareFact(refF, d.f, 0, 0)
+			if want := c.compareComponent(refF, d.f, 0, 0); !ok || eq != want {
+				t.Fatalf("%s: the digest facts answer %v (ok %v) for the pair with the reference, compareComponent %v", d.name, eq, ok, want)
+			}
+		}
+		eq, ok := compareFact(pf, cf, 0, 0)
+		if pf.refCovered&cf.refCovered&1 != 0 {
+			n1, n2, _ := NormalizePair(partner, cp, bp, bc)
+			if !bytes.Equal(n1, n2) {
+				t.Fatal("partner and copy both covered, but Algorithm 2 does not normalize them to equal sides")
+			}
+			if !ok {
+				t.Fatal("partner and copy both covered, but the digest facts do not answer their pair")
+			}
+		}
+		if want := c.compareComponent(pf, cf, 0, 0); ok && eq != want {
+			t.Fatalf("the digest facts answer %v for the partner and the copy, compareComponent %v", eq, want)
+		}
+
 		// The second run, against a fresh memo fed the same digests.
 		m.reopen()
 		fresh := newRefMemo(1)
@@ -188,8 +224,8 @@ func FuzzDigestMemo(f *testing.F) {
 			data []byte
 			base uint32
 		}{{"second partner", partner2, bp2}, {"copy", cp, bc}} {
-			sum, refSum := m.digestPair(0, d.data, ref, d.base, br)
-			wantSum, wantRef := fresh.digestPair(0, d.data, ref, d.base, br)
+			sum, refSum, _ := m.digestPair(0, d.data, ref, d.base, br)
+			wantSum, wantRef, _ := fresh.digestPair(0, d.data, ref, d.base, br)
 			if sum != wantSum || refSum != wantRef {
 				t.Fatalf("second run: %s: the reopened memo's sums differ from a fresh memo's", d.name)
 			}

@@ -176,17 +176,23 @@ func (m *refMemo) release() {
 // reference component k, after Algorithm 2 has normalized c (loaded at
 // base) against r (loaded at refBase). It hashes only what the memo does
 // not already prove.
-func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, refSum [md5.Size]byte) {
+//
+// covered reports that c equals r outside the component's entry windows
+// and carries r's RVAs inside them (covers' conditions), or that the bases
+// are equal and c is r byte for byte. Two covered copies of one component
+// normalize equal against each other under any base pair of their own
+// (compareFact).
+func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, refSum [md5.Size]byte, covered bool) {
 	if base == refBase {
 		// Equal bases: Algorithm 2 rewrites nothing, both sides stay raw.
 		refSum = m.raw(k, r)
 		if bytes.Equal(c, r) {
-			return refSum, refSum
+			return refSum, refSum, true
 		}
-		return md5.Sum(c), refSum
+		return md5.Sum(c), refSum, false
 	}
 	if m.covers(k, c, r, base, refBase) {
-		return m.sides[k].sum, m.sides[k].sum
+		return m.sides[k].sum, m.sides[k].sum, true
 	}
 
 	// Miss: Algorithm 2 itself, on scratch copies, marking its sites in a
@@ -203,14 +209,18 @@ func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, ref
 	if !ok {
 		refSum = md5.Sum(*sb)
 	}
+	equal := bytes.Equal(*sa, *sb)
 	sum = refSum
-	if !bytes.Equal(*sa, *sb) {
+	if !equal {
 		sum = md5.Sum(*sa)
 	}
 	putScratch(sa)
 	putScratch(sb)
-	m.keep(k, starts, refSum)
-	return sum, refSum
+	// Equal sides mean c is r outside the rewritten windows and carries r's
+	// RVAs inside them: covered, once those windows are the entry's. (Equal
+	// sides at the entry's own sites would have passed covers.)
+	covered = m.keep(k, starts, refSum) && equal
+	return sum, refSum, covered
 }
 
 // raw returns the MD5 of reference component k's raw bytes r, hashing
@@ -300,18 +310,20 @@ func (m *refMemo) sumFor(k int, starts []byte) ([md5.Size]byte, bool) {
 }
 
 // keep offers the window bitmap a miss recorded on component k, with the
-// MD5 of the normalized reference side, as the component's entry. The memo
-// takes the bitmap while it is filling, the slot is empty and no two
-// windows overlap; otherwise the bitmap goes back to its pool.
+// MD5 of the normalized reference side, as the component's entry, and
+// reports whether the memo took it. The memo takes the bitmap while it is
+// filling, the slot is empty and no two windows overlap; otherwise the
+// bitmap goes back to its pool.
 //
 //modown:transfer windows
-func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte) {
+func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte) bool {
 	e := &m.sides[k]
 	if !m.filling || e.starts != nil || overlapping(*starts) {
 		putWindows(starts)
-		return
+		return false
 	}
 	e.starts, e.sum = starts, sum
+	return true
 }
 
 // overlapping reports whether two of the sites marked in starts lie less

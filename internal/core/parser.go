@@ -52,6 +52,10 @@ type Component struct {
 	// VirtualAddress/VirtualSize are set for section data.
 	VirtualAddress uint32
 	VirtualSize    uint32
+	// occ counts the components of the same name before this one in its
+	// module: sections may share a name, and two copies' components pair
+	// by name and occurrence (see peer).
+	occ uint32
 }
 
 // ParsedModule is the output of Module-Parser for one VM's copy of a
@@ -64,19 +68,28 @@ type ParsedModule struct {
 	Raw        []byte // the full in-memory module image
 }
 
-// Component returns the named component, or nil.
+// Component returns the first component of the given name, or nil.
 func (m *ParsedModule) Component(name string) *Component {
-	if i := m.componentIndex(name); i >= 0 {
-		return &m.Components[i]
+	for i := range m.Components {
+		if m.Components[i].Name == name {
+			return &m.Components[i]
+		}
 	}
 	return nil
 }
 
-// componentIndex returns the index of the named component, or -1.
-func (m *ParsedModule) componentIndex(name string) int {
-	for i := range m.Components {
-		if m.Components[i].Name == name {
-			return i
+// peer returns the index of the component that pairs with c, a component
+// of another copy of the module: the one with c's name at c's occurrence,
+// or -1. hint, c's own index, is tried first; copies of one module list
+// their components in the same order.
+func (m *ParsedModule) peer(c *Component, hint int) int {
+	comps := m.Components
+	if hint < len(comps) && comps[hint].Name == c.Name && comps[hint].occ == c.occ {
+		return hint
+	}
+	for k := range comps {
+		if comps[k].Name == c.Name && comps[k].occ == c.occ {
+			return k
 		}
 	}
 	return -1
@@ -187,4 +200,11 @@ func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedMod
 	return m, cost, nil
 }
 
-func (m *ParsedModule) add(c Component) { m.Components = append(m.Components, c) }
+func (m *ParsedModule) add(c Component) {
+	for k := range m.Components {
+		if m.Components[k].Name == c.Name {
+			c.occ++
+		}
+	}
+	m.Components = append(m.Components, c)
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/md5"
 	"encoding/binary"
 	"strconv"
@@ -172,17 +173,19 @@ func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Dura
 }
 
 // digestAgainst computes one copy's cluster key: every component normalized
-// against the reference fetch and digested, folding in both normalized
-// sides. Including the reference's normalized side is what makes digest
-// equality imply a pairwise match: two copies share a key only if they
-// rewrote the reference identically, which rules out a tampered byte that
-// happens to coincide with a legitimate copy's normalized form.
+// against its peer in the reference fetch and digested, folding in both
+// normalized sides. Including the reference's normalized side is what
+// makes digest equality imply a pairwise match: two copies share a key
+// only if they rewrote the reference identically, which rules out a
+// tampered byte that happens to coincide with a legitimate copy's
+// normalized form.
 //
 // The charges are the nominal scan and hash work of both sides; the host
 // does only the work the run's reference memo does not already prove. A
 // clean copy is answered by the memo's window check, with no copy,
 // rewrite or MD5; a copy side equal to its reference side reuses the
-// reference's sum.
+// reference's sum. Along the way it records f's digest facts against ref
+// (see fetched), which answer the compare stage's pairs.
 //
 //moddet:sink digest keys must be a pure function of guest memory
 func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Duration) {
@@ -196,28 +199,50 @@ func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Du
 		h.Write(lenBuf[:])
 		h.Write(sum[:])
 	}
+	reloc := c.cfg.Normalizer == NormalizeRelocTable
+	if !reloc {
+		f.against, f.refMatch, f.refCovered = ref, 0, 0
+	}
 	for i := range f.parsed.Components {
 		comp := &f.parsed.Components[i]
-		if c.cfg.Normalizer == NormalizeRelocTable {
+		if reloc {
 			// Per-VM normalized hashes were precomputed (and charged) at
 			// parse time; the digest just folds them together.
-			writePart(comp.Name, len(comp.Data), f.normHashes[comp.Name])
+			writePart(comp.Name, len(comp.Data), f.normHashes[i])
 			continue
 		}
-		if rk := ref.parsed.componentIndex(comp.Name); comp.Normalize && rk >= 0 {
+		var match, covered bool
+		rk := ref.parsed.peer(comp, i)
+		if comp.Normalize && rk >= 0 {
 			data, refData := comp.Data, ref.parsed.Components[rk].Data
 			cost += perKB(len(data)+len(refData), scanCostPerKB)
 			cost += perKB(len(data)+len(refData), hashCostPerKB)
-			sum, refSum := memo.digestPair(rk, data, refData, f.info.Base, ref.info.Base)
+			sum, refSum, cov := memo.digestPair(rk, data, refData, f.info.Base, ref.info.Base)
 			writePart(comp.Name, len(data), sum)
 			writePart("", len(refData), refSum)
-			continue
+			match, covered = len(data) == len(refData) && sum == refSum, cov
+		} else {
+			// Non-relocated components (and components the reference lacks)
+			// cluster on their raw hash: equal raw bytes match pairwise
+			// under any base pair, since the diff scan sees no differing
+			// bytes.
+			cost += perKB(len(comp.Data), hashCostPerKB)
+			sum := md5.Sum(comp.Data)
+			writePart(comp.Name, len(comp.Data), sum)
+			if rk >= 0 {
+				refData := ref.parsed.Components[rk].Data
+				covered = bytes.Equal(comp.Data, refData)
+				match = covered || len(comp.Data) == len(refData) && sum == memo.raw(rk, refData)
+			}
 		}
-		// Non-relocated components (and components the reference lacks)
-		// cluster on their raw hash: equal raw bytes match pairwise under
-		// any base pair, since the diff scan sees no differing bytes.
-		cost += perKB(len(comp.Data), hashCostPerKB)
-		writePart(comp.Name, len(comp.Data), md5.Sum(comp.Data))
+		if i < 64 {
+			if match {
+				f.refMatch |= 1 << i
+			}
+			if covered {
+				f.refCovered |= 1 << i
+			}
+		}
 	}
 	return string(h.Sum(nil)), cost
 }

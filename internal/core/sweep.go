@@ -59,6 +59,10 @@ type PoolSweep struct {
 	// started from a reference memo an earlier check kept, because the
 	// reference's content token had not changed since.
 	MemoReuses int
+	// CompareDerived counts the component pairs this session's compare
+	// stages answered from digest facts instead of running Algorithm 2
+	// again (see compareFact).
+	CompareDerived int
 	// closed marks the session released; lookups then fail with
 	// ErrSweepClosed.
 	closed bool

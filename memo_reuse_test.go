@@ -45,3 +45,45 @@ func TestRefMemoReusesCounter(t *testing.T) {
 	sweep("sweep after the revert", n)
 	sweep("warm sweep after the revert", 0)
 }
+
+// TestCompareDerivedCounter pins core/compare_derived on a cached scanner
+// over a 16-clone, 2-template fleet. Each module has three clusters: the
+// reference, the other clones at its base, and the clones at the other
+// template's base. The memo covers every component of all three, so a
+// cold sweep answers every component of the three cluster pairs from
+// digest facts. A warm sweep replays every pair from the store and adds
+// nothing.
+func TestCompareDerivedCounter(t *testing.T) {
+	cloud, err := NewCloud(CloudConfig{VMs: 16, Templates: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modules := []string{"hal.dll", "ndis.sys"}
+	var want uint64
+	for _, m := range modules {
+		rep, err := cloud.NewChecker().CheckModule(m, "Dom1", "Dom2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += 3 * uint64(len(rep.Components))
+	}
+	sc := cloud.NewScanner(WithDigestCache(NewDigestStore(0)))
+	sc.SetModules(modules)
+	derived := func() uint64 { return counterValue(cloud.Metrics().Snapshot(), "core/compare_derived") }
+	sweep := func(step string, want uint64) {
+		t.Helper()
+		before := derived()
+		rep, err := sc.Sweep()
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("%s: clean fleet flagged: %+v", step, rep.Alerts)
+		}
+		if got := derived() - before; got != want {
+			t.Errorf("%s: %d component pairs answered from digest facts, want %d", step, got, want)
+		}
+	}
+	sweep("cold sweep", want)
+	sweep("warm sweep", 0)
+}

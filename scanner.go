@@ -267,6 +267,7 @@ type Scanner struct {
 	mResumed      *metrics.Counter
 	mRegroups     *metrics.Counter
 	mMemoReuses   *metrics.Counter
+	mDerived      *metrics.Counter
 	hSweepSim     *metrics.Histogram
 	hModuleSim    *metrics.Histogram
 }
@@ -317,6 +318,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mResumed:      reg.Counter("scanner/resumed_sweeps"),
 		mRegroups:     c.mRegroups,
 		mMemoReuses:   reg.Counter("core/ref_memo_reuses"),
+		mDerived:      reg.Counter("core/compare_derived"),
 		hSweepSim:     reg.Histogram("scanner/sweep_sim_seconds", nil),
 		hModuleSim:    reg.Histogram("scanner/module_sim_seconds", nil),
 	}
@@ -691,6 +693,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	})
 	rep.Timing.Work.Searcher += session.ListTiming
 	s.mMemoReuses.Add(uint64(session.MemoReuses))
+	s.mDerived.Add(uint64(session.CompareDerived))
 
 	// Modules never reached become the checkpoint the next sweep resumes
 	// from. (VMs dropped by the per-VM budget are accounted in updateHealth.)
