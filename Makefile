@@ -50,8 +50,9 @@ golden-check:
 # The full local gate, mirrored by .github/workflows/ci.yml.
 check: build vet fmt race-test lint golden-check
 
-# Focused run of the fault-injection suite under the race detector;
-# mirrored as a CI step so robustness regressions fail fast.
+# Focused run of the fault-injection suite under the race detector; the
+# CI step "Fault suite (race detector)" runs this target, so robustness
+# regressions fail fast.
 fault-suite:
 	$(GO) test -race -run 'Fault|Torn|Quarantine|Retry|Sweep|Health|Destroy|Epoch|Regroup|Memo' . ./internal/faults ./internal/vmi ./internal/hypervisor ./internal/core ./internal/mm
 

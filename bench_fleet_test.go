@@ -14,8 +14,8 @@ import (
 
 // benchFleetSweep sweeps a representative module set across a copy-on-write
 // fleet of n VMs in the fleet configuration: 4 fully booted templates with
-// everything else forked from them, sharded clustering (256-VM shards), lean
-// reports, identity dedup, and streaming report folding. This is the
+// everything else forked from them, sharded clustering (256-VM shards),
+// identity dedup, and streaming report folding. This is the
 // tentpole measurement for scaling past the paper's 15-VM testbed: host
 // wall time and allocation must stay near-flat in pool size (introspection
 // is O(templates), bookkeeping O(pool)), and peak heap must stay bounded.
@@ -35,7 +35,6 @@ func benchFleetSweep(b *testing.B, n int) {
 	}
 	checker := cloud.NewChecker(
 		modchecker.WithShardSize(256),
-		modchecker.WithLeanReports(),
 		modchecker.WithIdentityDedup(),
 	)
 	modules := []string{"dummy.sys", "hal.dll", "ndis.sys"}
@@ -150,7 +149,6 @@ func BenchmarkScannerSweep(b *testing.B) {
 			}
 			sc := cloud.NewScanner(
 				modchecker.WithShardSize(256),
-				modchecker.WithLeanReports(),
 				modchecker.WithIdentityDedup(),
 			)
 			sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})

@@ -67,7 +67,7 @@ func cacheScenarios() []struct {
 // cold store changes nothing. CostCASLookup is only charged on hits, so the
 // first sweep through an empty store must reproduce the uncached sweep
 // byte-for-byte — verdicts, alerts, and simulated timing included — for
-// every scenario, on the flat path and on the sharded lean fleet path.
+// every scenario, on the flat path and on the sharded fleet path.
 func TestCachedSweepColdMatchesUncached(t *testing.T) {
 	for _, sc := range cacheScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -81,7 +81,7 @@ func TestCachedSweepColdMatchesUncached(t *testing.T) {
 		})
 		t.Run(sc.name+"-fleet", func(t *testing.T) {
 			fleetOpts := append(append([]CheckerOption{}, sc.opts...),
-				WithShardSize(4), WithLeanReports())
+				WithShardSize(4))
 			plain := differentialSweep(t, sc.seed, sc.scenario, fleetOpts...)
 			cached := differentialSweep(t, sc.seed, sc.scenario,
 				append(append([]CheckerOption{}, fleetOpts...), WithDigestCache(NewDigestStore(0)))...)

@@ -38,7 +38,7 @@ func regroupFleet(t *testing.T) (cloud *Cloud, leader, follower string) {
 
 // regroupScanner is the dedup scanner the regroup tests sweep with.
 func regroupScanner(cloud *Cloud) *Scanner {
-	sc := cloud.NewScanner(WithShardSize(16), WithLeanReports(), WithIdentityDedup())
+	sc := cloud.NewScanner(WithShardSize(16), WithIdentityDedup())
 	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
 	return sc
 }

@@ -153,10 +153,11 @@ func TestShardedBudgetedSweepMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestLeanSweepMatchesFlat: lean reports drop per-pair detail inside
-// PoolReports, but everything the scanner folds into the SweepReport —
-// alerts with their components and reasons, verdict counts, health, module
-// errors, simulated timing — must come out byte-identical to the flat path.
+// TestLeanSweepMatchesFlat: a sweep on the lean fleet path — four VMs per
+// shard — must fold byte-identically the same SweepReport as the flat
+// path: alerts with their components and reasons, verdict counts, health,
+// module errors and simulated timing, through infections and a VM that
+// fails for good after the first sweep.
 func TestLeanSweepMatchesFlat(t *testing.T) {
 	scenario := func(t *testing.T, c *Cloud) {
 		t.Helper()
@@ -171,7 +172,7 @@ func TestLeanSweepMatchesFlat(t *testing.T) {
 		c.InstallFaultPlan(plan)
 	}
 	flat := differentialSweep(t, 50, scenario)
-	lean := differentialSweep(t, 50, scenario, WithShardSize(4), WithLeanReports())
+	lean := differentialSweep(t, 50, scenario, WithShardSize(4))
 	if !bytes.Equal(flat, lean) {
 		t.Errorf("lean sweep diverges from flat: %s", firstDiffLine(flat, lean))
 	}

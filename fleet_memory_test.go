@@ -21,7 +21,7 @@ func fleetSweepMemory(t *testing.T, vms int, streaming bool) (allocated, retaine
 	}
 	var opts []CheckerOption
 	if streaming {
-		opts = []CheckerOption{WithShardSize(16), WithLeanReports(), WithIdentityDedup()}
+		opts = []CheckerOption{WithShardSize(16), WithIdentityDedup()}
 	}
 	checker := cloud.NewChecker(opts...)
 	session, err := checker.NewPoolSweep()
@@ -66,8 +66,8 @@ func fleetSweepMemory(t *testing.T, vms int, streaming bool) (allocated, retaine
 
 // TestStreamingSweepBoundsMemory: the point of the fleet engine is that
 // sweep memory stops scaling with pool size. The held-in-memory flat path
-// allocates O(pool²) (every VM's report carries O(pool) pair results); the
-// streaming path — sharded, lean, deduplicated, reports folded and dropped —
+// fetches and parses every VM, so it allocates O(pool); the streaming
+// path — sharded, deduplicated, reports folded and dropped —
 // must allocate far less at the same size and grow sublinearly from a 64-VM
 // to a 256-VM pool. Margins are generous (3-4x) so the test pins the
 // asymptotic claim, not allocator noise.
@@ -87,13 +87,13 @@ func TestStreamingSweepBoundsMemory(t *testing.T) {
 	}
 	// Quadrupling the pool must cost the streaming path far less than the
 	// 4x of linear growth (dedup makes introspection O(templates)); the
-	// baseline visibly superlinear.
+	// baseline, which introspects every VM, close to 4x.
 	if allocStream256 >= 3*allocStream64 {
 		t.Errorf("streaming sweep grew %d -> %d bytes (>= 3x) from 64 to 256 VMs",
 			allocStream64, allocStream256)
 	}
-	if allocBase256 < 4*allocBase64 {
-		t.Errorf("baseline sweep grew only %d -> %d bytes from 64 to 256 VMs; expected at least linear",
+	if allocBase256 < 3*allocBase64 {
+		t.Errorf("baseline sweep grew only %d -> %d bytes from 64 to 256 VMs; expected near-linear growth",
 			allocBase64, allocBase256)
 	}
 	if retStream256 >= retBase256/3 {
@@ -144,7 +144,7 @@ func TestWarmScannerSweepAllocatesLinearly(t *testing.T) {
 
 // dedupSweepAlloc returns the heap objects and bytes each of `sweeps`
 // warm dedup scanner sweeps and their WriteJSON allocate over a clean
-// vms-VM fleet of 4 templates (shard 256, lean, 3 modules). The first
+// vms-VM fleet of 4 templates (shard 256, 3 modules). The first
 // sweep warms the scanner; the ones after it are measured, each on one P
 // with the garbage collector held off.
 func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
@@ -153,7 +153,7 @@ func dedupSweepAlloc(t *testing.T, vms, sweeps int) (objects, bytes []uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := cloud.NewScanner(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc := cloud.NewScanner(WithShardSize(256), WithIdentityDedup())
 	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
 	if _, err := sc.Sweep(); err != nil {
 		t.Fatal(err)

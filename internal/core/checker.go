@@ -188,8 +188,7 @@ type Config struct {
 	// and hashed independently instead of digest clusters. The results are
 	// identical — the differential tests pin that — so this exists as the
 	// paper-faithful reference and for benchmarking. ShardSize,
-	// DedupIdentical and DigestCache do not apply to it; LeanReports does,
-	// since it only chooses how reports are derived from the result.
+	// DedupIdentical and DigestCache do not apply to it.
 	FullPairwise bool
 	// Retry governs how fetches respond to transient introspection faults.
 	// The zero value means one attempt, no verification.
@@ -203,14 +202,6 @@ type Config struct {
 	// reference, so reports, traces and simulated costs are byte-identical
 	// for any shard size (the differential tests pin this).
 	ShardSize int
-	// LeanReports makes sweep sessions derive verdicts from cluster sizes
-	// in O(clusters² + pool) and give only non-clean VMs (flagged,
-	// inconclusive, errored) a ModuleReport — without the Pairs and
-	// MismatchedVMs lists, which are O(pool) each. Simulated costs, alerts
-	// and verdicts are unchanged; only the host-side report size shrinks.
-	// The facade's Scanner always sets it; it matters only to callers
-	// that open sessions with NewPoolSweep directly.
-	LeanReports bool
 	// DedupIdentical lets sweep sessions consult Target.Identity and
 	// introspect only one VM of each content-identity group, sharing its
 	// list walk, fetch, digest and verdict with the group. Deduped VMs are
@@ -315,10 +306,37 @@ type PairResult struct {
 // form the paper's detection experiments report ("hash mismatches were
 // detected in IMAGE_NT_HEADER, IMAGE_OPTIONAL_HEADER, ...").
 type ComponentTally struct {
-	Name          string
-	Matches       int
-	Mismatches    int
-	MismatchedVMs []string
+	Name       string
+	Matches    int
+	Mismatches int
+}
+
+// tallyComponents builds a report's component tallies: the target copy's
+// component names in module order, then any name only peers carry, in the
+// order the disputes first list it. disputes calls its argument once per
+// peer comparison that mismatched (or, for a pool view, per disputing
+// cluster) with the mismatched names, each once, and the number of peers
+// the comparison stands for. A component matched every comparison that
+// did not dispute it.
+func tallyComponents(names []string, comparisons int, disputes func(func(mm []string, peers int))) []ComponentTally {
+	tallies := make([]ComponentTally, len(names))
+	for k, name := range names {
+		tallies[k].Name = name
+	}
+	disputes(func(mm []string, peers int) {
+		for _, name := range mm {
+			k := slices.IndexFunc(tallies, func(t ComponentTally) bool { return t.Name == name })
+			if k < 0 {
+				k = len(tallies)
+				tallies = append(tallies, ComponentTally{Name: name})
+			}
+			tallies[k].Mismatches += peers
+		}
+	})
+	for k := range tallies {
+		tallies[k].Matches = comparisons - tallies[k].Mismatches
+	}
+	return tallies
 }
 
 // ModuleReport is the result of checking one module on one target VM
@@ -328,6 +346,8 @@ type ModuleReport struct {
 	TargetVM   string
 	Base       uint32
 
+	// Pairs holds CheckModule's result against each peer. A pool report's
+	// VMs leave it nil; PoolReport.Pairs derives theirs.
 	Pairs      []PairResult
 	Components []ComponentTally
 
@@ -522,12 +542,6 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 	peerFetches, fetchElapsed := c.fetchStage(module, peers)
 	rep.Elapsed += fetchElapsed
 
-	tallies := make(map[string]*ComponentTally)
-	order := componentNames(tf)
-	for _, name := range order {
-		tallies[name] = &ComponentTally{Name: name}
-	}
-
 	for _, pf := range peerFetches {
 		rep.Timing.Add(pf.timing)
 		if pf.err != nil {
@@ -540,38 +554,23 @@ func (c *Checker) CheckModule(module string, target Target, peers []Target) (*Mo
 		charged := c.charge(cost)
 		rep.Timing.Checker += charged
 		rep.Elapsed += charged // target-vs-peer comparisons run serially on Dom0
-		pr := PairResult{
+		rep.Pairs = append(rep.Pairs, PairResult{
 			PeerVM:               pf.name,
 			Match:                len(mismatched) == 0,
 			MismatchedComponents: mismatched,
-		}
-		rep.Pairs = append(rep.Pairs, pr)
+		})
 		rep.Comparisons++
-		if pr.Match {
+		if len(mismatched) == 0 {
 			rep.Successes++
 		}
-		seen := make(map[string]bool, len(mismatched))
-		for _, name := range mismatched {
-			seen[name] = true
-			t, ok := tallies[name]
-			if !ok { // component present on peer but absent on target
-				t = &ComponentTally{Name: name}
-				tallies[name] = t
-				order = append(order, name)
-			}
-			t.Mismatches++
-			t.MismatchedVMs = append(t.MismatchedVMs, pf.name)
-		}
-		for _, name := range order {
-			if !seen[name] {
-				tallies[name].Matches++
+	}
+	rep.Components = tallyComponents(componentNames(tf), rep.Comparisons, func(dispute func([]string, int)) {
+		for _, p := range rep.Pairs {
+			if len(p.MismatchedComponents) > 0 {
+				dispute(p.MismatchedComponents, 1)
 			}
 		}
-	}
-
-	for _, name := range order {
-		rep.Components = append(rep.Components, *tallies[name])
-	}
+	})
 	rep.Verdict = c.verdict(rep.Successes, rep.Comparisons)
 	c.releaseFetched(tf)
 	for _, pf := range peerFetches {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -122,8 +123,13 @@ func TestCheckModuleInfectedPeer(t *testing.T) {
 			tally = &rep.Components[i]
 		}
 	}
-	if tally == nil || tally.Mismatches != 1 || len(tally.MismatchedVMs) != 1 || tally.MismatchedVMs[0] != targets[2].Name {
+	if tally == nil || tally.Mismatches != 1 || tally.Matches != 3 {
 		t.Errorf("tally = %+v", tally)
+	}
+	for _, p := range rep.Pairs {
+		if infected := p.PeerVM == targets[2].Name; p.Match == infected || infected && !slices.Equal(p.MismatchedComponents, []string{".text"}) {
+			t.Errorf("pair %s: match=%v mismatched=%v", p.PeerVM, p.Match, p.MismatchedComponents)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func TestCompareStageMatchesPairwise(t *testing.T) {
 				charges = nil
 				o := e.check(module)
 				runCharges := charges
-				e.derivePool(o, module)
+				e.derive(o)
 				want, err := NewChecker(Config{Parallel: parallel, FullPairwise: true}).CheckPool(module, fleetTargets(oracle))
 				if err != nil {
 					t.Fatal(err)
@@ -249,10 +250,12 @@ func TestDuplicateSectionNames(t *testing.T) {
 		if r.Verdict != VerdictClean {
 			t.Errorf("CheckModule on %s: %v, mismatches %v", tg.Name, r.Verdict, r.MismatchedComponents())
 		}
-		pr := &PoolReport{ModuleName: module, VMReports: []*ModuleReport{r}, Healthy: 1}
-		want := &PoolReport{ModuleName: module, VMReports: []*ModuleReport{clustered.VMReports[i]}, Healthy: 1}
-		if got, want := poolSig(pr), poolSig(want); got != want {
-			t.Errorf("CheckModule on %s diverges from the pool check:\n--- CheckModule\n%s--- CheckPool\n%s", tg.Name, got, want)
+		want := clustered.At(i)
+		if r.Verdict != want.Verdict || r.Successes != want.Successes || r.Comparisons != want.Comparisons ||
+			r.Base != want.Base || !reflect.DeepEqual(r.Components, want.Components) ||
+			!reflect.DeepEqual(r.Pairs, clustered.Pairs(tg.Name)) {
+			t.Errorf("CheckModule on %s diverges from the pool check:\n--- CheckModule\n%+v\n--- CheckPool\n%+v %+v",
+				tg.Name, r, want, clustered.Pairs(tg.Name))
 		}
 	}
 	if len(clustered.Flagged)+len(clustered.Inconclusive)+len(clustered.Errored) != 0 {

@@ -30,14 +30,15 @@ package core
 //     compared before replays its mismatch list. CostCASLookup is charged
 //     only on hits, so a cold store charges exactly what no store charges,
 //     in the same per-VM order. A nil store never hits and never inserts.
-//   - lean: a choice made at report derivation (deriveLean or derivePool),
-//     a view of the result rather than an engine setting. Scanner sweeps
-//     always derive lean.
 //
 // Config.FullPairwise turns the engine into the paper's O(n²) oracle: no
 // digests, every healthy copy fronts its own cluster, so the compare stage
 // compares every healthy pair independently. Shard, dedup and store do not
-// apply to the oracle; lean derivation does.
+// apply to the oracle.
+//
+// Every check's PoolReport is a view over its outcome (derive): verdicts
+// from cluster sizes, and each VM's detail built from the outcome's tables
+// when asked for.
 //
 // Determinism: the store is only ever consulted from the driving
 // goroutine, in pool order. Parallel stages (fetch, digest, compare) never
@@ -65,7 +66,6 @@ type engine struct {
 	grp   *groups
 	store *cas.Store // nil: no lookups, no inserts
 	shard int        // <= 0: every group in one shard
-	lean  bool
 }
 
 // clusterPair identifies one unordered pair of clusters (a < b).
@@ -82,9 +82,11 @@ type cluster struct {
 	f *fetched
 }
 
-// outcome is one module's engine result, before report derivation. Only
-// errs, bases and clusterOf are sized by the identity groups; everything
-// else is sized by clusters. A dedup follower's outcome is its group's.
+// outcome is one module's engine result, and what its PoolReport reads.
+// Only errs, bases and clusterOf are sized by the identity groups;
+// everything else is sized by clusters, or by the non-clean VMs. A dedup
+// follower's outcome is its group's. Once run returns, no cluster holds a
+// fetched copy.
 type outcome struct {
 	rep       *PoolReport // Timing, Stages and Elapsed filled in
 	errs      []error     // by group
@@ -96,6 +98,12 @@ type outcome struct {
 	// compareDerived counts the compare stage's component pairs the digest
 	// facts answered in this run; compare workers add to it atomically.
 	compareDerived int64
+
+	// What the report's view reads besides the tables above.
+	pool     Pool
+	grp      *groups
+	votes    []clusterVote // by cluster; filled by derive
+	nonClean []int32       // pool index of each of rep.VMReports
 }
 
 // mismatches returns the representative comparison between two clusters:
@@ -123,15 +131,9 @@ func (e *engine) fetch(g int, module string) *fetched {
 	return e.c.fetchAndParse(e.pool.Open(i), e.pool.Name(i), module)
 }
 
-// report checks one module and derives its PoolReport, lean or full.
+// report checks one module and derives its PoolReport.
 func (e *engine) report(module string) *PoolReport {
-	o := e.check(module)
-	if e.lean {
-		e.deriveLean(o, module)
-	} else {
-		e.derivePool(o, module)
-	}
-	return o.rep
+	return e.derive(e.check(module))
 }
 
 // check runs one module through the engine. The store path assumes a hit
@@ -191,6 +193,8 @@ func (e *engine) run(module string) (*outcome, bool) {
 	pairwise := c.cfg.FullPairwise
 	o := &outcome{
 		rep:       &PoolReport{ModuleName: module},
+		pool:      e.pool,
+		grp:       e.grp,
 		errs:      make([]error, n),
 		bases:     make([]uint32, n),
 		clusterOf: make([]int, n),
@@ -228,11 +232,15 @@ func (e *engine) run(module string) (*outcome, bool) {
 	// Cluster copies outlive their shard; every other buffer is released
 	// as soon as its VM is clustered.
 	defer func() {
-		for _, cl := range o.clusters {
-			c.releaseFetched(cl.f)
+		for cid := range o.clusters {
+			c.releaseFetched(o.clusters[cid].f)
+			o.clusters[cid].f = nil
 		}
 		if memo != nil {
 			o.memoHits = memo.hits.Load()
+			if e.ps != nil {
+				e.ps.MemoWindowHits += int(o.memoHits)
+			}
 		}
 		c.putMemo(module, memo)
 	}()

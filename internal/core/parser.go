@@ -130,28 +130,30 @@ func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedMod
 		return fail("bad NT signature %#08x", le.Uint32(buf[lfanew:]))
 	}
 
-	m := &ParsedModule{VMName: vmName, ModuleName: moduleName, Base: base, Raw: buf}
-
-	// IMAGE_DOS_HEADER component: header plus stub, i.e. everything before
-	// the NT headers. Experiment E3 (stub text patch) must surface here.
-	m.add(Component{Kind: KindDOSHeader, Name: "IMAGE_DOS_HEADER", Data: buf[:lfanew]})
-
-	// IMAGE_NT_HEADER: signature + IMAGE_FILE_HEADER.
 	fileOff := lfanew + 4
-	m.add(Component{Kind: KindNTHeader, Name: "IMAGE_NT_HEADER", Data: buf[lfanew : fileOff+pe.FileHeaderSize]})
-
 	numSections := le.Uint16(buf[fileOff+2:])
 	sizeOfOptional := le.Uint16(buf[fileOff+16:])
 	if sizeOfOptional != pe.OptionalHeader32Size {
 		return fail("SizeOfOptionalHeader %d, want %d", sizeOfOptional, pe.OptionalHeader32Size)
 	}
 	optOff := fileOff + pe.FileHeaderSize
-	m.add(Component{Kind: KindOptionalHeader, Name: "IMAGE_OPTIONAL_HEADER", Data: buf[optOff : optOff+pe.OptionalHeader32Size]})
-
 	secOff := optOff + pe.OptionalHeader32Size
 	if uint64(secOff)+uint64(numSections)*pe.SectionHeaderSize > uint64(len(buf)) {
 		return fail("section table for %d sections exceeds module size", numSections)
 	}
+
+	// Three headers, then at most a header and the data per section; the
+	// section table fits in buf, so the count is bounded by the copy.
+	m := &ParsedModule{VMName: vmName, ModuleName: moduleName, Base: base, Raw: buf,
+		Components: make([]Component, 0, 3+2*int(numSections))}
+
+	// IMAGE_DOS_HEADER component: header plus stub, i.e. everything before
+	// the NT headers. Experiment E3 (stub text patch) must surface here.
+	m.add(Component{Kind: KindDOSHeader, Name: "IMAGE_DOS_HEADER", Data: buf[:lfanew]})
+	// IMAGE_NT_HEADER: signature + IMAGE_FILE_HEADER.
+	m.add(Component{Kind: KindNTHeader, Name: "IMAGE_NT_HEADER", Data: buf[lfanew : fileOff+pe.FileHeaderSize]})
+	m.add(Component{Kind: KindOptionalHeader, Name: "IMAGE_OPTIONAL_HEADER", Data: buf[optOff : optOff+pe.OptionalHeader32Size]})
+
 	type secInfo struct {
 		name      string
 		va, vsize uint32

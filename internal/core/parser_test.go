@@ -44,6 +44,33 @@ func TestParseComponents(t *testing.T) {
 	}
 }
 
+// TestParseAllocatesComponentsOnce pins that ParseModule sizes the
+// component list from the section count before the first append: a
+// 12-component module costs the ParsedModule, its component list, the
+// section table and the section headers' names, and nothing for growing
+// the list.
+func TestParseAllocatesComponentsOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations of its own; the count only holds in plain builds")
+	}
+	m := fetchParsed(t)
+	if len(m.Components) != 12 {
+		t.Fatalf("alpha.sys has %d components, want 12: %v", len(m.Components), names(m))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ParseModule(m.VMName, m.ModuleName, m.Base, m.Raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The ParsedModule, its component list, the section table, and per
+	// section header its name, the name boxed for Sprintf, and the
+	// formatted component name. Growing the list from nil added four.
+	const sections = 5
+	if want := float64(3 + 3*sections); allocs > want {
+		t.Errorf("ParseModule made %v allocations, want at most %v", allocs, want)
+	}
+}
+
 func names(m *ParsedModule) []string {
 	var out []string
 	for _, c := range m.Components {

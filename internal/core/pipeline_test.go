@@ -70,16 +70,17 @@ func poolSig(rep *PoolReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "module=%s healthy=%d flagged=%v inconclusive=%v errored=%v\n",
 		rep.ModuleName, rep.Healthy, rep.Flagged, rep.Inconclusive, rep.Errored)
-	for _, r := range rep.VMReports {
+	for i := range rep.Len() {
+		r := rep.At(i)
 		fmt.Fprintf(&b, "vm=%s verdict=%v base=%#x succ=%d comp=%d errclass=%v err=%v\n",
 			r.TargetVM, r.Verdict, r.Base, r.Successes, r.Comparisons, r.ErrClass, r.Err != nil)
-		for _, p := range r.Pairs {
+		for _, p := range rep.Pairs(r.TargetVM) {
 			fmt.Fprintf(&b, "  pair peer=%s match=%v mm=%v errclass=%v err=%v\n",
 				p.PeerVM, p.Match, p.MismatchedComponents, p.ErrClass, p.Err != nil)
 		}
 		for _, c := range r.Components {
-			fmt.Fprintf(&b, "  comp %s matches=%d mismatches=%d vms=%v\n",
-				c.Name, c.Matches, c.Mismatches, c.MismatchedVMs)
+			fmt.Fprintf(&b, "  comp %s matches=%d mismatches=%d\n",
+				c.Name, c.Matches, c.Mismatches)
 		}
 	}
 	return b.String()

@@ -20,11 +20,11 @@ func TestCheckPoolClean(t *testing.T) {
 	if len(rep.Flagged) != 0 || len(rep.Inconclusive) != 0 {
 		t.Errorf("flagged=%v inconclusive=%v", rep.Flagged, rep.Inconclusive)
 	}
-	if len(rep.VMReports) != 5 {
-		t.Fatalf("%d VM reports", len(rep.VMReports))
+	if rep.Len() != 5 || len(rep.VMReports) != 0 {
+		t.Fatalf("%d VMs, %d non-clean reports", rep.Len(), len(rep.VMReports))
 	}
-	for _, r := range rep.VMReports {
-		if r.Verdict != VerdictClean || r.Successes != 4 {
+	for i := range rep.Len() {
+		if r := rep.At(i); r.Verdict != VerdictClean || r.Successes != 4 {
 			t.Errorf("%s: %v %d/%d", r.TargetVM, r.Verdict, r.Successes, r.Comparisons)
 		}
 	}
@@ -46,7 +46,8 @@ func TestCheckPoolSingleInfection(t *testing.T) {
 		t.Errorf("flagged = %v", rep.Flagged)
 	}
 	// Clean VMs lose exactly one pair (the infected peer).
-	for _, r := range rep.VMReports {
+	for i := range rep.Len() {
+		r := rep.At(i)
 		if r.TargetVM == targets[3].Name {
 			continue
 		}
@@ -80,8 +81,8 @@ func TestCheckPoolMajorityInfected(t *testing.T) {
 	}
 	// Discrepancy is visible regardless of which side is flagged: no VM
 	// reaches full agreement.
-	for _, r := range rep.VMReports {
-		if r.Successes == r.Comparisons {
+	for i := range rep.Len() {
+		if r := rep.At(i); r.Successes == r.Comparisons {
 			t.Errorf("%s fully agrees despite split pool", r.TargetVM)
 		}
 	}
@@ -165,7 +166,8 @@ func TestCheckPoolModuleMissingOnOneVM(t *testing.T) {
 	if r := rep.Report(targets[1].Name); r.Verdict != VerdictError || !errors.Is(r.Err, ErrModuleNotFound) {
 		t.Errorf("missing-module report: verdict=%v err=%v", r.Verdict, r.Err)
 	}
-	for _, r := range rep.VMReports {
+	for i := range rep.Len() {
+		r := rep.At(i)
 		if r.TargetVM == targets[1].Name {
 			continue
 		}
@@ -257,8 +259,8 @@ func TestCheckPoolAllFetchesFail(t *testing.T) {
 				if r.Comparisons != 0 || r.Successes != 0 {
 					t.Errorf("%s: %d/%d comparisons despite failed fetch", r.TargetVM, r.Successes, r.Comparisons)
 				}
-				if len(r.Pairs) != 1 || r.Pairs[0].Err == nil {
-					t.Errorf("%s: pairs = %+v, want a single error entry", r.TargetVM, r.Pairs)
+				if pairs := rep.Pairs(r.TargetVM); len(pairs) != 1 || pairs[0].PeerVM != r.TargetVM || pairs[0].Err == nil {
+					t.Errorf("%s: pairs = %+v, want a single error entry", r.TargetVM, pairs)
 				}
 			}
 			// The failed walks still cost searcher time; no comparisons ran.
@@ -275,21 +277,16 @@ func TestCheckPoolAllFetchesFail(t *testing.T) {
 	}
 }
 
-// TestLeanDerivationMatchesFull feeds one engine outcome through both report
-// derivations. Lean must agree with full on the pool-level count and lists,
-// and every non-clean VM's lean report must equal its full report minus the
-// O(pool) Pairs and MismatchedVMs lists. Scanner sweeps always derive lean,
-// so this is what keeps their alerts, health and JSON equal to what full
-// derivation would produce.
+// TestLeanDerivationMatchesFull checks the pool report, whose verdicts
+// are derived from cluster sizes alone, against the full per-VM check:
+// for every VM, At and Pairs must equal CheckModule against every other VM
+// in pool order (verdict, counts, base, component tallies and pairs), and
+// an errored VM's pairs must be its single self-error entry. VMReports must
+// hold exactly the non-clean VMs, in pool order, At must return those
+// stored reports, and the report must keep no fetched copy. It runs on
+// CheckPool and on sharded and deduplicated NewPoolSweep sessions.
 func TestLeanDerivationMatchesFull(t *testing.T) {
-	infect := func(t *testing.T, g *guest.Guest) {
-		if err := rootkit.InfectDiskAndReload(g, "alpha.sys", func(img []byte) ([]byte, error) {
-			out, _, err := rootkit.OpcodeReplace(img)
-			return out, err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const module = "alpha.sys"
 	fail := func(guests []*guest.Guest, targets []Target, vms ...int) {
 		p := faults.NewPlan(1)
 		for _, i := range vms {
@@ -297,20 +294,34 @@ func TestLeanDerivationMatchesFull(t *testing.T) {
 			targets[i] = planTarget(guests[i], p)
 		}
 	}
+	// clones forks six copy-on-write clones of two templates: with
+	// DedupIdentical a session fetches one VM per identity group.
+	clones := func(t *testing.T) ([]*guest.Guest, []Target) {
+		ds := memoFleet(t, 6, testDisk(t), 16<<20)
+		guests := make([]*guest.Guest, len(ds))
+		for i, d := range ds {
+			guests[i] = d.Guest()
+		}
+		return guests, fleetTargets(ds)
+	}
 	scenarios := []struct {
-		name                           string
-		cfg                            Config
-		prepare                        func(t *testing.T, guests []*guest.Guest, targets []Target)
+		name string
+		cfg  Config
+		// pool boots the VMs; nil: five guests from testPool.
+		pool    func(t *testing.T) ([]*guest.Guest, []Target)
+		prepare func(t *testing.T, guests []*guest.Guest, targets []Target)
+		// session checks through a NewPoolSweep session instead of CheckPool.
+		session                        bool
 		flagged, inconclusive, errored int
 		// peerOnly names a component the flagged VM's copy lacks but its
 		// peers carry.
 		peerOnly string
 	}{
 		{name: "clean"},
-		{name: "one-infected", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[3]) },
+		{name: "one-infected", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infectOn(t, g[3]) },
 			flagged: 1},
 		// 2 of 5 infected: each clean VM matches 2 of 4 peers, a tie.
-		{name: "split-vote", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[0]); infect(t, g[1]) },
+		{name: "split-vote", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infectOn(t, g[0]); infectOn(t, g[1]) },
 			flagged: 2, inconclusive: 3},
 		{name: "quorum-degraded", cfg: Config{Quorum: QuorumPolicy{MinPeers: 3}},
 			prepare:      func(_ *testing.T, g []*guest.Guest, ts []Target) { fail(g, ts, 3, 4) },
@@ -321,80 +332,106 @@ func TestLeanDerivationMatchesFull(t *testing.T) {
 			errored: 5},
 		// Built without imports, vm3's copy has no INIT section.
 		{name: "peer-only-component", prepare: func(t *testing.T, g []*guest.Guest, _ []Target) {
-			if err := rootkit.InfectDiskAndReload(g[2], "alpha.sys", func([]byte) ([]byte, error) {
-				return guest.BuildImage(guest.ModuleSpec{Name: "alpha.sys", TextSize: 16 << 10, DataSize: 4 << 10,
+			if err := rootkit.InfectDiskAndReload(g[2], module, func([]byte) ([]byte, error) {
+				return guest.BuildImage(guest.ModuleSpec{Name: module, TextSize: 16 << 10, DataSize: 4 << 10,
 					RdataSize: 2 << 10, PreferredBase: 0x10000, Marker: true})
 			}); err != nil {
 				t.Fatal(err)
 			}
 		}, flagged: 1, peerOnly: "INIT"},
 		{name: "full-pairwise", cfg: Config{FullPairwise: true},
-			prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infect(t, g[3]) }, flagged: 1},
+			prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infectOn(t, g[3]) }, flagged: 1},
+		{name: "sharded-session", cfg: Config{ShardSize: 2}, session: true,
+			prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infectOn(t, g[4]) }, flagged: 1},
+		{name: "dedup-session", cfg: Config{DedupIdentical: true}, session: true, pool: clones,
+			prepare: func(t *testing.T, g []*guest.Guest, _ []Target) { infectOn(t, g[2]) }, flagged: 1},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			guests, targets := testPool(t, 5)
+			pool := sc.pool
+			if pool == nil {
+				pool = func(t *testing.T) ([]*guest.Guest, []Target) { return testPool(t, 5) }
+			}
+			guests, targets := pool(t)
 			if sc.prepare != nil {
 				sc.prepare(t, guests, targets)
 			}
 			c := NewChecker(sc.cfg)
-			e := c.poolEngine(targets)
-			o := e.check("alpha.sys")
-			// Both derivations fill o.rep in place, so the lean one gets
-			// its own copy of the engine's not-yet-derived report.
-			leanRep := *o.rep
-			lo := *o
-			lo.rep = &leanRep
-			e.derivePool(o, "alpha.sys")
-			e.deriveLean(&lo, "alpha.sys")
-			full, lean := o.rep, lo.rep
-
-			if len(full.Flagged) != sc.flagged || len(full.Inconclusive) != sc.inconclusive || len(full.Errored) != sc.errored {
+			var rep *PoolReport
+			if sc.session {
+				ps, err := c.NewPoolSweep(targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ps.Close()
+				rep = ps.CheckModule(module)
+				if sc.cfg.DedupIdentical && ps.grp.count() == len(targets) {
+					t.Fatal("dedup session formed no identity group")
+				}
+			} else {
+				var err error
+				if rep, err = c.CheckPool(module, targets); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(rep.Flagged) != sc.flagged || len(rep.Inconclusive) != sc.inconclusive || len(rep.Errored) != sc.errored {
 				t.Fatalf("scenario yields flagged=%v inconclusive=%v errored=%v, want %d/%d/%d",
-					full.Flagged, full.Inconclusive, full.Errored, sc.flagged, sc.inconclusive, sc.errored)
+					rep.Flagged, rep.Inconclusive, rep.Errored, sc.flagged, sc.inconclusive, sc.errored)
 			}
-			if lean.Healthy != full.Healthy || !reflect.DeepEqual(lean.Flagged, full.Flagged) ||
-				!reflect.DeepEqual(lean.Inconclusive, full.Inconclusive) || !reflect.DeepEqual(lean.Errored, full.Errored) {
-				t.Errorf("lean healthy=%d flagged=%v inconclusive=%v errored=%v, full %d %v %v %v",
-					lean.Healthy, lean.Flagged, lean.Inconclusive, lean.Errored,
-					full.Healthy, full.Flagged, full.Inconclusive, full.Errored)
+			if rep.Len() != len(targets) {
+				t.Fatalf("report covers %d VMs, want %d", rep.Len(), len(targets))
 			}
-			var nonClean int
-			for _, r := range full.VMReports {
+			for cid, cl := range rep.out.clusters {
+				if cl.f != nil {
+					t.Errorf("cluster %d still holds a fetched copy after the check", cid)
+				}
+			}
+			nonClean := 0
+			for i, tg := range targets {
+				r := rep.At(i)
+				if r.TargetVM != tg.Name || !reflect.DeepEqual(rep.Report(tg.Name), r) {
+					t.Fatalf("At(%d) is %s's report, Report(%s) %+v", i, r.TargetVM, tg.Name, rep.Report(tg.Name))
+				}
 				if r.Verdict != VerdictClean {
+					if nonClean >= len(rep.VMReports) || rep.VMReports[nonClean] != r {
+						t.Errorf("%s: At does not return the stored non-clean report %d", tg.Name, nonClean)
+					}
 					nonClean++
 				}
-			}
-			if len(lean.VMReports) != nonClean {
-				t.Errorf("lean has %d reports, want one per non-clean VM (%d)", len(lean.VMReports), nonClean)
-			}
-			for _, lr := range lean.VMReports {
-				fr := full.Report(lr.TargetVM)
-				if fr == nil {
-					t.Errorf("%s: lean report has no full counterpart", lr.TargetVM)
+				pairs := rep.Pairs(tg.Name)
+				if r.Verdict == VerdictError {
+					want := []PairResult{{PeerVM: tg.Name, Err: r.Err, ErrClass: r.ErrClass}}
+					if r.Err == nil || !reflect.DeepEqual(pairs, want) {
+						t.Errorf("%s: errored with %v, pairs %+v; want one self-error entry", tg.Name, r.Err, pairs)
+					}
 					continue
 				}
-				if got, want := withoutPerPair(lr), withoutPerPair(fr); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: lean report\n%+v\nwant full minus per-pair lists\n%+v", lr.TargetVM, got, want)
+				peers := append(slices.Clone(targets[:i]), targets[i+1:]...)
+				want, err := NewChecker(sc.cfg).CheckModule(module, tg, peers)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if sc.peerOnly != "" && lr.Verdict == VerdictAltered {
-					if !slices.Contains(lr.MismatchedComponents(), sc.peerOnly) {
-						t.Errorf("%s: mismatched %v, want the peer-only %s", lr.TargetVM, lr.MismatchedComponents(), sc.peerOnly)
+				if r.Verdict != want.Verdict || r.Successes != want.Successes || r.Comparisons != want.Comparisons ||
+					r.Base != want.Base || r.Err != nil || !reflect.DeepEqual(r.Components, want.Components) {
+					t.Errorf("%s: pool report\n%+v\nCheckModule\n%+v", tg.Name, r, want)
+				}
+				if len(pairs) != len(want.Pairs) {
+					t.Fatalf("%s: %d pairs, CheckModule %d", tg.Name, len(pairs), len(want.Pairs))
+				}
+				for k, p := range pairs {
+					w := want.Pairs[k]
+					if p.PeerVM != w.PeerVM || p.Match != w.Match || !slices.Equal(p.MismatchedComponents, w.MismatchedComponents) ||
+						(p.Err == nil) != (w.Err == nil) || p.ErrClass != w.ErrClass {
+						t.Errorf("%s: pair %+v, CheckModule %+v", tg.Name, p, w)
 					}
 				}
+				if sc.peerOnly != "" && r.Verdict == VerdictAltered && !slices.Contains(r.MismatchedComponents(), sc.peerOnly) {
+					t.Errorf("%s: mismatched %v, want the peer-only %s", tg.Name, r.MismatchedComponents(), sc.peerOnly)
+				}
+			}
+			if nonClean != len(rep.VMReports) {
+				t.Errorf("%d stored reports, want one per non-clean VM (%d)", len(rep.VMReports), nonClean)
 			}
 		})
 	}
-}
-
-// withoutPerPair copies a VM report without its Pairs and MismatchedVMs
-// lists, the per-pair detail lean derivation omits.
-func withoutPerPair(r *ModuleReport) ModuleReport {
-	out := *r
-	out.Pairs, out.Components = nil, nil
-	for _, ct := range r.Components {
-		ct.MismatchedVMs = nil
-		out.Components = append(out.Components, ct)
-	}
-	return out
 }

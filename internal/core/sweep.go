@@ -63,12 +63,16 @@ type PoolSweep struct {
 	// stages answered from digest facts instead of running Algorithm 2
 	// again (see compareFact).
 	CompareDerived int
+	// MemoWindowHits counts the digest components of this session's module
+	// checks that the reference memo's window check answered, without
+	// running Algorithm 2 against the reference (see refMemo.covers).
+	MemoWindowHits int
 	// closed marks the session released; lookups then fail with
 	// ErrSweepClosed.
 	closed bool
 
 	// eng checks each module: fetches come from the snapshot, with the
-	// configured shard, dedup, store and lean settings.
+	// configured shard, dedup and store settings.
 	eng *engine
 
 	// Budget state (see SetBudgets). All durations are *modeled* elapsed
@@ -134,7 +138,7 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 		listErr:   make([]error, ng),
 		Regrouped: regrouped,
 	}
-	ps.eng = &engine{c: c, pool: p, ps: ps, grp: grp, lean: cfg.LeanReports}
+	ps.eng = &engine{c: c, pool: p, ps: ps, grp: grp}
 	if !cfg.FullPairwise {
 		ps.eng.shard, ps.eng.store = cfg.ShardSize, cfg.DigestCache
 	}
@@ -378,9 +382,7 @@ func (ps *PoolSweep) CheckModule(module string) *PoolReport {
 // module's report to fn as soon as it is assembled — always in input order,
 // always on the calling goroutine. This is the streaming form of
 // CheckModules: the caller folds each report into its own aggregate and
-// drops it, so a sweep never holds more than one module's reports at once
-// (with Config.LeanReports, which scanner sweeps always set, not even one
-// module's clean VM reports).
+// drops it, so a sweep never holds more than one module's report at once.
 // Modules run one after another on the calling goroutine: that keeps the
 // sweep-budget check at module boundaries exact and the digest store's
 // insert order deterministic, while each module's stages still fan out

@@ -63,8 +63,8 @@ func TestPoolSweepCloseFlushesTLBs(t *testing.T) {
 }
 
 // TestFullPairwiseSessionIgnoresEngineSettings pins that FullPairwise
-// selects the pairwise oracle on every session path: with a shard size,
-// lean reports or identity dedup also set, a session still charges exactly
+// selects the pairwise oracle on every session path: with a shard size or
+// identity dedup also set, a session still charges exactly
 // the stages, elapsed time and work of a flat FullPairwise session.
 func TestFullPairwiseSessionIgnoresEngineSettings(t *testing.T) {
 	check := func(cfg Config) *PoolReport {
@@ -79,7 +79,6 @@ func TestFullPairwiseSessionIgnoresEngineSettings(t *testing.T) {
 	want := check(Config{FullPairwise: true})
 	for name, cfg := range map[string]Config{
 		"shard": {FullPairwise: true, ShardSize: 4},
-		"lean":  {FullPairwise: true, LeanReports: true},
 		"dedup": {FullPairwise: true, DedupIdentical: true},
 	} {
 		got := check(cfg)
@@ -116,7 +115,7 @@ func TestWarmDedupSweepAsksOnlyLeaders(t *testing.T) {
 		id := uint64(i % 2) // two identity groups, led by VMs 0 and 1
 		targets[i].Identity = func() (uint64, bool) { return id, true }
 	}
-	c := NewChecker(Config{DedupIdentical: true, LeanReports: true, DigestCache: cas.NewStore(0)})
+	c := NewChecker(Config{DedupIdentical: true, DigestCache: cas.NewStore(0)})
 	sweep := func(stamp uint64) (*countingPool, *PoolSweep) {
 		t.Helper()
 		p := &countingPool{targetPool: targets, stamp: stamp}

@@ -51,7 +51,7 @@ type timingJSON struct {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-func moduleToJSON(r *core.ModuleReport, includePairs bool) moduleJSON {
+func moduleToJSON(r *core.ModuleReport) moduleJSON {
 	out := moduleJSON{
 		Module:      r.ModuleName,
 		TargetVM:    r.TargetVM,
@@ -73,15 +73,13 @@ func moduleToJSON(r *core.ModuleReport, includePairs bool) moduleJSON {
 		out.Error = r.Err.Error()
 		out.ErrorClass = r.ErrClass.String()
 	}
-	if includePairs {
-		for _, p := range r.Pairs {
-			pj := pairJSON{Peer: p.PeerVM, Match: p.Match, Mismatched: p.MismatchedComponents}
-			if p.Err != nil {
-				pj.Error = p.Err.Error()
-				pj.ErrorClass = p.ErrClass.String()
-			}
-			out.Pairs = append(out.Pairs, pj)
+	for _, p := range r.Pairs {
+		pj := pairJSON{Peer: p.PeerVM, Match: p.Match, Mismatched: p.MismatchedComponents}
+		if p.Err != nil {
+			pj.Error = p.Err.Error()
+			pj.ErrorClass = p.ErrClass.String()
 		}
+		out.Pairs = append(out.Pairs, pj)
 	}
 	return out
 }
@@ -92,7 +90,7 @@ func moduleToJSON(r *core.ModuleReport, includePairs bool) moduleJSON {
 func WriteModuleJSON(w io.Writer, r *core.ModuleReport) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(moduleToJSON(r, true))
+	return enc.Encode(moduleToJSON(r))
 }
 
 // poolJSON is the stable JSON shape for a pool sweep.
@@ -124,8 +122,8 @@ func WritePoolJSON(w io.Writer, r *core.PoolReport) error {
 			ElapsedMS:  ms(r.Elapsed),
 		},
 	}
-	for _, vr := range r.VMReports {
-		out.VMs = append(out.VMs, moduleToJSON(vr, false))
+	for i := range r.Len() {
+		out.VMs = append(out.VMs, moduleToJSON(r.At(i)))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -173,7 +171,8 @@ func WriteModuleText(w io.Writer, r *core.ModuleReport, verbose bool) error {
 func WritePoolText(w io.Writer, r *core.PoolReport, verbose bool) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "VM\tBASE\tVERDICT\tAGREEMENT\tDETAIL")
-	for _, vr := range r.VMReports {
+	for i := range r.Len() {
+		vr := r.At(i)
 		detail := strings.Join(vr.MismatchedComponents(), ", ")
 		if detail == "" {
 			detail = vr.Reason()
@@ -194,7 +193,7 @@ func WritePoolText(w io.Writer, r *core.PoolReport, verbose bool) error {
 		fmt.Fprintf(w, "ERRORED: %s\n", strings.Join(r.Errored, ", "))
 	}
 	if verbose {
-		fmt.Fprintf(w, "healthy: %d/%d VMs\n", r.Healthy, len(r.VMReports))
+		fmt.Fprintf(w, "healthy: %d/%d VMs\n", r.Healthy, r.Len())
 		fmt.Fprintf(w, "timing: searcher=%v parser=%v checker=%v elapsed=%v\n",
 			r.Timing.Searcher.Round(time.Microsecond), r.Timing.Parser.Round(time.Microsecond),
 			r.Timing.Checker.Round(time.Microsecond), r.Elapsed.Round(time.Microsecond))

@@ -87,3 +87,47 @@ func TestCompareDerivedCounter(t *testing.T) {
 	sweep("cold sweep", want)
 	sweep("warm sweep", 0)
 }
+
+// TestRefMemoWindowHitsCounter pins core/ref_memo_window_hits on a cached
+// scanner over a 16-clone, 2-template fleet: a cold sweep adds the digest
+// components the reference memo's window check answered, as many as a
+// direct session over an identical fleet reports in
+// PoolSweep.MemoWindowHits, and a warm all-hit sweep digests nothing and
+// adds nothing.
+func TestRefMemoWindowHitsCounter(t *testing.T) {
+	fleet := func() *Cloud {
+		cloud, err := NewCloud(CloudConfig{VMs: 16, Templates: 2, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cloud
+	}
+	modules := []string{"dummy.sys", "hal.dll", "ndis.sys"}
+	session, err := fleet().NewChecker().NewPoolSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	session.CheckModules(modules)
+	session.Close()
+	want := uint64(session.MemoWindowHits)
+	if want == 0 {
+		t.Fatal("the direct session's window check answered no component")
+	}
+
+	cloud := fleet()
+	sc := cloud.NewScanner(WithDigestCache(NewDigestStore(0)))
+	sc.SetModules(modules)
+	hits := func() uint64 { return counterValue(cloud.Metrics().Snapshot(), "core/ref_memo_window_hits") }
+	sweep := func(step string, want uint64) {
+		t.Helper()
+		before := hits()
+		if _, err := sc.Sweep(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if got := hits() - before; got != want {
+			t.Errorf("%s: the window check answered %d components, want %d", step, got, want)
+		}
+	}
+	sweep("cold sweep", want)
+	sweep("warm sweep", 0)
+}

@@ -452,9 +452,7 @@ func WithParallel() CheckerOption {
 // pair instead of digest clusters. Results are identical; this exists as
 // the paper-faithful reference and for benchmarking the two against each
 // other. The sweep engine's settings (WithShardSize, WithIdentityDedup,
-// WithDigestCache) do not apply to the oracle. Lean report derivation
-// still does: scanner sweeps always derive lean, and WithLeanReports
-// applies to direct NewPoolSweep sessions, oracle or not.
+// WithDigestCache) do not apply to the oracle.
 func WithFullPairwise() CheckerOption {
 	return func(c *core.Config) { c.FullPairwise = true }
 }
@@ -494,15 +492,13 @@ func WithShardSize(n int) CheckerOption {
 	return func(c *core.Config) { c.ShardSize = n }
 }
 
-// WithLeanReports makes sweep sessions opened directly with
-// Checker.NewPoolSweep derive their reports from digest-cluster structure
-// in O(clusters² + pool), materializing ModuleReports only for non-clean
-// VMs. The engine's work is unchanged: verdicts, alerts, counts and
-// simulated costs stay the same, and only the per-pair detail lists (Pairs,
-// MismatchedVMs) that grow O(pool) per VM are omitted. Scanner sweeps
-// always derive lean reports, with or without this option.
+// WithLeanReports sets nothing: every pool report derives its verdicts
+// from cluster sizes and stores only its non-clean VMs' reports.
+//
+// Deprecated: pool reports are views over the check's outcome for every
+// caller; PoolReport.At and PoolReport.Pairs reach any VM's detail.
 func WithLeanReports() CheckerOption {
-	return func(c *core.Config) { c.LeanReports = true }
+	return func(*core.Config) {}
 }
 
 // WithIdentityDedup introspects one leader per identity group — copy-on-write

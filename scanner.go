@@ -267,6 +267,7 @@ type Scanner struct {
 	mResumed      *metrics.Counter
 	mRegroups     *metrics.Counter
 	mMemoReuses   *metrics.Counter
+	mWindowHits   *metrics.Counter
 	mDerived      *metrics.Counter
 	hSweepSim     *metrics.Histogram
 	hModuleSim    *metrics.Histogram
@@ -275,16 +276,8 @@ type Scanner struct {
 // NewScanner creates a scanner over the whole cloud. Checker options
 // (WithParallel, WithRetry, ...) apply to every sweep. Restricting to
 // specific modules is possible with SetModules.
-//
-// Scanner sweeps always derive lean reports: the sweep reads only each
-// module's healthy count and its non-clean VMs' verdicts, reasons and
-// mismatched components, all of which lean derivation computes exactly as
-// full derivation does, so the O(pool²) per-pair detail is never built.
 func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 	reg := c.Metrics()
-	// Clipped to its length, so the append copies instead of writing into
-	// spare capacity of the caller's slice.
-	opts = append(opts[:len(opts):len(opts)], WithLeanReports())
 	order := make([]int32, len(c.domains))
 	for i := range order {
 		order[i] = int32(i)
@@ -318,6 +311,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mResumed:      reg.Counter("scanner/resumed_sweeps"),
 		mRegroups:     c.mRegroups,
 		mMemoReuses:   reg.Counter("core/ref_memo_reuses"),
+		mWindowHits:   reg.Counter("core/ref_memo_window_hits"),
 		mDerived:      reg.Counter("core/compare_derived"),
 		hSweepSim:     reg.Histogram("scanner/sweep_sim_seconds", nil),
 		hModuleSim:    reg.Histogram("scanner/module_sim_seconds", nil),
@@ -665,9 +659,6 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 		}
 		rep.ModulesChecked++
 		for _, r := range pool.VMReports {
-			if r.Verdict == VerdictClean {
-				continue
-			}
 			if r.Verdict == VerdictError {
 				h := s.slot(r.TargetVM)
 				if errors.Is(r.Err, core.ErrVMBudget) {
@@ -693,6 +684,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	})
 	rep.Timing.Work.Searcher += session.ListTiming
 	s.mMemoReuses.Add(uint64(session.MemoReuses))
+	s.mWindowHits.Add(uint64(session.MemoWindowHits))
 	s.mDerived.Add(uint64(session.CompareDerived))
 
 	// Modules never reached become the checkpoint the next sweep resumes

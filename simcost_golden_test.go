@@ -74,7 +74,7 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //     digest store — a cold sweep, a sweep after patching hal.dll on 4 VMs,
 //     and one after reverting them and patching 4 others.
 //   - scan4k: fleet100k-dedup's scanner sweep scaled to 4096 clones of 4
-//     templates (sharded, lean, identity dedup, its three modules), swept
+//     templates (sharded, identity dedup, its three modules), swept
 //     twice, plus the SHA-256 of both sweeps' WriteJSON bytes.
 //   - trace300: a traced parallel dedup scanner over 300 clones of 4
 //     templates (shard 64), swept twice, plus the SHA-256 of the Chrome
@@ -89,6 +89,9 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //   - fig9: experiments.Fig9 at seed 1 (120 ticks, two windows in which a
 //     searcher copies http.sys out of Dom1 of a 2-VM cloud), plus the
 //     SHA-256 of the sampled guest counters.
+//   - faulted15: the fig7-pipeline sweep with WithRetry(DefaultRetryPolicy)
+//     under a seeded fault plan that makes 2% of Dom4's, Dom8's and Dom13's
+//     reads fail transiently, so the retry backoff is charged.
 func simcostRun(t *testing.T) []byte {
 	t.Helper()
 	var l simcostLedger
@@ -142,7 +145,7 @@ func simcostRun(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := fleet.NewChecker(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	fc := fleet.NewChecker(WithShardSize(256), WithIdentityDedup())
 	l.begin(fleet, nil)
 	sweep, err := fc.NewPoolSweep()
 	if err != nil {
@@ -209,7 +212,7 @@ func simcostRun(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc = scan.NewScanner(WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc = scan.NewScanner(WithShardSize(256), WithIdentityDedup())
 	sc.SetModules([]string{"dummy.sys", "hal.dll", "ndis.sys"})
 	l.begin(scan, nil)
 	reports := sha256.New()
@@ -266,6 +269,17 @@ func simcostRun(t *testing.T) []byte {
 		rep.Timing.Parser.Nanoseconds(), rep.Timing.Checker.Nanoseconds(), st.PTWalks-l.walks, st.BytesRead-l.read, rep.Successes)
 
 	l.fig9(t)
+
+	faulted, err := NewCloud(CloudConfig{VMs: 15, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewFaultPlan(15)
+	for _, vm := range []string{"Dom4", "Dom8", "Dom13"} {
+		plan.FlakyReads(vm, 0.02)
+	}
+	faulted.InstallFaultPlan(plan)
+	l.poolSweep(t, "faulted15", faulted.NewChecker(WithParallel(), WithRetry(DefaultRetryPolicy())))
 	return l.buf.Bytes()
 }
 

@@ -63,7 +63,7 @@ func TestSweepOpensOnlyListedVMs(t *testing.T) {
 		Verdict: VerdictAltered, Components: []string{".text"},
 		Reason: fmt.Sprintf("%d of %d peers dispute this copy", vms-1, vms-1)}})
 
-	sc := cloud.NewScanner(WithParallel(), WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc := cloud.NewScanner(WithParallel(), WithShardSize(256), WithIdentityDedup())
 	sc.SetModules(modules)
 	if got := sweep(sc); got != fmt.Sprintf("opened=%d %s", leaders, want) {
 		t.Errorf("dedup sweep: %s, want opened=%d %s", got, leaders, want)
@@ -71,7 +71,7 @@ func TestSweepOpensOnlyListedVMs(t *testing.T) {
 
 	plan := NewFaultPlan(1)
 	cloud.InstallFaultPlan(plan)
-	sc = cloud.NewScanner(WithParallel(), WithShardSize(256), WithLeanReports(), WithIdentityDedup())
+	sc = cloud.NewScanner(WithParallel(), WithShardSize(256), WithIdentityDedup())
 	sc.SetModules(modules)
 	if got := sweep(sc); got != fmt.Sprintf("opened=%d %s", vms, want) {
 		t.Errorf("sweep under a fault plan: %s, want opened=%d %s", got, vms, want)
