@@ -8,30 +8,37 @@ import (
 	"testing"
 )
 
-// fleetSweepMemory runs one pool sweep over a copy-on-write fleet and
-// returns (allocated, retained) bytes: total allocation churn during the
-// sweep, and heap still live after it with the sweep's results — the slice
-// of every PoolReport on the baseline path, nothing but fold state on the
-// streaming path.
+// fleetSweepMemory runs one pool sweep over a copy-on-write fleet with
+// verified reads and returns (allocated, retained) bytes: total allocation
+// churn during the sweep, and heap still live after it with the sweep's
+// results held — every PoolReport on the baseline path, nothing but fold
+// state on the streaming path. Retention is the heap the held results
+// keep: it is read after the session is closed and two collections have
+// run, so neither the session's per-VM state nor the buffer pools (whose
+// victim cache survives one collection) count, once with the results
+// alive and once after they are dropped.
+//
+// Both paths verify their reads, so both copy every VM they fetch: an
+// unverified flat sweep checks clean copies in place and no longer
+// allocates a buffer per VM.
 func fleetSweepMemory(t *testing.T, vms int, streaming bool) (allocated, retained uint64) {
 	t.Helper()
 	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var opts []CheckerOption
+	opts := []CheckerOption{WithRetry(DefaultRetryPolicy())}
 	if streaming {
-		opts = []CheckerOption{WithShardSize(16), WithIdentityDedup()}
+		opts = append(opts, WithShardSize(16), WithIdentityDedup())
 	}
 	checker := cloud.NewChecker(opts...)
 	session, err := checker.NewPoolSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer session.Close()
 	modules := []string{"dummy.sys", "hal.dll", "ndis.sys"}
 
-	var before, after runtime.MemStats
+	var before, swept, after, dropped runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	var held []*PoolReport
@@ -47,13 +54,11 @@ func fleetSweepMemory(t *testing.T, vms int, streaming bool) (allocated, retaine
 	} else {
 		held = session.CheckModules(modules)
 	}
+	runtime.ReadMemStats(&swept)
+	session.Close()
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	allocated = after.TotalAlloc - before.TotalAlloc
-	retained = after.HeapAlloc - before.HeapAlloc
-	if after.HeapAlloc < before.HeapAlloc {
-		retained = 0
-	}
 	if !streaming && len(held) != len(modules) {
 		t.Fatalf("baseline sweep returned %d reports", len(held))
 	}
@@ -61,16 +66,28 @@ func fleetSweepMemory(t *testing.T, vms int, streaming bool) (allocated, retaine
 		t.Fatalf("clean fleet raised %d alerts", alerts)
 	}
 	runtime.KeepAlive(held)
+	held = nil
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	allocated = swept.TotalAlloc - before.TotalAlloc
+	if after.HeapAlloc > dropped.HeapAlloc {
+		retained = after.HeapAlloc - dropped.HeapAlloc
+	}
+	// The reports reach the cloud through the session's targets; keep it
+	// alive through both readings so its guests count in neither.
+	runtime.KeepAlive(cloud)
 	return allocated, retained
 }
 
 // TestStreamingSweepBoundsMemory: the point of the fleet engine is that
 // sweep memory stops scaling with pool size. The held-in-memory flat path
-// fetches and parses every VM, so it allocates O(pool); the streaming
+// copies and parses every VM, so it allocates O(pool); the streaming
 // path — sharded, deduplicated, reports folded and dropped —
 // must allocate far less at the same size and grow sublinearly from a 64-VM
-// to a 256-VM pool. Margins are generous (3-4x) so the test pins the
-// asymptotic claim, not allocator noise.
+// to a 256-VM pool, and keep far less than the flat path's held reports.
+// Margins are generous (3-4x) so the test pins the asymptotic claim, not
+// allocator noise.
 func TestStreamingSweepBoundsMemory(t *testing.T) {
 	allocBase64, _ := fleetSweepMemory(t, 64, false)
 	allocBase256, retBase256 := fleetSweepMemory(t, 256, false)

@@ -422,10 +422,14 @@ type fetched struct {
 	// normalizer rewrote the module's own fixup sites, by component index.
 	normHashes [][md5.Size]byte
 	// buf is the raw module copy backing parsed.Raw and every component's
-	// Data. Page-wise copies draw it from the fetch-buffer pool; once a
-	// report no longer needs the bytes, releaseFetched recycles it.
+	// Data, drawn from the fetch-buffer pool; once a report no longer
+	// needs the bytes, releaseFetched recycles it.
 	buf []byte
 	err error
+	// inPlace marks a copy the Searcher checked in place and found
+	// covered (see pageCheck): it has info and timing but no bytes and no
+	// parse, and its layout is the reference's.
+	inPlace bool
 
 	// Digest facts: what digestAgainst learned about this copy against the
 	// reference fetch `against` (nil: nothing recorded), one bit per
@@ -442,36 +446,53 @@ type fetched struct {
 
 // releaseFetched recycles a fetch's module buffer once nothing derived from
 // the report aliases it (reports hold only fresh strings and scalars).
-// Mapped copies are not pooled: their buffers come from the handle's
-// MapRange, not the fetch pool.
 //
 //modown:pool module-fetch put
 func (c *Checker) releaseFetched(f *fetched) {
 	if f == nil || f.buf == nil {
 		return
 	}
-	if c.cfg.Strategy != CopyMapped {
-		putFetchBuf(f.buf)
-	}
+	putFetchBuf(f.buf)
 	f.buf = nil
 	f.parsed = nil
 }
 
+// adopt gives a fetch covered in place the copy and parse a cluster's
+// representative needs; releaseFetched recycles the buffer.
+//
+//modown:transfer fetch-buf
+func (f *fetched) adopt(buf []byte, parsed *ParsedModule) {
+	f.buf, f.parsed, f.inPlace = buf, parsed, false
+}
+
 // fetchAndParse runs Module-Searcher and Module-Parser for one VM through
-// its open handle. The returned fetch owns a pooled module buffer until
-// releaseFetched runs.
+// its open handle, reading in place through chk when it is not nil (see
+// Searcher.readModule). The returned fetch owns a pooled module buffer,
+// unless it was covered in place, until releaseFetched runs.
 //
 //modown:pool module-fetch get
-func (c *Checker) fetchAndParse(h *vmi.Handle, name, module string) *fetched {
+func (c *Checker) fetchAndParse(h *vmi.Handle, name, module string, chk *pageCheck) *fetched {
 	f := &fetched{name: name}
-	info, buf, searchCost, err := NewSearcher(h, c.cfg.Strategy).WithRetry(c.cfg.Retry).FetchModule(module)
+	info, buf, searchCost, err := NewSearcher(h, c.cfg.Strategy).WithRetry(c.cfg.Retry).fetchModule(module, chk)
 	f.timing.Searcher = c.charge(searchCost)
-	if err != nil {
+	switch {
+	case err != nil:
 		f.err = err
-		return f
+	case buf == nil:
+		c.coveredInPlace(f, info)
+	default:
+		c.parseFetched(f, module, info, buf)
 	}
-	c.parseFetched(f, module, info, buf)
 	return f
+}
+
+// coveredInPlace fills in a fetch the Searcher checked in place and found
+// covered. Its bytes parse to the reference's layout, so it is charged
+// the parse of its size without one.
+func (c *Checker) coveredInPlace(f *fetched, info *ModuleInfo) {
+	f.info = info
+	f.inPlace = true
+	f.timing.Parser = c.charge(parseCost(int(info.SizeOfImage)))
 }
 
 // parseFetched runs Module-Parser (and, under the reloc normalizer, the
@@ -523,7 +544,7 @@ func perKB(n int, c time.Duration) time.Duration {
 //
 //modsafe:charged
 func (c *Checker) CheckModule(module string, target Target, peers []Target) (*ModuleReport, error) {
-	tf := c.fetchAndParse(target.Handle, target.Name, module)
+	tf := c.fetchAndParse(target.Handle, target.Name, module, nil)
 	if err := tf.err; err != nil {
 		// A parse failure happens after the copy buffer is attached; the
 		// buffer must still go back to the pool.

@@ -155,7 +155,7 @@ func TestCompareStageMatchesPairwise(t *testing.T) {
 				fresh := make([]*fetched, len(o.clusters))
 				for cid, cl := range o.clusters {
 					g := e.grp.leader(cl.grp)
-					fresh[cid] = plain.fetchAndParse(targets[g].Handle, targets[g].Name, module)
+					fresh[cid] = plain.fetchAndParse(targets[g].Handle, targets[g].Name, module, nil)
 					defer plain.releaseFetched(fresh[cid])
 				}
 				var costs, computed []time.Duration
@@ -237,7 +237,7 @@ func TestDuplicateSectionNames(t *testing.T) {
 			t.Fatal(err)
 		}
 		texts := 0
-		f := c.fetchAndParse(tg.Handle, tg.Name, module)
+		f := c.fetchAndParse(tg.Handle, tg.Name, module, nil)
 		for _, comp := range f.parsed.Components {
 			if comp.Name == ".text" {
 				texts++

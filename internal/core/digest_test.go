@@ -196,7 +196,7 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 		if !ok {
 			t.Fatal("engine run failed")
 		}
-		ref := c.fetchAndParse(run.pool[0].Handle, run.pool[0].Name, module)
+		ref := c.fetchAndParse(run.pool[0].Handle, run.pool[0].Name, module, nil)
 		if run.pinHitCount {
 			// The first clean copy fills the memo. The window check then
 			// answers every relocated component of the other three clean
@@ -214,7 +214,7 @@ func TestDigestKeysExactUnderMemo(t *testing.T) {
 		}
 		keys := map[string]string{}
 		for i := 1; i < len(run.pool); i++ {
-			f := c.fetchAndParse(run.pool[i].Handle, run.pool[i].Name, module)
+			f := c.fetchAndParse(run.pool[i].Handle, run.pool[i].Name, module, nil)
 			if f.err != nil {
 				t.Fatal(f.err)
 			}
@@ -280,7 +280,7 @@ func BenchmarkDigestAgainst(b *testing.B) {
 	fetchAll := func(tg Target) []*fetched {
 		fs := make([]*fetched, len(modules))
 		for i, m := range modules {
-			if fs[i] = c.fetchAndParse(tg.Handle, tg.Name, m); fs[i].err != nil {
+			if fs[i] = c.fetchAndParse(tg.Handle, tg.Name, m, nil); fs[i].err != nil {
 				b.Fatal(fs[i].err)
 			}
 		}

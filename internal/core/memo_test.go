@@ -113,7 +113,7 @@ func TestRefMemoKeptAcrossSweeps(t *testing.T) {
 	c := NewChecker(Config{DigestCache: cas.NewStore(0)})
 	targets := fleetTargets(ds)
 	relocated := 0
-	ref := c.fetchAndParse(targets[0].Handle, targets[0].Name, module)
+	ref := c.fetchAndParse(targets[0].Handle, targets[0].Name, module, nil)
 	for _, comp := range ref.parsed.Components {
 		if comp.Normalize {
 			relocated++
@@ -204,7 +204,7 @@ func TestRefMemoKeptAcrossSweeps(t *testing.T) {
 	wantKept("all hits", cas.Token{})
 	if !raceEnabled {
 		// The race detector's sync.Pool drops a quarter of all Puts.
-		ref := c.fetchAndParse(targets[0].Handle, targets[0].Name, module)
+		ref := c.fetchAndParse(targets[0].Handle, targets[0].Name, module, nil)
 		var got []*[]byte
 		for _, comp := range ref.parsed.Components {
 			if comp.Normalize {

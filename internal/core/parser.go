@@ -100,6 +100,9 @@ func (m *ParsedModule) peer(c *Component, hint int) int {
 // Figure 7 shows.
 const parseCostPerKB = 500 * time.Nanosecond
 
+// parseCost is the nominal cost of parsing an n-byte module image.
+func parseCost(n int) time.Duration { return time.Duration(n/1024+1) * parseCostPerKB }
+
 // ParseModule implements the paper's Algorithm 1 over the in-memory module
 // layout: verify the DOS magic, chase e_lfanew to the NT headers, read the
 // FILE and OPTIONAL headers, then the section headers, and slice out each
@@ -110,7 +113,7 @@ const parseCostPerKB = 500 * time.Nanosecond
 // parser indexes by RVA, because Module-Searcher hands it the *loaded*
 // image.
 func ParseModule(vmName, moduleName string, base uint32, buf []byte) (*ParsedModule, time.Duration, error) {
-	cost := time.Duration(len(buf)/1024+1) * parseCostPerKB
+	cost := parseCost(len(buf))
 	le := binary.LittleEndian
 	fail := func(format string, args ...any) (*ParsedModule, time.Duration, error) {
 		return nil, cost, fmt.Errorf("core: parsing %s from %s: %s", moduleName, vmName, fmt.Sprintf(format, args...))

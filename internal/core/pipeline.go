@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/md5"
 	"encoding/binary"
+	"hash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -162,7 +163,7 @@ func (c *Checker) traceStage(stage, module string, nameFn func(int) string, cost
 func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Duration) {
 	fetches := make([]*fetched, len(vms))
 	runBounded(len(vms), c.stageWorkers(), func(i int) {
-		fetches[i] = c.fetchAndParse(vms[i].Handle, vms[i].Name, module)
+		fetches[i] = c.fetchAndParse(vms[i].Handle, vms[i].Name, module, nil)
 	})
 	costs := make([]time.Duration, len(fetches))
 	for i, f := range fetches {
@@ -189,16 +190,9 @@ func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Dura
 //
 //moddet:sink digest keys must be a pure function of guest memory
 func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Duration) {
-	h := md5.New()
+	w := newKeyWriter()
+	writePart := w.part
 	var cost time.Duration
-	var lenBuf [8]byte
-	writePart := func(name string, n int, sum [md5.Size]byte) {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(n))
-		h.Write(lenBuf[:])
-		h.Write(sum[:])
-	}
 	reloc := c.cfg.Normalizer == NormalizeRelocTable
 	if !reloc {
 		f.against, f.refMatch, f.refCovered = ref, 0, 0
@@ -244,5 +238,24 @@ func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Du
 			}
 		}
 	}
-	return string(h.Sum(nil)), cost
+	return w.key(), cost
 }
+
+// keyWriter folds a copy's component digests into its cluster key: each
+// part is a name, a length and an MD5.
+type keyWriter struct {
+	h      hash.Hash
+	lenBuf [8]byte
+}
+
+func newKeyWriter() *keyWriter { return &keyWriter{h: md5.New()} }
+
+func (w *keyWriter) part(name string, n int, sum [md5.Size]byte) {
+	w.h.Write([]byte(name))
+	w.h.Write([]byte{0})
+	binary.LittleEndian.PutUint64(w.lenBuf[:], uint64(n))
+	w.h.Write(w.lenBuf[:])
+	w.h.Write(sum[:])
+}
+
+func (w *keyWriter) key() string { return string(w.h.Sum(nil)) }

@@ -5,7 +5,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -84,12 +83,10 @@ func putFetchBuf(b []byte) {
 	fetchBufPools[class].Put(p)
 }
 
-// ReleaseModuleCopy recycles a page-wise module copy obtained from
-// FetchModule or CopyModule once nothing aliases its bytes. Callers
-// outside the checker (the baseline verifier, the experiment drivers) use
-// it in place of Checker.releaseFetched; passing a CopyMapped view is safe
-// only because putFetchBuf re-boxes, but such views should simply not be
-// recycled — they are not pool-owned.
+// ReleaseModuleCopy recycles a module copy obtained from FetchModule or
+// CopyModule once nothing aliases its bytes. Callers outside the checker
+// (the baseline verifier, the experiment drivers) use it in place of
+// Checker.releaseFetched.
 //
 //modown:pool fetch-buf put
 func ReleaseModuleCopy(b []byte) {
@@ -264,62 +261,68 @@ func (s *Searcher) FindModule(name string) (*ModuleInfo, error) {
 }
 
 // CopyModule copies the whole in-memory module (SizeOfImage bytes starting
-// at DllBase) into a local buffer, using the configured strategy. Page-wise
-// copies come from the fetch-buffer pool and must be recycled through
-// putFetchBuf (releaseFetched does); CopyMapped results are zero-copy
-// views of hypervisor-owned memory and must not be mutated or pooled.
+// at DllBase) into a buffer from the fetch-buffer pool, using the
+// configured strategy: the two strategies differ only in what the copy is
+// charged. The copy must be recycled through putFetchBuf (releaseFetched
+// does).
 //
 //modown:pool fetch-buf get
-//modown:borrowed CopyMapped returns a zero-copy view, not a pooled buffer
 func (s *Searcher) CopyModule(info *ModuleInfo) ([]byte, error) {
 	if info.SizeOfImage == 0 || info.SizeOfImage > MaxModuleSize {
 		return nil, fmt.Errorf("core: %s on %s claims SizeOfImage %#x (corrupt or hostile LDR entry)",
 			info.Name, s.h.VMName(), info.SizeOfImage)
 	}
-	switch s.strategy {
-	case CopyMapped:
-		if s.retry.VerifyReads {
-			return s.copyMappedVerified(info)
-		}
-		return s.h.MapRange(info.Base, info.SizeOfImage)
+	buf := getFetchBuf(int(info.SizeOfImage))
+	var err error
+	switch {
+	case s.strategy == CopyMapped && s.retry.VerifyReads:
+		_, err = s.h.MapRangeConsistent(info.Base, buf, verifyPasses)
+	case s.strategy == CopyMapped:
+		err = s.h.MapRange(info.Base, buf)
+	case s.retry.VerifyReads:
+		_, err = s.h.ReadVAConsistent(info.Base, buf, verifyPasses)
 	default:
-		buf := getFetchBuf(int(info.SizeOfImage))
-		if s.retry.VerifyReads {
-			if _, err := s.h.ReadVAConsistent(info.Base, buf, verifyPasses); err != nil {
-				putFetchBuf(buf)
-				return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
-			}
-			return buf, nil
-		}
-		if err := s.h.ReadVA(info.Base, buf); err != nil {
-			putFetchBuf(buf)
-			return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
-		}
-		return buf, nil
+		err = s.h.ReadVA(info.Base, buf)
 	}
+	if err != nil {
+		putFetchBuf(buf)
+		return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
+	}
+	return buf, nil
 }
 
-// copyMappedVerified is the bulk-mapping analogue of ReadVAConsistent: map
-// the region repeatedly until two consecutive mappings agree.
+// readModule reads the module for a digest against the reference chk
+// checks for: in place when it can, returning no copy (nil, nil) when the
+// whole module proved covered (see pageCheck). A copy that fails the check
+// is finished as a copy: the pages already walked are backfilled from the
+// frames without being charged again, so the copy costs exactly what
+// CopyModule charges. A nil chk, a memory that cannot lend frames (a fault
+// plan's) or a size other than the reference's copy as CopyModule does.
+// The engine passes a chk only to page-wise, unverified Searchers.
 //
-//modown:borrowed forwards MapRange views
-func (s *Searcher) copyMappedVerified(info *ModuleInfo) ([]byte, error) {
-	prev, err := s.h.MapRange(info.Base, info.SizeOfImage)
+//modown:pool fetch-buf get
+func (s *Searcher) readModule(info *ModuleInfo, chk *pageCheck) ([]byte, error) {
+	if chk == nil || !s.h.CanView() || !chk.start(info) {
+		return s.CopyModule(info)
+	}
+	size := int(info.SizeOfImage)
+	n, err := s.h.ViewVA(info.Base, size, chk)
 	if err != nil {
 		return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
 	}
-	for pass := 2; pass <= verifyPasses; pass++ {
-		cur, err := s.h.MapRange(info.Base, info.SizeOfImage)
-		if err != nil {
-			return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
-		}
-		if bytes.Equal(prev, cur) {
-			return cur, nil
-		}
-		prev = cur
+	if chk.covered() {
+		return nil, nil
 	}
-	return nil, fmt.Errorf("core: copying %s from %s after %d passes: %w",
-		info.Name, s.h.VMName(), verifyPasses, vmi.ErrTornRead)
+	buf := getFetchBuf(size)
+	err = s.h.Backfill(info.Base, buf[:n])
+	if err == nil {
+		err = s.h.ReadVA(info.Base+uint32(n), buf[n:])
+	}
+	if err != nil {
+		putFetchBuf(buf)
+		return nil, fmt.Errorf("core: copying %s from %s: %w", info.Name, s.h.VMName(), err)
+	}
+	return buf, nil
 }
 
 // FetchModule finds and copies the named module, returning the info, the
@@ -330,47 +333,38 @@ func (s *Searcher) copyMappedVerified(info *ModuleInfo) ([]byte, error) {
 // clock). Permanent faults and exhausted budgets return the last error.
 //
 //modown:pool fetch-buf get
-//modown:borrowed CopyMapped fetches forward zero-copy views
 func (s *Searcher) FetchModule(name string) (*ModuleInfo, []byte, time.Duration, error) {
-	attempts := s.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var total time.Duration
-	backoff := s.retry.BaseBackoff
-	for attempt := 1; ; attempt++ {
-		info, buf, cost, err := s.fetchOnce(name)
-		total += cost
-		if err == nil {
-			return info, buf, total, nil
-		}
-		if attempt >= attempts || faults.Classify(err) != faults.ClassTransient {
-			return nil, nil, total, err
-		}
-		total += backoff
-		backoff *= 2
-		if s.retry.MaxBackoff > 0 && backoff > s.retry.MaxBackoff {
-			backoff = s.retry.MaxBackoff
-		}
-	}
+	return s.fetchModule(name, nil)
 }
 
-// fetchOnce is one find-and-copy attempt.
+// fetchModule is FetchModule reading through chk (see readModule): a nil
+// copy without an error is a module chk proved covered in place.
 //
 //modown:pool fetch-buf get
-//modown:borrowed CopyMapped fetches forward zero-copy views
-func (s *Searcher) fetchOnce(name string) (*ModuleInfo, []byte, time.Duration, error) {
-	before := s.h.Stats()
+func (s *Searcher) fetchModule(name string, chk *pageCheck) (*ModuleInfo, []byte, time.Duration, error) {
+	var info *ModuleInfo
+	var buf []byte
+	cost, err := s.retryCosted(func() error {
+		var e error
+		info, buf, e = s.fetchOnce(name, chk)
+		return e
+	})
+	return info, buf, cost, err
+}
+
+// fetchOnce is one find-and-read attempt.
+//
+//modown:pool fetch-buf get
+func (s *Searcher) fetchOnce(name string, chk *pageCheck) (*ModuleInfo, []byte, error) {
 	info, err := s.FindModule(name)
 	if err != nil {
-		return nil, nil, statsCost(s.h.Stats(), before), err
+		return nil, nil, err
 	}
-	buf, err := s.CopyModule(info)
-	cost := statsCost(s.h.Stats(), before)
+	buf, err := s.readModule(info, chk)
 	if err != nil {
-		return nil, nil, cost, err
+		return nil, nil, err
 	}
-	return info, buf, cost, nil
+	return info, buf, nil
 }
 
 // statsCost converts a handle-stats delta into the nominal (uncontended)
@@ -439,12 +433,19 @@ func (s *Searcher) ListModulesCosted() ([]ModuleInfo, time.Duration, error) {
 // listing half can be amortized across a sweep.
 //
 //modown:pool fetch-buf get
-//modown:borrowed CopyMapped fetches forward zero-copy views
 func (s *Searcher) CopyModuleCosted(info *ModuleInfo) ([]byte, time.Duration, error) {
+	return s.readModuleCosted(info, nil)
+}
+
+// readModuleCosted is CopyModuleCosted reading through chk (see
+// readModule).
+//
+//modown:pool fetch-buf get
+func (s *Searcher) readModuleCosted(info *ModuleInfo, chk *pageCheck) ([]byte, time.Duration, error) {
 	var buf []byte
 	cost, err := s.retryCosted(func() error {
 		var e error
-		buf, e = s.CopyModule(info)
+		buf, e = s.readModule(info, chk)
 		return e
 	})
 	return buf, cost, err

@@ -509,7 +509,7 @@ func (d *Domain) Destroyed() bool { return d.destroyed.Load() }
 // check is per read, so a destruction landing in the middle of a module copy
 // fails the copy's next page — the torn-down-mid-check case the pipeline's
 // error isolation exists for.
-func (d *Domain) PhysReader() mm.PhysReader {
+func (d *Domain) PhysReader() mm.FrameViewer {
 	return guardedReader{d: d}
 }
 
@@ -523,6 +523,17 @@ func (r guardedReader) ReadPhys(pa uint32, b []byte) error {
 		return fmt.Errorf("hypervisor %s: %w", r.d.Name, ErrDomainGone)
 	}
 	return r.d.guest.Phys().ReadPhys(pa, b)
+}
+
+// ViewPhys lends guest physical bytes in place (mm.FrameViewer), failing
+// once the domain is gone.
+//
+//modsafe:spends guarded physical read
+func (r guardedReader) ViewPhys(pa uint32, n int, fn func([]byte)) error {
+	if r.d.Destroyed() {
+		return fmt.Errorf("hypervisor %s: %w", r.d.Name, ErrDomainGone)
+	}
+	return r.d.guest.Phys().ViewPhys(pa, n, fn)
 }
 
 // TakeSnapshot captures the guest state under the given tag, overwriting

@@ -11,7 +11,7 @@ import (
 )
 
 // aliasfree enforces the zero-copy aliasing rule: a buffer returned by a
-// //modown:borrowed producer (a CopyMapped window, a CoW frame layer) is
+// //modown:borrowed producer (a zero-copy window, a CoW frame layer) is
 // a live view of memory owned elsewhere. Callers may read it, slice it,
 // and hand it on — but must not
 //

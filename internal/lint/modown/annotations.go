@@ -29,7 +29,7 @@ import (
 //
 //	//modown:borrowed [reason]
 //	    aliasfree: this function returns a zero-copy view of memory owned
-//	    elsewhere (a CopyMapped window, a CoW frame layer). Callers must
+//	    elsewhere (a zero-copy window, a CoW frame layer). Callers must
 //	    not mutate, append to, or recycle the result, and may only return
 //	    it from functions that carry the same annotation.
 //

@@ -44,6 +44,23 @@ type PhysReader interface {
 	ReadPhys(pa uint32, b []byte) error
 }
 
+// FrameViewer is a PhysReader that can also lend guest-physical bytes in
+// place, so a reader that only compares them (an in-place integrity check)
+// need not copy them first. Implemented by *PhysMemory.
+type FrameViewer interface {
+	PhysReader
+	// ViewPhys calls fn with the n bytes at pa, which must lie in one
+	// page. The slice is the frame itself (or shared zeros for an
+	// unallocated frame), lent under the memory's read lock for the
+	// duration of the call only: fn must neither keep nor modify it, and
+	// must not block or touch the memory itself. A nil fn only checks the
+	// range, as a read of it would.
+	ViewPhys(pa uint32, n int, fn func([]byte)) error
+}
+
+// zeroFrame is what ViewPhys lends for a frame that reads as zeros.
+var zeroFrame [PageSize]byte
+
 // baseLayer is a frozen, immutable memory image shared by every fork taken
 // from it. Frames in a base layer are never written after the freeze — any
 // write to a shared frame copies it into the writer's private overlay first
@@ -326,6 +343,27 @@ func (m *PhysMemory) ReadPhys(pa uint32, b []byte) error {
 		b = b[n:]
 		pa += n
 	}
+	return nil
+}
+
+// ViewPhys implements FrameViewer.
+//
+//modsafe:spends raw physical read
+func (m *PhysMemory) ViewPhys(pa uint32, n int, fn func([]byte)) error {
+	off := int(pa & (PageSize - 1))
+	if n < 0 || off+n > PageSize || uint64(pa)+uint64(n) > m.Size() {
+		return fmt.Errorf("%w: view [%#x,%#x)", ErrBadAddress, pa, uint64(pa)+uint64(n))
+	}
+	if fn == nil {
+		return nil
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	frame := m.frameLocked(pa >> PageShift)
+	if frame == nil {
+		frame = zeroFrame[:]
+	}
+	fn(frame[off : off+n])
 	return nil
 }
 

@@ -340,6 +340,90 @@ func (h *Handle) tlbInsert(va, pa uint32) {
 	h.tlb[va>>mm.PageShift] = pa >> mm.PageShift
 }
 
+// charging selects what a walk (Handle.walk) counts and pays per page.
+type charging int
+
+const (
+	// pageWise is a page-wise read: CostPageRead per page.
+	pageWise charging = iota
+	// mapped is a page under a bulk mapping: CostMappedPage per page,
+	// counted in PagesMapped too. The mapping's setup is the caller's.
+	mapped
+	// quiet re-reads pages an earlier walk already counted and charged:
+	// translations come from the TLB or an uncharged walk, and nothing is
+	// counted or paid.
+	quiet
+)
+
+// errStopWalk is returned by a walk's read function to end the walk after
+// its page, which is still counted and charged.
+var errStopWalk = errors.New("vmi: stop walk")
+
+// walk is the frame iterator behind every read of guest virtual memory:
+// it visits [va, va+n) page by page, the access pattern the paper
+// identifies as Module-Searcher's dominant cost. Each page costs one
+// translation (a TLB hit or a page-table walk), then read(off, pa, m)
+// reads its m bytes at range offset off from physical address pa, then
+// the page is counted and charged under mode. It returns how many bytes
+// it visited; op names the operation in errors.
+func (h *Handle) walk(op string, va uint32, n int, mode charging, read func(off int, pa uint32, m int) error) (int, error) {
+	for off := 0; off < n; {
+		var pa uint32
+		var err error
+		if mode == quiet {
+			pa, err = h.translateQuiet(va)
+		} else {
+			pa, err = h.Translate(va)
+		}
+		if err != nil {
+			return off, fmt.Errorf("vmi %s: %s at %#x: %w", h.vmName, op, va, err)
+		}
+		m := min(mm.PageSize-int(va&(mm.PageSize-1)), n-off)
+		err = read(off, pa, m)
+		if err != nil && err != errStopWalk {
+			return off, fmt.Errorf("vmi %s: %s at %#x: %w", h.vmName, op, va, err)
+		}
+		h.countPage(m, mode)
+		off += m
+		va += uint32(m)
+		if err == errStopWalk {
+			return off, nil
+		}
+	}
+	return n, nil
+}
+
+// countPage counts and charges one page of m bytes read under mode.
+func (h *Handle) countPage(m int, mode charging) {
+	if mode == quiet {
+		return
+	}
+	h.pagesRead.Add(1)
+	h.bytesRead.Add(uint64(m))
+	if h.shared != nil {
+		h.shared.pagesRead.Add(1)
+		h.shared.bytesRead.Add(uint64(m))
+	}
+	if mode == mapped {
+		h.pagesMapped.Add(1)
+		if h.shared != nil {
+			h.shared.pagesMapped.Add(1)
+		}
+		h.pay(CostMappedPage)
+		return
+	}
+	h.pay(CostPageRead)
+}
+
+// translateQuiet resolves va like Translate, but counts and charges
+// nothing and leaves the TLB as it is: a re-read's translation.
+func (h *Handle) translateQuiet(va uint32) (uint32, error) {
+	if pfn, ok := h.tlbLookup(va); ok {
+		return pfn<<mm.PageShift | va&(mm.PageSize-1), nil
+	}
+	return mm.WalkPageTables(h.mem, h.cr3, va)
+}
+
 // ReadVA copies len(b) bytes of guest virtual memory starting at va. The
 // copy proceeds page by page: one translation and one page read per page
 // touched, the access pattern the paper identifies as Module-Searcher's
@@ -347,30 +431,68 @@ func (h *Handle) tlbInsert(va, pa uint32) {
 //
 //modsafe:spends page-wise physical reads
 func (h *Handle) ReadVA(va uint32, b []byte) error {
-	for len(b) > 0 {
-		pa, err := h.Translate(va)
-		if err != nil {
-			return fmt.Errorf("vmi %s: read at %#x: %w", h.vmName, va, err)
+	_, err := h.walk("read", va, len(b), pageWise, func(off int, pa uint32, m int) error {
+		return h.mem.ReadPhys(pa, b[off:off+m])
+	})
+	return err
+}
+
+// Backfill copies len(b) bytes at va that this handle has already read,
+// counted and charged (a ViewVA walk whose caller turned out to need the
+// bytes after all), without counting or charging them again.
+func (h *Handle) Backfill(va uint32, b []byte) error {
+	_, err := h.walk("read", va, len(b), quiet, func(off int, pa uint32, m int) error {
+		return h.mem.ReadPhys(pa, b[off:off+m])
+	})
+	return err
+}
+
+// A PageVisitor checks guest memory in place, one page at a time (see
+// ViewVA).
+type PageVisitor interface {
+	// Wants reports whether the n bytes at range offset off need reading.
+	// A page nobody wants is counted and charged like any other, but its
+	// bytes are never touched.
+	Wants(off, n int) bool
+	// Visit reads page, the bytes at range offset off. page is the guest
+	// frame itself, lent for the call only: Visit must neither keep nor
+	// modify it. Returning false ends the walk after this page.
+	Visit(off int, page []byte) bool
+}
+
+// CanView reports whether the handle's memory lends frames in place, which
+// ViewVA needs. A fault plan's reader does not: injected faults act on
+// copies.
+func (h *Handle) CanView() bool {
+	_, ok := h.mem.(mm.FrameViewer)
+	return ok
+}
+
+// ViewVA walks [va, va+n) exactly as ReadVA would copy it, with the same
+// translations, counts and charges page by page, but hands each page the
+// visitor wants to v in place instead of copying it. It returns how many
+// bytes it walked: n, or less when v ended the walk. The handle must
+// CanView.
+//
+//modsafe:spends page-wise physical reads
+func (h *Handle) ViewVA(va uint32, n int, v PageVisitor) (int, error) {
+	fv := h.mem.(mm.FrameViewer)
+	var at int
+	more := true
+	visit := func(page []byte) { more = v.Visit(at, page) }
+	return h.walk("read", va, n, pageWise, func(off int, pa uint32, m int) error {
+		if !v.Wants(off, m) {
+			return fv.ViewPhys(pa, m, nil)
 		}
-		off := va & (mm.PageSize - 1)
-		n := uint32(mm.PageSize - off)
-		if int(n) > len(b) {
-			n = uint32(len(b))
+		at = off
+		if err := fv.ViewPhys(pa, m, visit); err != nil {
+			return err
 		}
-		if err := h.mem.ReadPhys(pa, b[:n]); err != nil {
-			return fmt.Errorf("vmi %s: read at %#x: %w", h.vmName, va, err)
+		if !more {
+			return errStopWalk
 		}
-		h.pagesRead.Add(1)
-		h.bytesRead.Add(uint64(n))
-		if h.shared != nil {
-			h.shared.pagesRead.Add(1)
-			h.shared.bytesRead.Add(uint64(n))
-		}
-		h.pay(CostPageRead)
-		b = b[n:]
-		va += n
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReadVAConsistent copies like ReadVA but detects concurrent guest
@@ -385,17 +507,31 @@ func (h *Handle) ReadVA(va uint32, b []byte) error {
 //
 //modsafe:spends multi-pass physical reads
 func (h *Handle) ReadVAConsistent(va uint32, b []byte, maxPasses int) (int, error) {
+	return h.consistent(va, b, maxPasses, h.ReadVA)
+}
+
+// MapRangeConsistent is ReadVAConsistent with every pass a MapRange: the
+// bulk-mapping strategy's verified copy.
+//
+//modsafe:spends multi-pass batched mappings
+func (h *Handle) MapRangeConsistent(va uint32, b []byte, maxPasses int) (int, error) {
+	return h.consistent(va, b, maxPasses, h.MapRange)
+}
+
+// consistent runs read passes over [va, va+len(b)) until two consecutive
+// passes agree; see ReadVAConsistent.
+func (h *Handle) consistent(va uint32, b []byte, maxPasses int, read func(uint32, []byte) error) (int, error) {
 	if maxPasses < 2 {
 		maxPasses = 2
 	}
-	if err := h.ReadVA(va, b); err != nil {
+	if err := read(va, b); err != nil {
 		return 1, err
 	}
 	sp := getShadow(len(b))
 	shadow := (*sp)[:len(b)]
 	defer putShadow(sp)
 	for pass := 2; pass <= maxPasses; pass++ {
-		if err := h.ReadVA(va, shadow); err != nil {
+		if err := read(va, shadow); err != nil {
 			return pass, err
 		}
 		if bytes.Equal(b, shadow) {
@@ -409,50 +545,26 @@ func (h *Handle) ReadVAConsistent(va uint32, b []byte, maxPasses int) (int, erro
 }
 
 // MapRange is the bulk alternative to ReadVA used by the copy-strategy
-// ablation: it establishes one mapping of the whole [va, va+size) region
-// (one setup charge, then a reduced per-page charge) and returns the bytes.
-// Real libVMI gained such batched mappings after the paper's version; the
-// paper's ModChecker uses the page-wise path.
+// ablation: it establishes one mapping of the whole [va, va+len(b)) region
+// (one setup charge, then a reduced per-page charge) and copies it into b
+// through the same frame iterator as ReadVA. Real libVMI gained such
+// batched mappings after the paper's version; the paper's ModChecker uses
+// the page-wise path.
 //
 //modsafe:spends batched mapping setup and physical reads
-//modown:borrowed callers treat the mapping as a zero-copy hypervisor view
-func (h *Handle) MapRange(va, size uint32) ([]byte, error) {
+func (h *Handle) MapRange(va uint32, b []byte) error {
 	h.mapSetups.Add(1)
 	if h.shared != nil {
 		h.shared.mapSetups.Add(1)
 	}
 	h.pay(CostMapSetup)
-	out := make([]byte, size)
-	b := out
-	for len(b) > 0 {
-		// Translation still happens per page, but batched — and it goes
-		// through the same software TLB as page-wise reads, so repeated
-		// mappings of one region (the verified-copy path) re-walk nothing.
-		pa, err := h.Translate(va)
-		if err != nil {
-			return nil, fmt.Errorf("vmi %s: map at %#x: %w", h.vmName, va, err)
-		}
-		off := va & (mm.PageSize - 1)
-		n := uint32(mm.PageSize - off)
-		if int(n) > len(b) {
-			n = uint32(len(b))
-		}
-		if err := h.mem.ReadPhys(pa, b[:n]); err != nil {
-			return nil, fmt.Errorf("vmi %s: map at %#x: %w", h.vmName, va, err)
-		}
-		h.pagesRead.Add(1)
-		h.pagesMapped.Add(1)
-		h.bytesRead.Add(uint64(n))
-		if h.shared != nil {
-			h.shared.pagesRead.Add(1)
-			h.shared.pagesMapped.Add(1)
-			h.shared.bytesRead.Add(uint64(n))
-		}
-		h.pay(CostMappedPage)
-		b = b[n:]
-		va += n
-	}
-	return out, nil
+	// Translation still happens per page, and through the same software
+	// TLB as page-wise reads, so repeated mappings of one region (the
+	// verified-copy path) re-walk nothing.
+	_, err := h.walk("map", va, len(b), mapped, func(off int, pa uint32, m int) error {
+		return h.mem.ReadPhys(pa, b[off:off+m])
+	})
+	return err
 }
 
 // ReadU32 reads a little-endian 32-bit value at va.

@@ -201,8 +201,8 @@ func TestMapRangeMatchesReadVA(t *testing.T) {
 	if err := h.ReadVA(mod.Base, a); err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.MapRange(mod.Base, mod.SizeOfImage)
-	if err != nil {
+	b := make([]byte, mod.SizeOfImage)
+	if err := h.MapRange(mod.Base, b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
@@ -223,7 +223,7 @@ func TestMapRangeCheaperThanPageWise(t *testing.T) {
 		return total
 	}
 	pw := cost(func(h *Handle) { h.ReadVA(mod.Base, make([]byte, mod.SizeOfImage)) })
-	mp := cost(func(h *Handle) { h.MapRange(mod.Base, mod.SizeOfImage) })
+	mp := cost(func(h *Handle) { h.MapRange(mod.Base, make([]byte, mod.SizeOfImage)) })
 	if mp >= pw {
 		t.Errorf("mapped copy (%v) not cheaper than page-wise (%v)", mp, pw)
 	}

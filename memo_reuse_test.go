@@ -88,6 +88,73 @@ func TestCompareDerivedCounter(t *testing.T) {
 	sweep("warm sweep", 0)
 }
 
+// TestInPlaceCounters pins core/fetch_in_place and
+// core/fetch_in_place_fallbacks on a 15-VM pool of independently booted
+// guests with one infected VM. Per module, every healthy copy but the
+// reference and its first partner is checked in place: it counts as in
+// place unless it is infected, and falls back, or is the first clean copy
+// at the other kind of base than the partner's (the reference's base or
+// another), and fronts a cluster of its own. A direct session reports the
+// same counts in PoolSweep.InPlace and InPlaceFallbacks.
+func TestInPlaceCounters(t *testing.T) {
+	cloud, err := NewCloud(CloudConfig{VMs: 15, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const infected = "Dom5"
+	if err := InfectPreset(cloud, infected, "tcpirphook"); err != nil {
+		t.Fatal(err)
+	}
+	session, err := cloud.NewChecker(WithParallel()).NewPoolSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modules, err := session.Modules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inPlace, fallbacks int
+	for _, pool := range session.CheckModules(modules) {
+		refBase := pool.At(0).Base
+		partner := pool.At(1)
+		// Which kinds of base already have a cluster a copy fronts.
+		fronted := map[bool]bool{}
+		if partner.Verdict == VerdictClean {
+			fronted[partner.Base == refBase] = true
+		}
+		for i := 2; i < pool.Len(); i++ {
+			vm := pool.At(i)
+			switch exact := vm.Base == refBase; {
+			case vm.Verdict != VerdictClean:
+				fallbacks++
+			case !fronted[exact]:
+				fronted[exact] = true
+			default:
+				inPlace++
+			}
+		}
+	}
+	session.Close()
+	if fallbacks != 1 {
+		t.Fatalf("%d copies are not clean, want only %s's tcpip.sys", fallbacks, infected)
+	}
+	if session.InPlace != inPlace || session.InPlaceFallbacks != fallbacks {
+		t.Errorf("direct session: %d copies in place and %d fallbacks, want %d and %d",
+			session.InPlace, session.InPlaceFallbacks, inPlace, fallbacks)
+	}
+	sc := cloud.NewScanner(WithParallel())
+	counter := func(name string) uint64 { return counterValue(cloud.Metrics().Snapshot(), name) }
+	if _, err := sc.Sweep(); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter("core/fetch_in_place"); got != uint64(inPlace) {
+		t.Errorf("core/fetch_in_place = %d, want %d", got, inPlace)
+	}
+	if got := counter("core/fetch_in_place_fallbacks"); got != uint64(fallbacks) {
+		t.Errorf("core/fetch_in_place_fallbacks = %d, want %d", got, fallbacks)
+	}
+}
+
 // TestRefMemoWindowHitsCounter pins core/ref_memo_window_hits on a cached
 // scanner over a 16-clone, 2-template fleet: a cold sweep adds the digest
 // components the reference memo's window check answered, as many as a

@@ -269,6 +269,8 @@ type Scanner struct {
 	mMemoReuses   *metrics.Counter
 	mWindowHits   *metrics.Counter
 	mDerived      *metrics.Counter
+	mInPlace      *metrics.Counter
+	mInPlaceFalls *metrics.Counter
 	hSweepSim     *metrics.Histogram
 	hModuleSim    *metrics.Histogram
 }
@@ -313,6 +315,8 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mMemoReuses:   reg.Counter("core/ref_memo_reuses"),
 		mWindowHits:   reg.Counter("core/ref_memo_window_hits"),
 		mDerived:      reg.Counter("core/compare_derived"),
+		mInPlace:      reg.Counter("core/fetch_in_place"),
+		mInPlaceFalls: reg.Counter("core/fetch_in_place_fallbacks"),
 		hSweepSim:     reg.Histogram("scanner/sweep_sim_seconds", nil),
 		hModuleSim:    reg.Histogram("scanner/module_sim_seconds", nil),
 	}
@@ -686,6 +690,8 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	s.mMemoReuses.Add(uint64(session.MemoReuses))
 	s.mWindowHits.Add(uint64(session.MemoWindowHits))
 	s.mDerived.Add(uint64(session.CompareDerived))
+	s.mInPlace.Add(uint64(session.InPlace))
+	s.mInPlaceFalls.Add(uint64(session.InPlaceFallbacks))
 
 	// Modules never reached become the checkpoint the next sweep resumes
 	// from. (VMs dropped by the per-VM budget are accounted in updateHealth.)
