@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 5x
 CHAOS_SEEDS ?= 20
 
-.PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile profile-fleet
+.PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile profile-fleet profile-warm
 
 all: build
 
@@ -70,9 +70,10 @@ chaos-poison:
 	CHAOS_SEEDS=1 $(GO) test -race -count=1 -timeout 10m -tags modpoison ./internal/stress/chaos
 
 # The paper's Figure 7/8 runtime curves, the Section V-B detection
-# scenarios, the Fig7Sweep15 legacy-vs-pipeline headline pair, and the
-# fleet and cached-sweep curves, printed as go test benchmark lines (host
-# ns/op and B/op beside sim-ms/op, ptwalks/op and per-phase sim times).
+# scenarios, the Fig7Sweep15 legacy-vs-pipeline headline pair, the fleet
+# and cached-sweep curves, and the loaded-module-list walk, printed as go
+# test benchmark lines (host ns/op and B/op beside sim-ms/op, ptwalks/op
+# and per-phase sim times).
 # The host-time record is perfbench (bash perfbench/run.sh; see
 # docs/performance.md), not this target.
 bench:
@@ -81,6 +82,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSweep' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkScannerSweep' -benchtime $(BENCHTIME) -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkCachedSweep' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkSearcherListModules' -benchtime $(BENCHTIME) -benchmem .
 
 # benchcheck runs one go test benchmark invocation ($(1) holds its flags),
 # prints its output, and fails when go test fails or prints no benchmark
@@ -143,6 +145,18 @@ profile-fleet:
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -tagfocus phase=sweep cpu.prof; go tool pprof -sample_index=alloc_space mem.prof)"
 
+# CPU/heap profile of warm cached sweeps over 1000 copy-on-write clones
+# (the fleet256-warm shape at fleet scale): where a steady-state sweep that
+# reads almost no guest memory spends its host time. The timed sweeps carry
+# the pprof label phase=sweep, so
+#   go tool pprof -tagfocus phase=sweep cpu.prof
+# leaves out building the cloud and the cold sweep. See docs/performance.md
+# section 17.
+profile-warm:
+	$(GO) test -run '^$$' -bench '^BenchmarkCachedSweep/vms=1000$$' -benchtime 300x -benchmem \
+		-cpuprofile cpu.prof -memprofile mem.prof .
+	@echo "wrote cpu.prof and mem.prof (inspect: go tool pprof -tagfocus phase=sweep cpu.prof; go tool pprof -sample_index=alloc_space mem.prof)"
+
 # Short smoke run of every fuzz target: catches gross parser regressions
 # without the cost of a real campaign. Go allows only one -fuzz pattern
 # per invocation, hence one line per target.
@@ -150,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseModule$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzNormalizePair$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzDigestMemo$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzNameTableDecode$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRelocTable$$' -fuzztime=$(FUZZTIME) ./internal/pe
 	$(GO) test -run='^$$' -fuzz='^FuzzParseImports$$' -fuzztime=$(FUZZTIME) ./internal/pe

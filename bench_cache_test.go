@@ -1,7 +1,9 @@
 package modchecker_test
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"testing"
 
 	"modchecker"
@@ -17,7 +19,8 @@ import (
 // Reported metrics: sim-ms/op (simulated time of one warm sweep),
 // cold-sim-ms (the one cold sweep, for the steady-state ratio),
 // cas-hits/op and bytes-read/op (guest bytes actually copied per warm
-// sweep — near zero once the store is warm).
+// sweep — near zero once the store is warm). The timed sweeps carry the
+// pprof label phase=sweep (make profile-warm).
 func benchCachedSweep(b *testing.B, n int) {
 	cloud, err := modchecker.NewCloud(modchecker.CloudConfig{
 		VMs: n, Templates: 4, Seed: 42, Cores: 8 * ((n + 999) / 1000),
@@ -41,21 +44,23 @@ func benchCachedSweep(b *testing.B, n int) {
 	var hits, bytesRead uint64
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hv.Clock().Reset()
-		preStats := store.Stats()
-		preBytes := cloud.IntrospectionStats().BytesRead
-		rep, err := sc.Sweep()
-		if err != nil {
-			b.Fatal(err)
+	pprof.Do(context.Background(), pprof.Labels("phase", "sweep"), func(context.Context) {
+		for i := 0; i < b.N; i++ {
+			hv.Clock().Reset()
+			preStats := store.Stats()
+			preBytes := cloud.IntrospectionStats().BytesRead
+			rep, err := sc.Sweep()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.Clean() {
+				b.Fatalf("warm sweep not clean: %+v", rep.Alerts)
+			}
+			simMS += rep.Simulated.Seconds() * 1e3
+			hits += store.Stats().Hits - preStats.Hits
+			bytesRead += cloud.IntrospectionStats().BytesRead - preBytes
 		}
-		if !rep.Clean() {
-			b.Fatalf("warm sweep not clean: %+v", rep.Alerts)
-		}
-		simMS += rep.Simulated.Seconds() * 1e3
-		hits += store.Stats().Hits - preStats.Hits
-		bytesRead += cloud.IntrospectionStats().BytesRead - preBytes
-	}
+	})
 	b.StopTimer()
 	b.ReportMetric(simMS/float64(b.N), "sim-ms/op")
 	b.ReportMetric(cold.Simulated.Seconds()*1e3, "cold-sim-ms")

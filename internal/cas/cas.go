@@ -120,29 +120,40 @@ func NewStore(maxEntries int) *Store {
 	}
 }
 
+// keyBufSize sizes the stack buffers lookups build their keys in: a
+// module name, two tokens and two digest keys fit, so a lookup allocates
+// no key (a longer key spills to the heap).
+const keyBufSize = 128
+
 // digestKey flattens the (module, ref, own) address. Tokens are fixed-width
 // binary so modules whose names embed separators cannot collide.
 func digestKey(module string, ref, own Token) string {
-	b := make([]byte, 0, len(module)+1+32)
+	return string(appendDigestKey(make([]byte, 0, len(module)+1+32), module, ref, own))
+}
+
+// appendDigestKey appends digestKey's bytes to b.
+func appendDigestKey(b []byte, module string, ref, own Token) []byte {
 	b = append(b, module...)
 	b = append(b, 0)
 	b = appendToken(b, ref)
-	b = appendToken(b, own)
-	return string(b)
+	return appendToken(b, own)
 }
 
 // mismatchKey flattens the (module, ref, keyA, keyB) address. Digest keys
 // are fixed-size MD5 strings (or empty for the reference cluster), so
 // length-prefixing is unnecessary; a 0 separator keeps the parts apart.
 func mismatchKey(module string, ref Token, ka, kb string) string {
-	b := make([]byte, 0, len(module)+len(ka)+len(kb)+3+16)
+	return string(appendMismatchKey(make([]byte, 0, len(module)+len(ka)+len(kb)+3+16), module, ref, ka, kb))
+}
+
+// appendMismatchKey appends mismatchKey's bytes to b.
+func appendMismatchKey(b []byte, module string, ref Token, ka, kb string) []byte {
 	b = append(b, module...)
 	b = append(b, 0)
 	b = appendToken(b, ref)
 	b = append(b, ka...)
 	b = append(b, 0)
-	b = append(b, kb...)
-	return string(b)
+	return append(b, kb...)
 }
 
 func appendToken(b []byte, t Token) []byte {
@@ -165,7 +176,8 @@ func (s *Store) LookupDigest(module string, ref, own Token) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Lookups++
-	e, ok := s.digests[digestKey(module, ref, own)]
+	var buf [keyBufSize]byte
+	e, ok := s.digests[string(appendDigestKey(buf[:0], module, ref, own))]
 	if ok {
 		s.stats.Hits++
 	}
@@ -203,7 +215,8 @@ func (s *Store) LookupMismatch(module string, ref Token, ka, kb string) ([]strin
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Lookups++
-	mm, ok := s.mismatches[mismatchKey(module, ref, ka, kb)]
+	var buf [keyBufSize]byte
+	mm, ok := s.mismatches[string(appendMismatchKey(buf[:0], module, ref, ka, kb))]
 	if ok {
 		s.stats.Hits++
 	}

@@ -275,3 +275,30 @@ func TestOpenRejectsUnwritableDir(t *testing.T) {
 		t.Fatal("expected error for missing parent directory")
 	}
 }
+
+// TestLookupsAllocateNoKey checks that lookups index the maps with keys
+// built on the stack: a hit or a miss allocates nothing.
+func TestLookupsAllocateNoKey(t *testing.T) {
+	s := NewStore(0)
+	ref, own := tok(1, 0), tok(2, 0)
+	ka, kb := "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210"
+	s.InsertDigest("hal.dll", ref, own, Entry{Key: ka})
+	s.InsertMismatch("hal.dll", ref, ka, kb, []string{".text"})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := s.LookupDigest("hal.dll", ref, own); !ok {
+			t.Fatal("digest missed")
+		}
+		if _, ok := s.LookupDigest("ndis.sys", ref, own); ok {
+			t.Fatal("digest hit another module")
+		}
+		if _, ok := s.LookupMismatch("hal.dll", ref, ka, kb); !ok {
+			t.Fatal("mismatch missed")
+		}
+		if _, ok := s.LookupMismatch("hal.dll", ref, kb, ka); ok {
+			t.Fatal("mismatch hit swapped keys")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("lookups made %v allocations, want 0", allocs)
+	}
+}

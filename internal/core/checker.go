@@ -242,6 +242,9 @@ type Checker struct {
 	// takeMemo).
 	memoMu sync.Mutex
 	memos  map[string]*refMemo // guarded by memoMu
+	// names interns the module names every list walk decodes (see
+	// nameTable).
+	names nameTable
 }
 
 // stampedGroups is an identity grouping and the pool stamp it was built
@@ -473,7 +476,7 @@ func (f *fetched) adopt(buf []byte, parsed *ParsedModule) {
 //modown:pool module-fetch get
 func (c *Checker) fetchAndParse(h *vmi.Handle, name, module string, chk *pageCheck) *fetched {
 	f := &fetched{name: name}
-	info, buf, searchCost, err := NewSearcher(h, c.cfg.Strategy).WithRetry(c.cfg.Retry).fetchModule(module, chk)
+	info, buf, searchCost, err := c.newSearcher(h).fetchModule(module, chk)
 	f.timing.Searcher = c.charge(searchCost)
 	switch {
 	case err != nil:

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"modchecker/internal/faults"
@@ -176,11 +177,85 @@ type Searcher struct {
 	h        *vmi.Handle
 	strategy CopyStrategy
 	retry    RetryPolicy
+	// names interns the module names the list walk decodes; a Checker's
+	// searchers share the Checker's table.
+	names *nameTable
+	// walk receives the list head, each LDR_DATA_TABLE_ENTRY and each
+	// name the list walk reads, so the walk allocates nothing per entry.
+	// The first walk allocates it: most Searchers only copy modules.
+	walk *[walkBufSize]byte
 }
 
-// NewSearcher creates a Searcher over an introspection handle.
+// walkBufSize is the size of a Searcher's list-walk buffer: an
+// LDR_DATA_TABLE_ENTRY or a UTF-16LE name of up to 64 code units, which
+// holds a typical kernel module's full \SystemRoot path. A longer name is
+// read into a buffer of its own.
+const walkBufSize = 128
+
+// NewSearcher creates a Searcher over an introspection handle. It interns
+// names in a table of its own, so repeated walks by one Searcher decode
+// each name once.
 func NewSearcher(h *vmi.Handle, strategy CopyStrategy) *Searcher {
-	return &Searcher{h: h, strategy: strategy}
+	return &Searcher{h: h, strategy: strategy, names: new(nameTable)}
+}
+
+// newSearcher returns a Searcher configured as the checker's pipeline reads
+// guests, interning names in the checker's table.
+func (c *Checker) newSearcher(h *vmi.Handle) *Searcher {
+	return &Searcher{h: h, strategy: c.cfg.Strategy, retry: c.cfg.Retry, names: &c.names}
+}
+
+// Bounds of a nameTable, so a guest that lists ever new names cannot grow
+// Dom0's memory: at most maxInternedNames names, each at most
+// maxInternedNameBytes bytes of UTF-16LE. Names past either bound are
+// decoded on every walk.
+const (
+	maxInternedNames     = 4096
+	maxInternedNameBytes = 512
+)
+
+// nameTable interns the module names Module-Searcher decodes, keyed by
+// their raw UTF-16LE bytes: every sweep walks every listed VM's
+// PsLoadedModuleList, and the names it reads rarely change. A hit returns
+// the stored string without allocating; a miss decodes with
+// nt.DecodeUTF16, so a hit returns exactly what decoding would. It is safe
+// for concurrent list walks, and its zero value is empty.
+type nameTable struct {
+	mu sync.Mutex
+	m  map[string]string // guarded by mu
+	// listLen is the length of the last list walked through the table,
+	// up to maxPresize: the capacity the next walk presizes its result
+	// with.
+	listLen atomic.Int32
+}
+
+// maxPresize bounds how many entries a list walk presizes its result for,
+// so one guest with a long (or hostile) list does not make every other
+// guest's walk allocate for it.
+const maxPresize = 256
+
+// decode returns nt.DecodeUTF16(b), from the table when b was decoded
+// before.
+func (t *nameTable) decode(b []byte) (string, error) {
+	t.mu.Lock()
+	name, ok := t.m[string(b)]
+	t.mu.Unlock()
+	if ok {
+		return name, nil
+	}
+	name, err := nt.DecodeUTF16(b)
+	if err != nil || len(b) > maxInternedNameBytes {
+		return name, err
+	}
+	t.mu.Lock()
+	if len(t.m) < maxInternedNames {
+		if t.m == nil {
+			t.m = make(map[string]string)
+		}
+		t.m[string(b)] = name
+	}
+	t.mu.Unlock()
+	return name, nil
 }
 
 // WithRetry sets the searcher's retry policy and returns the searcher.
@@ -198,18 +273,29 @@ func (s *Searcher) ListModules() ([]ModuleInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	head, err := s.h.ReadListEntry(headVA)
+	if s.walk == nil {
+		s.walk = new([walkBufSize]byte)
+	}
+	b := s.walk[:nt.LdrDataTableEntrySize]
+	var head nt.ListEntry
+	if err = s.h.ReadVA(headVA, b[:nt.ListEntrySize]); err == nil {
+		head, err = nt.DecodeListEntry(b)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: reading PsLoadedModuleList head: %w", err)
 	}
-	var out []ModuleInfo
+	out := make([]ModuleInfo, 0, s.names.listLen.Load())
 	cur := head.Flink
 	for n := 0; cur != headVA; n++ {
 		if n >= maxListEntries {
 			return nil, fmt.Errorf("core: PsLoadedModuleList on %s exceeds %d entries (corrupt or looped list)",
 				s.h.VMName(), maxListEntries)
 		}
-		entry, err := s.h.ReadLdrEntry(cur)
+		// The entry is decoded by value before its names reuse b.
+		var entry nt.LdrDataTableEntry
+		if err = s.h.ReadVA(cur, b); err == nil {
+			entry, err = nt.DecodeLdrDataTableEntry(b)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: reading LDR entry at %#x: %w", cur, err)
 		}
@@ -231,18 +317,28 @@ func (s *Searcher) ListModules() ([]ModuleInfo, error) {
 		})
 		cur = entry.InLoadOrderLinks.Flink
 	}
+	if n := int32(min(len(out), maxPresize)); s.names.listLen.Load() != n {
+		s.names.listLen.Store(n)
+	}
 	return out, nil
 }
 
+// readUnicode reads and decodes the string us describes, through the walk
+// buffer unless the string is longer than it.
 func (s *Searcher) readUnicode(us nt.UnicodeString) (string, error) {
 	if us.Length == 0 || us.Buffer == 0 {
 		return "", nil
 	}
-	buf := make([]byte, us.Length)
+	var buf []byte
+	if int(us.Length) <= len(s.walk) {
+		buf = s.walk[:us.Length]
+	} else {
+		buf = make([]byte, us.Length)
+	}
 	if err := s.h.ReadVA(us.Buffer, buf); err != nil {
 		return "", err
 	}
-	return nt.DecodeUTF16(buf)
+	return s.names.decode(buf)
 }
 
 // FindModule locates the named module in the loaded-module list

@@ -158,7 +158,7 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 	}
 	costs := make([]time.Duration, ng)
 	runBounded(ng, c.stageWorkers(), func(g int) {
-		s := NewSearcher(ps.handles[g], c.cfg.Strategy).WithRetry(c.cfg.Retry)
+		s := c.newSearcher(ps.handles[g])
 		mods, cost, err := s.ListModulesCosted()
 		costs[g] = c.charge(cost)
 		ps.tables[g] = mods
@@ -359,7 +359,7 @@ func (ps *PoolSweep) fetchVM(g int, module string, chk *pageCheck) *fetched {
 		f.err = err
 		return f
 	}
-	s := NewSearcher(ps.handles[g], c.cfg.Strategy).WithRetry(c.cfg.Retry)
+	s := c.newSearcher(ps.handles[g])
 	buf, cost, err := s.readModuleCosted(info, chk)
 	f.timing.Searcher = c.charge(cost)
 	if err != nil {

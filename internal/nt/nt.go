@@ -63,10 +63,15 @@ func DecodeListEntry(b []byte) (ListEntry, error) {
 	if len(b) < ListEntrySize {
 		return ListEntry{}, fmt.Errorf("nt: LIST_ENTRY needs %d bytes, have %d", ListEntrySize, len(b))
 	}
+	return listEntryAt(b, 0), nil
+}
+
+// listEntryAt decodes the LIST_ENTRY at b[off:], which must hold it.
+func listEntryAt(b []byte, off int) ListEntry {
 	return ListEntry{
-		Flink: binary.LittleEndian.Uint32(b[0:]),
-		Blink: binary.LittleEndian.Uint32(b[4:]),
-	}, nil
+		Flink: binary.LittleEndian.Uint32(b[off:]),
+		Blink: binary.LittleEndian.Uint32(b[off+4:]),
+	}
 }
 
 // UnicodeString is UNICODE_STRING: a counted UTF-16LE string. Length and
@@ -91,11 +96,17 @@ func DecodeUnicodeString(b []byte) (UnicodeString, error) {
 	if len(b) < UnicodeStringSize {
 		return UnicodeString{}, fmt.Errorf("nt: UNICODE_STRING needs %d bytes, have %d", UnicodeStringSize, len(b))
 	}
+	return unicodeStringAt(b, 0), nil
+}
+
+// unicodeStringAt decodes the UNICODE_STRING header at b[off:], which must
+// hold it.
+func unicodeStringAt(b []byte, off int) UnicodeString {
 	return UnicodeString{
-		Length:        binary.LittleEndian.Uint16(b[0:]),
-		MaximumLength: binary.LittleEndian.Uint16(b[2:]),
-		Buffer:        binary.LittleEndian.Uint32(b[4:]),
-	}, nil
+		Length:        binary.LittleEndian.Uint16(b[off:]),
+		MaximumLength: binary.LittleEndian.Uint16(b[off+2:]),
+		Buffer:        binary.LittleEndian.Uint32(b[off+4:]),
+	}
 }
 
 // EncodeUTF16 converts a Go string to UTF-16LE bytes (no terminator), the
@@ -157,34 +168,25 @@ func (e *LdrDataTableEntry) Encode() []byte {
 }
 
 // DecodeLdrDataTableEntry parses an LDR_DATA_TABLE_ENTRY from raw guest
-// bytes.
-func DecodeLdrDataTableEntry(b []byte) (*LdrDataTableEntry, error) {
+// bytes. The entry is returned by value, so a list walk that decodes every
+// entry from one buffer allocates nothing per entry.
+func DecodeLdrDataTableEntry(b []byte) (LdrDataTableEntry, error) {
 	if len(b) < LdrDataTableEntrySize {
-		return nil, fmt.Errorf("nt: LDR_DATA_TABLE_ENTRY needs %#x bytes, have %#x",
+		return LdrDataTableEntry{}, fmt.Errorf("nt: LDR_DATA_TABLE_ENTRY needs %#x bytes, have %#x",
 			LdrDataTableEntrySize, len(b))
 	}
-	var e LdrDataTableEntry
-	var err error
-	if e.InLoadOrderLinks, err = DecodeListEntry(b[OffInLoadOrderLinks:]); err != nil {
-		return nil, err
-	}
-	if e.InMemoryOrderLinks, err = DecodeListEntry(b[OffInMemoryOrderLinks:]); err != nil {
-		return nil, err
-	}
-	if e.InInitializationOrderLinks, err = DecodeListEntry(b[OffInInitOrderLinks:]); err != nil {
-		return nil, err
-	}
-	e.DllBase = binary.LittleEndian.Uint32(b[OffDllBase:])
-	e.EntryPoint = binary.LittleEndian.Uint32(b[OffEntryPoint:])
-	e.SizeOfImage = binary.LittleEndian.Uint32(b[OffSizeOfImage:])
-	if e.FullDllName, err = DecodeUnicodeString(b[OffFullDllName:]); err != nil {
-		return nil, err
-	}
-	if e.BaseDllName, err = DecodeUnicodeString(b[OffBaseDllName:]); err != nil {
-		return nil, err
-	}
-	e.Flags = binary.LittleEndian.Uint32(b[OffFlags:])
-	e.LoadCount = binary.LittleEndian.Uint16(b[OffLoadCount:])
-	e.TlsIndex = binary.LittleEndian.Uint16(b[OffTlsIndex:])
-	return &e, nil
+	le := binary.LittleEndian
+	return LdrDataTableEntry{
+		InLoadOrderLinks:           listEntryAt(b, OffInLoadOrderLinks),
+		InMemoryOrderLinks:         listEntryAt(b, OffInMemoryOrderLinks),
+		InInitializationOrderLinks: listEntryAt(b, OffInInitOrderLinks),
+		DllBase:                    le.Uint32(b[OffDllBase:]),
+		EntryPoint:                 le.Uint32(b[OffEntryPoint:]),
+		SizeOfImage:                le.Uint32(b[OffSizeOfImage:]),
+		FullDllName:                unicodeStringAt(b, OffFullDllName),
+		BaseDllName:                unicodeStringAt(b, OffBaseDllName),
+		Flags:                      le.Uint32(b[OffFlags:]),
+		LoadCount:                  le.Uint16(b[OffLoadCount:]),
+		TlsIndex:                   le.Uint16(b[OffTlsIndex:]),
+	}, nil
 }

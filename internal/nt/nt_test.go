@@ -104,8 +104,8 @@ func TestLdrEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *back != e {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", *back, e)
+	if back != e {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, e)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestLdrEntryQuick(t *testing.T) {
 			Flags: flags, LoadCount: load, TlsIndex: tls,
 		}
 		back, err := DecodeLdrDataTableEntry(e.Encode())
-		return err == nil && *back == e
+		return err == nil && back == e
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -578,28 +578,6 @@ func (h *Handle) ReadU32(va uint32) (uint32, error) {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
 }
 
-// ReadListEntry reads a LIST_ENTRY at va.
-//
-//modsafe:spends guest virtual read
-func (h *Handle) ReadListEntry(va uint32) (nt.ListEntry, error) {
-	b := make([]byte, nt.ListEntrySize)
-	if err := h.ReadVA(va, b); err != nil {
-		return nt.ListEntry{}, err
-	}
-	return nt.DecodeListEntry(b)
-}
-
-// ReadLdrEntry reads an LDR_DATA_TABLE_ENTRY at va.
-//
-//modsafe:spends guest virtual read
-func (h *Handle) ReadLdrEntry(va uint32) (*nt.LdrDataTableEntry, error) {
-	b := make([]byte, nt.LdrDataTableEntrySize)
-	if err := h.ReadVA(va, b); err != nil {
-		return nil, err
-	}
-	return nt.DecodeLdrDataTableEntry(b)
-}
-
 // ReadUnicodeString reads a UNICODE_STRING at va and then its buffer,
 // returning the decoded Go string.
 //

@@ -115,11 +115,20 @@ func TestReadU32(t *testing.T) {
 func TestReadLdrEntryAndUnicode(t *testing.T) {
 	g := testGuest(t)
 	h := open(t, g)
-	head, err := h.ReadListEntry(guest.PsLoadedModuleListVA)
+	// LDR entries are read with ReadVA and decoded by value, as
+	// Module-Searcher's list walk does.
+	b := make([]byte, nt.LdrDataTableEntrySize)
+	if err := h.ReadVA(guest.PsLoadedModuleListVA, b[:nt.ListEntrySize]); err != nil {
+		t.Fatal(err)
+	}
+	head, err := nt.DecodeListEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := h.ReadLdrEntry(head.Flink)
+	if err := h.ReadVA(head.Flink, b); err != nil {
+		t.Fatal(err)
+	}
+	entry, err := nt.DecodeLdrDataTableEntry(b)
 	if err != nil {
 		t.Fatal(err)
 	}

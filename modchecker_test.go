@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"modchecker/internal/core"
 	"modchecker/internal/guest"
 	"modchecker/internal/pe"
 	"modchecker/internal/stress"
@@ -326,6 +327,36 @@ func TestListModulesChargesClock(t *testing.T) {
 	}
 	if cloud.Hypervisor().Clock().Now() == before {
 		t.Error("ListModules did not charge the LDR walk to the hypervisor clock")
+	}
+}
+
+// TestWarmListModulesAllocs pins the list walk's allocations: once a
+// searcher has interned a guest's names, walking its 7-module list again
+// allocates the module table and nothing per entry.
+func TestWarmListModulesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations of its own; the count only holds in plain builds")
+	}
+	cloud := testCloud(t, 1, 42)
+	target, err := cloud.Target("Dom1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := core.NewSearcher(target.Handle, core.CopyPageWise)
+	mods, err := s.ListModules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mods) != 7 {
+		t.Fatalf("Dom1 lists %d modules, want 7", len(mods))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := s.ListModules(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("warm ListModules made %v allocations, want at most 2", allocs)
 	}
 }
 
