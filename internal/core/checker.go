@@ -421,9 +421,9 @@ type fetched struct {
 	info   *ModuleInfo
 	parsed *ParsedModule
 	timing PhaseTiming
-	// normHashes holds each component's hash after the reloc-table
-	// normalizer rewrote the module's own fixup sites, by component index.
-	normHashes [][md5.Size]byte
+	// sites are the copy's own .reloc sites, read when it is parsed under
+	// the reloc-table normalizer (see siteSource).
+	sites []uint32
 	// buf is the raw module copy backing parsed.Raw and every component's
 	// Data, drawn from the fetch-buffer pool; once a report no longer
 	// needs the bytes, releaseFetched recycles it.
@@ -482,27 +482,31 @@ func (c *Checker) fetchAndParse(h *vmi.Handle, name, module string, chk *pageChe
 	case err != nil:
 		f.err = err
 	case buf == nil:
-		c.coveredInPlace(f, info)
+		c.coveredInPlace(f, info, chk)
 	default:
 		c.parseFetched(f, module, info, buf)
 	}
 	return f
 }
 
-// coveredInPlace fills in a fetch the Searcher checked in place and found
-// covered. Its bytes parse to the reference's layout, so it is charged
-// the parse of its size without one.
-func (c *Checker) coveredInPlace(f *fetched, info *ModuleInfo) {
+// coveredInPlace fills in a fetch the Searcher checked in place with chk
+// and found covered. Its bytes parse to the reference's layout, so it is
+// charged the parse, and the site source's work on its own, of that
+// layout without doing either.
+func (c *Checker) coveredInPlace(f *fetched, info *ModuleInfo, chk *pageCheck) {
 	f.info = info
 	f.inPlace = true
 	f.timing.Parser = c.charge(parseCost(int(info.SizeOfImage)))
+	if w := chk.memo.src.copyWork(chk.ref.parsed); w > 0 {
+		f.timing.Checker = c.charge(w)
+	}
 }
 
-// parseFetched runs Module-Parser (and, under the reloc normalizer, the
-// per-VM normalization hashing) on an already-copied module image, filling
-// in the fetch. Shared by the per-call fetch path and the sweep session,
-// which copies the module itself from its module-table snapshot. Ownership
-// of buf moves into the fetch record; releaseFetched recycles it.
+// parseFetched runs Module-Parser on an already-copied module image, and
+// reads the copy's own sites when the site source has them, filling in the
+// fetch. Shared by the per-call fetch path and the sweep session, which
+// copies the module itself from its module-table snapshot. Ownership of
+// buf moves into the fetch record; releaseFetched recycles it.
 //
 //modown:transfer fetch-buf
 func (c *Checker) parseFetched(f *fetched, module string, info *ModuleInfo, buf []byte) {
@@ -515,25 +519,13 @@ func (c *Checker) parseFetched(f *fetched, module string, info *ModuleInfo, buf 
 		return
 	}
 	f.parsed = parsed
-	if c.cfg.Normalizer == NormalizeRelocTable {
-		sites, err := NormalizeWithRelocs(parsed.Raw)
-		if err != nil {
-			f.err = fmt.Errorf("core: reloc table of %s on %s: %w", module, f.name, err)
-			return
-		}
-		f.normHashes = make([][md5.Size]byte, len(parsed.Components))
-		var cost time.Duration
-		for i := range parsed.Components {
-			comp := &parsed.Components[i]
-			data := comp.Data
-			if comp.Normalize {
-				data = ApplyRelocNormalization(comp, sites, info.Base)
-				cost += perKB(len(data), scanCostPerKB)
-			}
-			f.normHashes[i] = md5.Sum(data)
-			cost += perKB(len(data), hashCostPerKB)
-		}
-		f.timing.Checker = c.charge(cost)
+	src := c.sites()
+	if f.sites, err = src.read(parsed); err != nil {
+		f.err = err
+		return
+	}
+	if w := src.copyWork(parsed); w > 0 {
+		f.timing.Checker = c.charge(w)
 	}
 }
 
@@ -699,27 +691,16 @@ func compareFact(a, b *fetched, i, j int) (eq, ok bool) {
 }
 
 // compareCost is the nominal CPU cost of comparing one component pair:
-// scanning both sides when Algorithm 2 normalizes them, and hashing both.
-// It depends only on the lengths, so a comparison the digest facts answer
-// is charged what running it costs.
+// scanning both sides when they are normalized, and hashing both (see
+// siteSource.pairWork). It depends only on the lengths, so a comparison
+// the digest facts answer is charged what running it costs.
 func (c *Checker) compareCost(compA, compB *Component) time.Duration {
-	if c.cfg.Normalizer == NormalizeRelocTable {
-		// Hashes were precomputed (and charged) per VM at parse time.
-		return 0
-	}
-	n := len(compA.Data) + len(compB.Data)
-	if compA.Normalize && compB.Normalize {
-		return perKB(n, scanCostPerKB) + perKB(n, hashCostPerKB)
-	}
-	return perKB(n, hashCostPerKB)
+	return c.sites().pairWork(len(compA.Data)+len(compB.Data), compA.Normalize && compB.Normalize)
 }
 
 // compareComponent hashes component i of a and its peer, component j of
-// b, under the configured normalizer; compareCost is its charge.
+// b, each rewritten at its windows; compareCost is its charge.
 func (c *Checker) compareComponent(a, b *fetched, i, j int) bool {
-	if c.cfg.Normalizer == NormalizeRelocTable {
-		return a.normHashes[i] == b.normHashes[j]
-	}
 	compA, compB := &a.parsed.Components[i], &b.parsed.Components[j]
 	dataA, dataB := compA.Data, compB.Data
 	if len(dataA) != len(dataB) {
@@ -730,11 +711,7 @@ func (c *Checker) compareComponent(a, b *fetched, i, j int) bool {
 		// Normalize on pooled scratch buffers: a pool sweep runs O(t²)
 		// comparisons over multi-hundred-KiB sections, and per-pair copies
 		// would dominate the allocator.
-		sa := getScratch(len(dataA))
-		sb := getScratch(len(dataB))
-		copy(*sa, dataA)
-		copy(*sb, dataB)
-		normalizePairInPlace(*sa, *sb, a.info.Base, b.info.Base, nil)
+		sa, sb, _ := c.sites().rewritten(a.side(i), b.side(j), nil)
 		dataA, dataB = *sa, *sb
 		defer putScratch(sa)
 		defer putScratch(sb)

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"modchecker/internal/pe"
 	"modchecker/internal/rootkit"
 )
 
@@ -336,32 +338,56 @@ func TestHeaderTamperDetected(t *testing.T) {
 	}
 }
 
-// TestRelocNormalizerBlindToRelocTamper documents the A2 trade-off: an
-// attacker who patches code AND extends the module's own .reloc table to
-// cover the patch can evade the reloc-table normalizer for address-sized
-// edits, but not the paper's diff scan (which requires the same RVA on
-// both sides). Here we verify the diff scan flags a 4-byte patch that the
-// attacker disguised as a "relocation".
+// TestRelocNormalizerBlindToRelocTamper documents the A2 trade-off on
+// Bania's relocation-site mutation: an attacker who patches 4 code bytes
+// with a plausible address, and then extends the module's own .reloc
+// table so that the patch reads as a fixup site. The diff scan flags the
+// patch either way (it requires the same RVA on both sides). The
+// reloc-table normalizer trusts the extended table and rewrites the patch
+// to an RVA, but it still differs from the peers' code bytes there, and
+// the extended table is itself a checked component: .reloc is read-only
+// section data, so the table edit surfaces on its own.
 func TestRelocNormalizerBlindToRelocTamper(t *testing.T) {
-	guests, targets := testPool(t, 3)
-	mod := guests[0].Module("alpha.sys")
-	// Overwrite 4 code bytes with (base + bogus RVA): looks like a
-	// plausible address, but peers hold different bytes there.
-	patch := []byte{0x00, 0x30, 0x00, 0x00}
-	addr := mod.Base + 0x3000
-	patch[0] = byte(addr)
-	patch[1] = byte(addr >> 8)
-	patch[2] = byte(addr >> 16)
-	patch[3] = byte(addr >> 24)
-	if err := rootkit.PatchLiveBytes(guests[0], "alpha.sys", 0x1100, patch); err != nil {
-		t.Fatal(err)
+	const patchRVA = 0x1100
+	cases := []struct {
+		name       string
+		normalizer Normalizer
+		extend     bool // also add a .reloc entry covering the patch
+		want       []string
+	}{
+		{"diff-scan/patch", NormalizeDiffScan, false, []string{".text"}},
+		{"diff-scan/patch+reloc", NormalizeDiffScan, true, []string{".reloc", ".text"}},
+		{"reloc-table/patch", NormalizeRelocTable, false, []string{".text"}},
+		{"reloc-table/patch+reloc", NormalizeRelocTable, true, []string{".reloc", ".text"}},
 	}
-	rep, err := NewChecker(Config{}).CheckModule("alpha.sys", targets[0], targets[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Verdict != VerdictAltered {
-		t.Errorf("diff scan missed a disguised-address patch: %v", rep.Verdict)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			guests, targets := testPool(t, 3)
+			mod := guests[0].Module("alpha.sys")
+			le := binary.LittleEndian
+			// Overwrite 4 code bytes with (base + bogus RVA): looks like a
+			// plausible address, but peers hold different bytes there.
+			patch := le.AppendUint32(nil, mod.Base+0x3000)
+			if err := rootkit.PatchLiveBytes(guests[0], "alpha.sys", patchRVA, patch); err != nil {
+				t.Fatal(err)
+			}
+			if tc.extend {
+				// Make the first .reloc block's padding entry a site at the
+				// patch.
+				lo, size := firstRelocBlock(t, guests[0], "alpha.sys")
+				entry := le.AppendUint16(nil, pe.RelBasedHighLow<<12|patchRVA&0xFFF)
+				if err := rootkit.PatchLiveBytes(guests[0], "alpha.sys", lo+size-2, entry); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := NewChecker(Config{Normalizer: tc.normalizer}).CheckModule("alpha.sys", targets[0], targets[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Verdict != VerdictAltered || !slices.Equal(rep.MismatchedComponents(), tc.want) {
+				t.Errorf("verdict %v, mismatched %v; want ALTERED, %v", rep.Verdict, rep.MismatchedComponents(), tc.want)
+			}
+		})
 	}
 }
 

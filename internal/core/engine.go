@@ -163,6 +163,9 @@ func (e *engine) front(g int, module string, f *fetched) error {
 		return fmt.Errorf("core: copying %s from %s: %w", module, f.name, err)
 	}
 	parsed, _, err := ParseModule(f.name, module, f.info.Base, buf)
+	if err == nil {
+		f.sites, err = e.c.sites().read(parsed)
+	}
 	if err != nil {
 		putFetchBuf(buf)
 		return err
@@ -296,11 +299,9 @@ func (e *engine) run(module string) (*outcome, bool) {
 	slots := make([]slot, shard)
 	// ip checks copies in place once the memo is sealed; nil until then,
 	// and for good when the configuration or the reference's layout rules
-	// it out. Verified reads and the mapped strategy keep copying, and the
-	// reloc-table normalizer digests from a parse.
+	// it out. Verified reads and the mapped strategy keep copying.
 	var ip *inPlace
-	inPlaceOK := !pairwise && c.cfg.Normalizer == NormalizeDiffScan &&
-		c.cfg.Strategy == CopyPageWise && !c.cfg.Retry.VerifyReads
+	inPlaceOK := !pairwise && c.cfg.Strategy == CopyPageWise && !c.cfg.Retry.VerifyReads
 	// digest computes a healthy copy's cluster key against the reference,
 	// from the run's in-place check for a copy it covered and with
 	// digestAgainst otherwise, and returns its charged cost.
@@ -481,7 +482,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 				j++
 				fronted := false
 				if f.inPlace {
-					s.key = ip.key(f.info.Base == ip.ref.info.Base)
+					s.key = ip.key(f.info.Base)
 					if cid, ok := byKey[s.key]; !ok || o.clusters[cid].f == nil {
 						f.err, fronted = e.front(i, module, f), true
 					}

@@ -2,24 +2,41 @@ package core
 
 import (
 	"bytes"
+	"crypto/md5"
 	"encoding/binary"
 	"slices"
 	"testing"
+
+	"modchecker/internal/pe"
 )
 
 // FuzzParseModule hardens Module-Parser against arbitrary guest memory: a
 // compromised guest controls every byte the searcher copies out, so the
-// parser must never panic.
+// parser must never panic. Every module it parses also runs the reloc-table
+// site source (checkRelocSource), whose .reloc table the guest controls
+// too.
 func FuzzParseModule(f *testing.F) {
 	_, targets := testPool(f, 1)
 	s := NewSearcher(targets[0].Handle, CopyPageWise)
-	_, buf, _, err := s.FetchModule("alpha.sys")
+	info, buf, _, err := s.FetchModule("alpha.sys")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf[:4096], uint32(0xF8CC2000))
 	f.Add([]byte{}, uint32(0))
 	f.Add([]byte("MZ"), uint32(1))
+	f.Add(append([]byte(nil), buf...), info.Base)
+	// Hostile first .reloc blocks: a site that wraps past 2^32 in 32-bit
+	// bounds arithmetic, and a site named twice.
+	le := binary.LittleEndian
+	lo, _ := relocDir(buf)
+	wrap := append([]byte(nil), buf...)
+	le.PutUint32(wrap[lo:], 0xFFFFF000)
+	le.PutUint16(wrap[lo+8:], pe.RelBasedHighLow<<12|0xFFE)
+	f.Add(wrap, info.Base)
+	twice := append([]byte(nil), buf...)
+	le.PutUint16(twice[lo+10:], le.Uint16(twice[lo+8:]))
+	f.Add(twice, info.Base)
 	f.Fuzz(func(t *testing.T, data []byte, base uint32) {
 		m, _, err := ParseModule("fuzz", "x.sys", base, data)
 		if err != nil {
@@ -32,7 +49,85 @@ func FuzzParseModule(f *testing.F) {
 				t.Fatalf("empty header component %s", c.Name)
 			}
 		}
+		checkRelocSource(t, m)
 	})
+}
+
+// checkRelocSource runs the reloc-table site source on ref, a parsed
+// module, as the reference of a copy rebased by 0x10000 once at each of
+// ref's own sites, as a loader would: the copy's digest, from a miss and
+// then from the sealed memo, must equal relocKey's, and must never
+// rewrite out of bounds. A site listed twice is rewritten twice by the
+// normalizer, so such a copy differs from the reference.
+func checkRelocSource(t *testing.T, ref *ParsedModule) {
+	t.Helper()
+	src := siteSource{own: true}
+	sites, err := src.read(ref)
+	if err != nil {
+		return
+	}
+	const delta = 0x10000
+	le := binary.LittleEndian
+	raw := append([]byte(nil), ref.Raw...)
+	for k, s := range sites {
+		if (k == 0 || s != sites[k-1]) && uint64(s)+4 <= uint64(len(raw)) {
+			le.PutUint32(raw[s:], le.Uint32(raw[s:])+delta)
+		}
+	}
+	cp, _, err := ParseModule("fuzz", "x.sys", ref.Base+delta, raw)
+	if err != nil {
+		return
+	}
+	cpSites, err := src.read(cp)
+	if err != nil {
+		return
+	}
+	rf := &fetched{info: &ModuleInfo{Base: ref.Base}, parsed: ref, sites: sites}
+	cf := &fetched{info: &ModuleInfo{Base: cp.Base}, parsed: cp, sites: cpSites}
+	want := relocKey(cf, rf)
+	memo := newRefMemo(len(ref.Components))
+	memo.src = src
+	defer memo.release()
+	c := NewChecker(Config{Normalizer: NormalizeRelocTable})
+	for _, run := range []string{"miss", "memo"} {
+		if key, _ := c.digestAgainst(rf, cf, memo); key != want {
+			t.Fatalf("%s: digestAgainst key differs from ApplyRelocNormalization+MD5", run)
+		}
+		memo.seal()
+	}
+	// Against a reference that lacks the section data, every normalized
+	// component of the copy is hashed alone, at its own sites.
+	headers := slices.DeleteFunc(slices.Clone(ref.Components), func(c Component) bool { return c.Normalize })
+	bare := &fetched{info: rf.info, parsed: &ParsedModule{Components: headers}, sites: sites}
+	bareMemo := newRefMemo(len(headers))
+	bareMemo.src = src
+	defer bareMemo.release()
+	if key, _ := c.digestAgainst(bare, cf, bareMemo); key != relocKey(cf, bare) {
+		t.Fatal("unpeered: digestAgainst key differs from ApplyRelocNormalization+MD5")
+	}
+}
+
+// relocKey is the digest key of copy f against reference ref by the
+// reloc-table oracle: each side's normalized components rewritten at its
+// own sites by ApplyRelocNormalization and hashed, folded as digestAgainst
+// folds them.
+func relocKey(f, ref *fetched) string {
+	sum := func(x *fetched, comp *Component) [md5.Size]byte {
+		if comp.Normalize {
+			return md5.Sum(ApplyRelocNormalization(comp, x.sites, x.info.Base))
+		}
+		return md5.Sum(comp.Data)
+	}
+	w := newKeyWriter()
+	for i := range f.parsed.Components {
+		comp := &f.parsed.Components[i]
+		w.part(comp.Name, len(comp.Data), sum(f, comp))
+		if rk := ref.parsed.peer(comp, i); comp.Normalize && rk >= 0 {
+			rc := &ref.parsed.Components[rk]
+			w.part("", len(rc.Data), sum(ref, rc))
+		}
+	}
+	return w.key()
 }
 
 // FuzzNormalizePair is a differential fuzzer of Algorithm 2: the word-at-
@@ -238,8 +333,9 @@ func FuzzDigestMemo(f *testing.F) {
 			data []byte
 			base uint32
 		}{{"second partner", partner2, bp2}, {"copy", cp, bc}} {
-			sum, refSum, _ := m.digestPair(0, d.data, ref, d.base, br)
-			wantSum, wantRef, _ := fresh.digestPair(0, d.data, ref, d.base, br)
+			cs, rs := side{data: d.data, base: d.base}, side{data: ref, base: br}
+			sum, refSum, _ := m.digestPair(0, cs, rs)
+			wantSum, wantRef, _ := fresh.digestPair(0, cs, rs)
 			if sum != wantSum || refSum != wantRef {
 				t.Fatalf("second run: %s: the reopened memo's sums differ from a fresh memo's", d.name)
 			}

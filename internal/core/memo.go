@@ -14,9 +14,11 @@ import (
 )
 
 // This file holds the reference memo behind digestAgainst. Every
-// copy of a module is normalized against the same reference, and Algorithm
-// 2 rewrites a clean copy's pair at exactly the relocation sites the first
-// digest recorded. The memo keeps those sites' windows, not the normalized
+// copy of a module is normalized against the same reference, and a clean
+// copy's pair is rewritten at exactly the windows the first digest
+// recorded: Algorithm 2's sites against the reference, or, under the
+// reloc-table normalizer, the reference's own .reloc sites, which a clean
+// copy shares. The memo keeps those sites' windows, not the normalized
 // bytes, so a later copy proves its digest with one read-only pass over the
 // pair instead of copying, rewriting and hashing both sides again. It is
 // kept across runs while the reference's content token holds (takeMemo).
@@ -67,9 +69,10 @@ var windowMask = func() (t [256]uint64) {
 	return t
 }()
 
-// refMemo remembers how Algorithm 2 rewrote each reference component
-// against its first partner: the window bitmap of its rewrite sites and the
-// MD5 of the normalized reference side. It keeps no normalized bytes.
+// refMemo remembers how each reference component was rewritten against its
+// first partner: the window bitmap of the reference side's rewrite sites
+// and the MD5 of the normalized reference side. It keeps no normalized
+// bytes.
 //
 // A run's first digest fills the memo on the engine's driving goroutine;
 // seal then closes it, and the digest workers only read it. So whether a
@@ -80,6 +83,7 @@ type refMemo struct {
 	filling bool      // until seal: a miss may become its component's entry
 	hits    atomic.Int64
 	tok     cas.Token // the reference's content token when the memo was made
+	src     siteSource
 }
 
 // refSide is one reference component's memo entry.
@@ -121,7 +125,8 @@ func (m *refMemo) reopen() {
 //
 // Reuse is exact: an entry is a function of the reference bytes, the
 // reference's base and the entry's sites alone, and an unchanged valid
-// token proves the first two unchanged, as it does for the digest store.
+// token proves the first two unchanged, as it does for the digest store
+// (own sites are read from the reference bytes).
 // covers still checks every copy against the live reference bytes.
 func (c *Checker) takeMemo(module string, tok cas.Token, n int) (m *refMemo, reused bool) {
 	c.memoMu.Lock()
@@ -136,7 +141,7 @@ func (c *Checker) takeMemo(module string, tok cas.Token, n int) (m *refMemo, reu
 		m.release()
 	}
 	m = newRefMemo(n)
-	m.tok = tok
+	m.tok, m.src = tok, c.sites()
 	return m, false
 }
 
@@ -174,37 +179,32 @@ func (m *refMemo) release() {
 	}
 }
 
-// digestPair returns the MD5s of copy c's and reference r's sides of
-// reference component k, after Algorithm 2 has normalized c (loaded at
-// base) against r (loaded at refBase). It hashes only what the memo does
-// not already prove.
+// digestPair returns the MD5s of copy side c's and reference side r's
+// normalized bytes, r being reference component k. It hashes only what the
+// memo does not already prove.
 //
 // covered reports that c equals r outside the component's entry windows
-// and carries r's RVAs inside them (covers' conditions), or that the bases
-// are equal and c is r byte for byte. Two covered copies of one component
-// normalize equal against each other under any base pair of their own
-// (compareFact).
-func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, refSum [md5.Size]byte, covered bool) {
-	if base == refBase {
+// and carries r's RVAs inside them (covers' conditions), or that the pair
+// is compared raw and c is r byte for byte. Two covered copies of one
+// component normalize equal against each other under any base pair of
+// their own (compareFact).
+func (m *refMemo) digestPair(k int, c, r side) (sum, refSum [md5.Size]byte, covered bool) {
+	if m.src.raw(c.base, r.base) {
 		// Equal bases: Algorithm 2 rewrites nothing, both sides stay raw.
-		refSum = m.raw(k, r)
-		if bytes.Equal(c, r) {
+		refSum = m.raw(k, r.data)
+		if bytes.Equal(c.data, r.data) {
 			return refSum, refSum, true
 		}
-		return md5.Sum(c), refSum, false
+		return md5.Sum(c.data), refSum, false
 	}
-	if m.covers(k, c, r, base, refBase) {
+	if m.src.shared(c, r) && m.covers(k, c.data, r.data, c.base, r.base) {
 		return m.sides[k].sum, m.sides[k].sum, true
 	}
 
-	// Miss: Algorithm 2 itself, on scratch copies, marking its sites in a
-	// window bitmap.
-	sa := getScratch(len(c))
-	sb := getScratch(len(r))
-	copy(*sa, c)
-	copy(*sb, r)
-	starts := getWindows(len(r))
-	normalizePairInPlace(*sa, *sb, base, refBase, *starts)
+	// Miss: the site source rewrites scratch copies, marking the reference
+	// side's sites in a window bitmap.
+	starts := getWindows(len(r.data))
+	sa, sb, disjoint := m.src.rewritten(c, r, *starts)
 	// The normalized reference side is r with each site's field rewritten,
 	// so the entry's sites recorded again mean the entry's bytes again.
 	refSum, ok := m.sumFor(k, *starts)
@@ -221,7 +221,7 @@ func (m *refMemo) digestPair(k int, c, r []byte, base, refBase uint32) (sum, ref
 	// Equal sides mean c is r outside the rewritten windows and carries r's
 	// RVAs inside them: covered, once those windows are the entry's. (Equal
 	// sides at the entry's own sites would have passed covers.)
-	covered = m.keep(k, starts, refSum) && equal
+	covered = m.keep(k, starts, refSum, disjoint) && equal
 	return sum, refSum, covered
 }
 
@@ -252,7 +252,10 @@ func (m *refMemo) raw(k int, r []byte) [md5.Size]byte {
 // meets each window's first differing byte at window start plus offset,
 // rewrites the window, resumes past it (windows do not overlap), and finds
 // nothing else to rewrite. Every rewritten field then holds the same RVA
-// in both sides, and every other byte is r's own.
+// in both sides, and every other byte is r's own. Under own sites, whose
+// windows are the entry's on both sides once their site lists are equal
+// (siteSource.shared), the same conditions make the rewritten sides equal
+// at any two bases.
 //
 // The pass reads both sides once (windowDiff). A clean copy never touches
 // a scratch buffer or MD5.
@@ -389,35 +392,18 @@ func (m *refMemo) sumFor(k int, starts []byte) ([md5.Size]byte, bool) {
 // keep offers the window bitmap a miss recorded on component k, with the
 // MD5 of the normalized reference side, as the component's entry, and
 // reports whether the memo took it. The memo takes the bitmap while it is
-// filling, the slot is empty and no two windows overlap; otherwise the
+// filling, the slot is empty and its windows were disjoint; otherwise the
 // bitmap goes back to its pool.
 //
 //modown:transfer windows
-func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte) bool {
+func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte, disjoint bool) bool {
 	e := &m.sides[k]
-	if !m.filling || e.starts != nil || overlapping(*starts) {
+	if !m.filling || e.starts != nil || !disjoint {
 		putWindows(starts)
 		return false
 	}
 	e.starts, e.sum = starts, sum
 	return true
-}
-
-// overlapping reports whether two of the sites marked in starts lie less
-// than 4 bytes apart. Algorithm 2's sites strictly increase, but a window
-// may start up to three bytes behind the end of the previous one.
-func overlapping(starts []byte) bool {
-	next := 0 // the first byte past the last window
-	for j := 0; j < len(starts); j += 8 {
-		for st := binary.LittleEndian.Uint64(starts[j:]); st != 0; st &= st - 1 {
-			s := j<<3 + bits.TrailingZeros64(st)
-			if s < next {
-				return true
-			}
-			next = s + 4
-		}
-	}
-	return false
 }
 
 // This part of the file checks a copy of the module in place: the
@@ -437,24 +423,26 @@ type span struct {
 // fetch, the spans of its image that the digest reads, and the sealed
 // memo. A copy whose every span passes (pageCheck.covered) is one
 // digestAgainst would find covered in every component. Its header bytes
-// are the reference's, so it parses to the reference's layout, and its
-// digest key and charges follow from that layout and the memo alone.
+// are the reference's, so it parses to the reference's layout, its own
+// sites are the reference's, and its digest key and charges follow from
+// that layout and the memo alone.
 type inPlace struct {
 	ref   *fetched
 	memo  *refMemo
 	spans []span // in module order, disjoint
-	// windowed: every normalized component has a memo entry, so a copy at
-	// another base than the reference's can be covered.
+	// windowed: every normalized component has a memo entry, so a copy
+	// compared under windows can be covered.
 	windowed bool
 	cost     time.Duration // nominal digest charge of a covered copy
-	hits     int64         // window-check hits of a covered copy at another base
+	hits     int64         // window-check hits of a covered copy compared under windows
 	keyOnce  [2]sync.Once
-	keys     [2]string // by covered kind: another base, the reference's base
+	keys     [2]string // by covered kind: under windows, raw
 }
 
 // newInPlace returns the run's in-place check against reference ref under
 // the sealed memo, or nil when the reference's layout does not allow one:
-// section data that overlaps the headers or another section's.
+// section data that overlaps the headers or another section's, or own
+// sites read from bytes the check does not compare raw.
 func newInPlace(ref *fetched, memo *refMemo) *inPlace {
 	comps := ref.parsed.Components
 	ip := &inPlace{ref: ref, memo: memo, windowed: true}
@@ -466,11 +454,11 @@ func newInPlace(ref *fetched, memo *refMemo) *inPlace {
 		comp := &comps[k]
 		n := len(comp.Data)
 		if comp.Normalize {
-			ip.cost += perKB(2*n, scanCostPerKB) + perKB(2*n, hashCostPerKB)
+			ip.cost += memo.src.pairWork(2*n, true)
 			ip.hits++
 			ip.windowed = ip.windowed && memo.sides[k].starts != nil
 		} else {
-			ip.cost += perKB(n, hashCostPerKB)
+			ip.cost += memo.src.pairWork(n, false)
 		}
 		switch {
 		case comp.Kind != KindSectionData:
@@ -491,14 +479,44 @@ func newInPlace(ref *fetched, memo *refMemo) *inPlace {
 		}
 		ip.spans = append(ip.spans, sp)
 	}
+	if lo, hi := memo.src.dir(ref.parsed.Raw); lo < hi && !ip.comparesRaw(lo, hi) {
+		return nil
+	}
 	return ip
 }
 
-// key returns the digest key of a covered copy: at the reference's base
-// (exact) every side hashes raw, at any other base every normalized side
+// comparesRaw reports whether every covered copy equals the reference in
+// bytes [lo, hi) of the image: they lie in one span, and no memo window
+// reaches into them.
+func (ip *inPlace) comparesRaw(lo, hi int) bool {
+	for _, sp := range ip.spans {
+		if sp.lo > lo || hi > sp.hi {
+			continue
+		}
+		if sp.k < 0 || ip.memo.sides[sp.k].starts == nil {
+			return true
+		}
+		starts := *ip.memo.sides[sp.k].starts
+		for i := max(lo-sp.lo-3, 0); i < hi-sp.lo; i++ {
+			if starts[i>>3]>>(i&7)&1 != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// exactAt reports whether a copy loaded at base is compared with the
+// reference byte for byte (see siteSource.raw).
+func (ip *inPlace) exactAt(base uint32) bool { return ip.memo.src.raw(base, ip.ref.info.Base) }
+
+// key returns the digest key of a covered copy loaded at base: compared
+// raw (exact), every side hashes raw; under windows every normalized side
 // is its memo entry's sum. It is the key digestAgainst computes for the
 // copy, from the same names, lengths and sums.
-func (ip *inPlace) key(exact bool) string {
+func (ip *inPlace) key(base uint32) string {
+	exact := ip.exactAt(base)
 	kind := 0
 	if exact {
 		kind = 1
@@ -528,22 +546,21 @@ func (ip *inPlace) key(exact bool) string {
 // digest returns a covered copy's digest key and nominal charge, and
 // counts the window-check hits digestAgainst would have counted for it.
 func (ip *inPlace) digest(base uint32) (string, time.Duration) {
-	exact := base == ip.ref.info.Base
-	if !exact {
+	if !ip.exactAt(base) {
 		ip.memo.hits.Add(ip.hits)
 	}
-	return ip.key(exact), ip.cost
+	return ip.key(base), ip.cost
 }
 
 // pageCheck is one copy's in-place check: a vmi.PageVisitor fed the
 // copy's guest pages in module order. It compares every span, under the
-// memo's windows unless the copy sits at the reference's base, and holds
+// memo's windows unless the copy is compared raw (exactAt), and holds
 // a site's field that a page boundary splits until the next page
 // completes it.
 type pageCheck struct {
 	*inPlace
 	base  uint32
-	exact bool // the copy is at the reference's base: spans compare byte for byte
+	exact bool // spans compare byte for byte (inPlace.exactAt)
 	next  int  // the first span not yet fully compared
 	diff  uint64
 	// tried: start found the check applies to the copy, so a copy it does
@@ -560,12 +577,12 @@ type pageCheck struct {
 func (ip *inPlace) check() *pageCheck { return &pageCheck{inPlace: ip} }
 
 // start readies the check for a walk of the copy info describes and
-// reports whether the copy can be checked in place at all: at another base
-// every normalized component needs a memo entry, and the copy's size must
-// be the reference's (a copy of another size differs from it).
+// reports whether the copy can be checked in place at all: compared under
+// windows, every normalized component needs a memo entry, and the copy's
+// size must be the reference's (a copy of another size differs from it).
 func (c *pageCheck) start(info *ModuleInfo) bool {
 	c.base = info.Base
-	c.exact = info.Base == c.ref.info.Base
+	c.exact = c.exactAt(info.Base)
 	c.next, c.diff, c.fieldN = 0, 0, 0
 	c.tried = c.exact || c.windowed
 	return c.tried && int(info.SizeOfImage) == len(c.ref.parsed.Raw)

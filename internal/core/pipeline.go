@@ -181,47 +181,39 @@ func (c *Checker) fetchStage(module string, vms []Target) ([]*fetched, time.Dura
 // tampered byte that happens to coincide with a legitimate copy's
 // normalized form.
 //
-// The charges are the nominal scan and hash work of both sides; the host
-// does only the work the run's reference memo does not already prove. A
-// clean copy is answered by the memo's window check, with no copy,
-// rewrite or MD5; a copy side equal to its reference side reuses the
-// reference's sum. Along the way it records f's digest facts against ref
-// (see fetched), which answer the compare stage's pairs.
+// The charges are the site source's nominal work on both sides (see
+// siteSource.pairWork); the host does only the work the run's reference
+// memo does not already prove. A clean copy is answered by the memo's
+// window check, with no copy, rewrite or MD5; a copy side equal to its
+// reference side reuses the reference's sum. Along the way it records f's
+// digest facts against ref (see fetched), which answer the compare stage's
+// pairs.
 //
 //moddet:sink digest keys must be a pure function of guest memory
 func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Duration) {
 	w := newKeyWriter()
 	writePart := w.part
 	var cost time.Duration
-	reloc := c.cfg.Normalizer == NormalizeRelocTable
-	if !reloc {
-		f.against, f.refMatch, f.refCovered = ref, 0, 0
-	}
+	src := memo.src
+	f.against, f.refMatch, f.refCovered = ref, 0, 0
 	for i := range f.parsed.Components {
 		comp := &f.parsed.Components[i]
-		if reloc {
-			// Per-VM normalized hashes were precomputed (and charged) at
-			// parse time; the digest just folds them together.
-			writePart(comp.Name, len(comp.Data), f.normHashes[i])
-			continue
-		}
 		var match, covered bool
 		rk := ref.parsed.peer(comp, i)
 		if comp.Normalize && rk >= 0 {
 			data, refData := comp.Data, ref.parsed.Components[rk].Data
-			cost += perKB(len(data)+len(refData), scanCostPerKB)
-			cost += perKB(len(data)+len(refData), hashCostPerKB)
-			sum, refSum, cov := memo.digestPair(rk, data, refData, f.info.Base, ref.info.Base)
+			cost += src.pairWork(len(data)+len(refData), true)
+			sum, refSum, cov := memo.digestPair(rk, f.side(i), ref.side(rk))
 			writePart(comp.Name, len(data), sum)
 			writePart("", len(refData), refSum)
 			match, covered = len(data) == len(refData) && sum == refSum, cov
 		} else {
-			// Non-relocated components (and components the reference lacks)
-			// cluster on their raw hash: equal raw bytes match pairwise
-			// under any base pair, since the diff scan sees no differing
-			// bytes.
-			cost += perKB(len(comp.Data), hashCostPerKB)
-			sum := md5.Sum(comp.Data)
+			// Non-relocated components cluster on their raw hash: equal raw
+			// bytes match pairwise under any base pair, since the diff scan
+			// sees no differing bytes and own sites rewrite no header. A
+			// component the reference lacks is hashed alone.
+			cost += src.pairWork(len(comp.Data), false)
+			sum := src.alone(f.side(i), comp.Normalize)
 			writePart(comp.Name, len(comp.Data), sum)
 			if rk >= 0 {
 				refData := ref.parsed.Components[rk].Data

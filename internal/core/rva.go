@@ -1,9 +1,13 @@
 package core
 
 import (
+	"crypto/md5"
 	"encoding/binary"
+	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
+	"time"
 
 	"modchecker/internal/pe"
 )
@@ -86,7 +90,8 @@ func NormalizePair(data1, data2 []byte, base1, base2 uint32) (n1, n2 []byte, sit
 // is non-nil, each rewritten field's offset i sets bit i%8 of marks[i/8]
 // (marks must cover the shorter buffer): NormalizePair turns the bits into
 // its site list, the digest's reference memo keeps them, and the compare
-// stage passes nil.
+// stage passes nil. It reports whether no two rewritten fields overlap:
+// a field may start up to three bytes behind the end of the previous one.
 //
 // Runs of equal bytes are skipped a word at a time: the XOR of two 8-byte
 // words is zero when they match, and otherwise its trailing zero bits count
@@ -94,7 +99,7 @@ func NormalizePair(data1, data2 []byte, base1, base2 uint32) (n1, n2 []byte, sit
 // memory order). Every differing byte is therefore visited exactly as the
 // byte-at-a-time loop of the pseudocode visits it, so the rewrites and
 // sites are the same.
-func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
+func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) (disjoint bool) {
 	// Algorithm 2 lines 1-9: find the first differing byte of the bases.
 	le := binary.LittleEndian
 	var b1, b2 [4]byte
@@ -110,9 +115,11 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
 	if offset < 0 {
 		// Identical bases: relocated addresses are identical too; any byte
 		// difference is a genuine modification. Nothing to rewrite.
-		return
+		return true
 	}
 
+	disjoint = true
+	next := 0 // the first byte past the last rewritten field
 	limit := min(len(n1), len(n2))
 	n1, n2 = n1[:limit], n2[:limit]
 	for j := 0; j < limit; {
@@ -140,7 +147,8 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
 				if marks != nil {
 					marks[start>>3] |= 1 << (start & 7)
 				}
-				j = start + 4
+				disjoint = disjoint && start >= next
+				j, next = start+4, start+4
 				continue
 			}
 		}
@@ -148,6 +156,7 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
 		// Leave the byte and keep scanning.
 		j++
 	}
+	return disjoint
 }
 
 // NormalizeWithRelocs is the ablation alternative (A2) to the diff scan: it
@@ -160,20 +169,26 @@ func normalizePairInPlace(n1, n2 []byte, base1, base2 uint32, marks []byte) {
 // It returns the section-RVA-sorted fixup sites; apply them to a component
 // with ApplyRelocNormalization.
 func NormalizeWithRelocs(raw []byte) ([]uint32, error) {
-	le := binary.LittleEndian
-	lfanew := le.Uint32(raw[0x3C:])
-	optOff := lfanew + 4 + pe.FileHeaderSize
-	// DataDirectory starts 96 bytes into the optional header.
-	dirOff := optOff + 96 + pe.DirBaseReloc*8
-	relocRVA := le.Uint32(raw[dirOff:])
-	relocSize := le.Uint32(raw[dirOff+4:])
-	if relocRVA == 0 || relocSize == 0 {
+	lo, hi := relocDir(raw)
+	if lo == hi {
 		return nil, nil
 	}
-	if uint64(relocRVA)+uint64(relocSize) > uint64(len(raw)) {
+	if hi > len(raw) {
 		return nil, pe.ErrFormat
 	}
-	return pe.ParseRelocTable(raw[relocRVA : relocRVA+relocSize])
+	return pe.ParseRelocTable(raw[lo:hi])
+}
+
+// relocDir returns the bytes [lo, hi) of the image's .reloc data
+// directory, empty when it has none. raw must hold the optional header.
+func relocDir(raw []byte) (lo, hi int) {
+	le := binary.LittleEndian
+	// DataDirectory starts 96 bytes into the optional header.
+	dir := le.Uint32(raw[0x3C:]) + 4 + pe.FileHeaderSize + 96 + pe.DirBaseReloc*8
+	if rva, size := le.Uint32(raw[dir:]), le.Uint32(raw[dir+4:]); rva != 0 && size != 0 {
+		return int(rva), int(rva) + int(size)
+	}
+	return 0, 0
 }
 
 // ApplyRelocNormalization returns a copy of the component's data with every
@@ -182,15 +197,147 @@ func NormalizeWithRelocs(raw []byte) ([]uint32, error) {
 // module's load base on this VM.
 func ApplyRelocNormalization(c *Component, sites []uint32, base uint32) []byte {
 	out := append([]byte(nil), c.Data...)
-	le := binary.LittleEndian
-	lo := c.VirtualAddress
-	hi := c.VirtualAddress + uint32(len(out))
-	for _, rva := range sites {
-		if rva < lo || rva+4 > hi {
-			continue
-		}
-		off := rva - lo
-		le.PutUint32(out[off:], le.Uint32(out[off:])-base)
-	}
+	applySites(out, side{va: c.VirtualAddress, base: base, sites: sites}, nil)
 	return out
+}
+
+// applySites rewrites dst, a copy of s's component, from absolute address
+// to RVA at each of s's sites whose field lies inside it, in order, and
+// marks each in marks when it is not nil. Bounds are taken in 64 bits: a
+// hostile .reloc block may name a site near 2^32. It reports whether no
+// two rewritten fields overlap (a site listed twice overlaps itself).
+func applySites(dst []byte, s side, marks []byte) (disjoint bool) {
+	le := binary.LittleEndian
+	disjoint = true
+	next := uint64(0) // the first byte past the last rewritten field
+	for _, rva := range s.sites {
+		if off := uint64(rva) - uint64(s.va); rva >= s.va && off+4 <= uint64(len(dst)) {
+			le.PutUint32(dst[off:], le.Uint32(dst[off:])-s.base)
+			if marks != nil {
+				marks[off>>3] |= 1 << (off & 7)
+			}
+			disjoint, next = disjoint && off >= next, off+4
+		}
+	}
+	return disjoint
+}
+
+// side is one copy's component as a site source reads it: its bytes and
+// RVA, the copy's load base and, under own sites, the copy's .reloc sites.
+type side struct {
+	data     []byte
+	va, base uint32
+	sites    []uint32
+}
+
+// side returns component i of f as a site source reads it.
+func (f *fetched) side(i int) side {
+	comp := &f.parsed.Components[i]
+	return side{data: comp.Data, va: comp.VirtualAddress, base: f.info.Base, sites: f.sites}
+}
+
+// siteSource is where the rewrite windows of a normalized component — the
+// 4-byte fields that hold relocated absolute addresses — come from:
+// Algorithm 2's diff scan against the partner side, or, with own set, each
+// side's own .reloc directory (ablation A2). The digest, its reference
+// memo, the compare stage's facts and the in-place check all run over
+// those windows; only this type tells the sources apart.
+type siteSource struct{ own bool }
+
+// sites returns the site source Config.Normalizer selects.
+func (c *Checker) sites() siteSource {
+	return siteSource{own: c.cfg.Normalizer == NormalizeRelocTable}
+}
+
+// work is the nominal CPU cost of hashing n bytes of a component, scanned
+// first when they are normalized.
+func work(n int, normalized bool) time.Duration {
+	if normalized {
+		return perKB(n, scanCostPerKB) + perKB(n, hashCostPerKB)
+	}
+	return perKB(n, hashCostPerKB)
+}
+
+// pairWork is the charge of digesting or comparing n bytes of a component
+// pair. Own sites rewrite each copy alone, so they do that work once per
+// copy, when it is parsed (copyWork), and charge pairs nothing.
+func (s siteSource) pairWork(n int, normalized bool) time.Duration {
+	if s.own {
+		return 0
+	}
+	return work(n, normalized)
+}
+
+// copyWork is the per-copy charge of a copy parsed to layout m: nothing
+// for the diff scan, whose windows need a partner.
+func (s siteSource) copyWork(m *ParsedModule) (cost time.Duration) {
+	if !s.own {
+		return 0
+	}
+	for i := range m.Components {
+		cost += work(len(m.Components[i].Data), m.Components[i].Normalize)
+	}
+	return cost
+}
+
+// read returns a parsed copy's own sites: none for the diff scan.
+func (s siteSource) read(m *ParsedModule) ([]uint32, error) {
+	if !s.own {
+		return nil, nil
+	}
+	sites, err := NormalizeWithRelocs(m.Raw)
+	if err != nil {
+		return nil, fmt.Errorf("core: reloc table of %s on %s: %w", m.ModuleName, m.VMName, err)
+	}
+	return sites, nil
+}
+
+// dir returns the bytes [lo, hi) of an image that read takes its own sites
+// from: the .reloc directory, or none for the diff scan.
+func (s siteSource) dir(raw []byte) (lo, hi int) {
+	if !s.own {
+		return 0, 0
+	}
+	return relocDir(raw)
+}
+
+// raw reports whether a pair loaded at these bases is compared as it is:
+// Algorithm 2 finds no windows between equal bases, while own sites are
+// rewritten at any base.
+func (s siteSource) raw(base, refBase uint32) bool { return !s.own && base == refBase }
+
+// shared reports whether copy side c has reference side r's windows
+// wherever their bytes agree, as the memo's window check requires: always
+// for the diff scan, whose windows that check proves, and for own sites
+// when the sides read equal site lists.
+func (s siteSource) shared(c, r side) bool { return !s.own || slices.Equal(c.sites, r.sites) }
+
+// rewritten returns pooled scratch copies of the peer sides c and r
+// rewritten at their windows, marking r's window starts in marks when it
+// is not nil, and reports whether those windows are disjoint. The caller
+// returns both buffers with putScratch.
+//
+//modown:pool scratch get
+func (s siteSource) rewritten(c, r side, marks []byte) (sc, sr *[]byte, disjoint bool) {
+	sc, sr = getScratch(len(c.data)), getScratch(len(r.data))
+	copy(*sc, c.data)
+	copy(*sr, r.data)
+	if !s.own {
+		return sc, sr, normalizePairInPlace(*sc, *sr, c.base, r.base, marks)
+	}
+	applySites(*sc, c, nil)
+	return sc, sr, applySites(*sr, r, marks)
+}
+
+// alone returns the MD5 of a component the partner lacks: rewritten at its
+// own sites when it is normalized, raw when its windows need a partner.
+func (s siteSource) alone(c side, normalized bool) [md5.Size]byte {
+	if !s.own || !normalized {
+		return md5.Sum(c.data)
+	}
+	p := getScratch(len(c.data))
+	defer putScratch(p)
+	copy(*p, c.data)
+	applySites(*p, c, nil)
+	return md5.Sum(*p)
 }

@@ -367,7 +367,7 @@ func (ps *PoolSweep) fetchVM(g int, module string, chk *pageCheck) *fetched {
 	} else {
 		infoCopy := *info
 		if buf == nil {
-			c.coveredInPlace(f, &infoCopy)
+			c.coveredInPlace(f, &infoCopy, chk)
 		} else {
 			c.parseFetched(f, module, &infoCopy, buf)
 		}

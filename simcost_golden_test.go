@@ -83,6 +83,10 @@ func (l *simcostLedger) sweep(t *testing.T, step string, sc *Scanner) {
 //   - mapped15: the fig7-pipeline sweep with WithMappedCopy — the bulk
 //     mapping copy strategy (ablation A3), which pays vmi.CostMappedPage
 //     per page instead of a translated page-wise copy.
+//   - reloc15: the fig7-pipeline sweep with WithRelocNormalizer (ablation
+//     A2) on the E1–E4 infected 15-VM cloud (infectedCloud, seed 42): each
+//     copy is normalized at its own .reloc sites and hashed, charged at
+//     parse time, and the E4 copy carries a .reloc table of its own.
 //   - fig8-loaded: one BenchmarkFig8RuntimeLoaded/VMs=12 iteration on the
 //     mapped15 cloud — 12 guests under HeavyLoad, past the 8-core knee, so
 //     the hypervisor's contention curve stretches every charge.
@@ -253,6 +257,7 @@ func simcostRun(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	l.poolSweep(t, "mapped15", mapped.NewChecker(WithParallel(), WithMappedCopy()))
+	l.poolSweep(t, "reloc15", infectedCloud(t, 42).NewChecker(WithParallel(), WithRelocNormalizer()))
 
 	loaded := mapped.VMNames()[:12]
 	for _, vm := range loaded {
@@ -337,8 +342,9 @@ func (l *simcostLedger) poolSweep(t *testing.T, step string, checker *Checker) {
 // TestSimCostGolden byte-compares the simulated cost of the simcost
 // scenarios with testdata/simcost.golden, generated before the leaf-layer
 // optimizations of Algorithm 2 and MD5, for scan4k before lazy
-// introspection targets, for trace300 before per-group sweep state, and
-// for mapped15 before dedup sweeps kept their identity groups (see
+// introspection targets, for trace300 before per-group sweep state, for
+// mapped15 before dedup sweeps kept their identity groups, and for reloc15
+// before the reloc-table normalizer joined the digest path (see
 // testdata/README.md for the exact commands).
 // Host-side optimizations must leave every simulated nanosecond, stage
 // split, page-table walk, byte read, store hit and scan4k report byte as
