@@ -3,7 +3,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 5x
 CHAOS_SEEDS ?= 20
 
-.PHONY: all build test vet fmt race-test lint golden-check check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile profile-fleet profile-warm
+.PHONY: all build test vet fmt race-test lint golden-check golden-costdiff check fuzz-smoke fault-suite chaos-smoke chaos-poison bench bench-smoke fleet-smoke cache-smoke trace-smoke profile profile-fleet profile-warm
 
 all: build
 
@@ -44,6 +44,25 @@ golden-check:
 	         internal/lint/modsafe/testdata/safemod.golden \
 	         internal/lint/modown/testdata/ownmod.golden; do \
 		cmp -s "$$f" "$$dir/$$(basename $$f)" || { echo "stale golden: $$f (regenerate with: $(GO) test -run Golden -update ./$$(dirname $$(dirname $$f)))"; rc=1; }; \
+	done; \
+	exit $$rc
+
+# Masked diff of the scanner and pool-report goldens against GOLDEN_BASE
+# (default HEAD), for a change to the simulated cost model: every
+# simulated time is masked (scanner "simulated_ms", the four stage "*_ms"
+# fields and "in ...ms simulated"; the pool report's timing fields and
+# "timing:" lines), and any difference left (a verdict, an alert, a budget
+# cut, a health transition) fails. Run it after regenerating the goldens
+# with -update, before committing them.
+GOLDEN_BASE ?= HEAD
+golden-costdiff:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	mask='s/"(simulated|list|fetch|digest|compare|searcher|parser|checker|total|elapsed)_ms": [0-9.e+-]+/"\1_ms": ~/; s/ in [^ ]+ simulated/ in ~ simulated/; s/^timing: .*/timing: ~/'; \
+	rc=0; \
+	for f in testdata/scanner_golden.txt testdata/poolreport.golden; do \
+		git show "$(GOLDEN_BASE):$$f" | sed -E "$$mask" > "$$dir/base" || exit 1; \
+		sed -E "$$mask" "$$f" > "$$dir/tree"; \
+		diff -u --label "$(GOLDEN_BASE):$$f" --label "$$f" "$$dir/base" "$$dir/tree" || rc=1; \
 	done; \
 	exit $$rc
 

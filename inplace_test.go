@@ -12,8 +12,8 @@ import (
 )
 
 // TestInPlaceFirstPartnerInfectedMatchesCopies: when the reference's first
-// partner, the copy that fills the reference memo, is the infected VM, the
-// first clean copy after it fronts the clean cluster, and every report
+// partner, the first copy that fills the reference memo, is the infected
+// VM, the next copy at another base completes the fill, and every report
 // must be byte for byte what a pool whose memory cannot lend frames (an
 // installed fault plan that injects nothing) reports by copying every VM:
 // JSON and verbose text of every module, simulated time included. Under
@@ -108,8 +108,8 @@ func TestInPlaceSweepFallsBackOnGuestWrite(t *testing.T) {
 // TestInPlaceSweepRacesGuestWriter races a guest that keeps flipping a
 // code byte of its module against parallel in-place sweeps (run it under
 // -race). Dom2, the first partner, carries a live hook, so Dom3, the
-// writer, is the first clean copy: the one checked in place and then
-// re-read to front the clean cluster. Whatever the writer's timing, only
+// writer, is the first clean copy: the one that completes the memo's fill,
+// or one checked in place after it. Whatever the writer's timing, only
 // Dom2 and Dom3 may be flagged, Dom2 always is, and no check errors.
 func TestInPlaceSweepRacesGuestWriter(t *testing.T) {
 	const module = "tcpip.sys"

@@ -8,19 +8,26 @@
 // sound: the store never guesses, it only replays conclusions whose inputs
 // provably have not changed.
 //
-// Two record kinds are cached:
+// Every record is also keyed by its Source, the normalizer that computed
+// it: a digest key depends on where a copy's rewrite windows came from, so
+// records of one source never answer a lookup of another. Two record kinds
+// are cached:
 //
-//   - Digest entries, keyed (module, refToken, ownToken): the digest-cluster
-//     key one VM's copy of a module produced against the sweep reference
-//     whose image is refToken, plus the copy's component names. The
-//     reference's own entry uses ownToken == refToken and Key == "" (the
-//     reference fronts cluster 0 and has no digest against itself).
+//   - Digest entries, keyed (source, module, refToken, ownToken): the
+//     cluster key one VM's copy of a module produced against the sweep
+//     reference whose image is refToken, plus the copy's component names.
+//     A copy the reference covers on every component, the reference itself
+//     (ownToken == refToken) included, stores the covered key of its run,
+//     which names the rewrite windows it was covered under; any other copy
+//     stores its digest key.
 //
-//   - Mismatch entries, keyed (module, refToken, keyA, keyB): the component
-//     mismatch list of the one true comparison between two cluster
-//     representatives. Digest keys are content hashes relative to the
-//     reference image, so the pair's outcome is a pure function of the key
-//     pair — any member of a cluster compares identically.
+//   - Mismatch entries, keyed (source, module, refToken, keyA, keyB): the
+//     component mismatch list of the one true comparison between two
+//     cluster representatives. The engine passes each cluster's key with
+//     its load base appended where the normalizer's outcome depends on the
+//     pair's bases; copies that share a key and a base carry the same
+//     compared bytes, so the pair's outcome is a pure function of the two
+//     keys.
 //
 // Invalidation is structural rather than explicit: a guest write dirties
 // the copy-on-write overlay and the VM stops advertising a ContentID, a
@@ -59,12 +66,16 @@ type Token struct {
 }
 
 // Entry is one VM's cached digest outcome for one module against one
-// reference image: the digest-cluster key (empty for the reference itself)
-// and the parsed copy's component names in module order.
+// reference image: the digest-cluster key (empty for the reference's
+// cluster) and the parsed copy's component names in module order.
 type Entry struct {
 	Key   string
 	Names []string
 }
+
+// Source names the normalizer a record was computed under (see the package
+// documentation). The zero Source is the diff scan, Algorithm 2.
+type Source uint8
 
 // Stats is a point-in-time counter snapshot of store traffic.
 type Stats struct {
@@ -121,38 +132,41 @@ func NewStore(maxEntries int) *Store {
 }
 
 // keyBufSize sizes the stack buffers lookups build their keys in: a
-// module name, two tokens and two digest keys fit, so a lookup allocates
-// no key (a longer key spills to the heap).
+// source, a module name, two tokens and two digest keys fit, so a lookup
+// allocates no key (a longer key spills to the heap).
 const keyBufSize = 128
 
-// digestKey flattens the (module, ref, own) address. Tokens are fixed-width
-// binary so modules whose names embed separators cannot collide.
-func digestKey(module string, ref, own Token) string {
-	return string(appendDigestKey(make([]byte, 0, len(module)+1+32), module, ref, own))
+// digestKey flattens the (source, module, ref, own) address. Tokens are
+// fixed-width binary so modules whose names embed separators cannot
+// collide.
+func digestKey(src Source, module string, ref, own Token) string {
+	return string(appendDigestKey(make([]byte, 0, 2+len(module)+32), src, module, ref, own))
 }
 
 // appendDigestKey appends digestKey's bytes to b.
-func appendDigestKey(b []byte, module string, ref, own Token) []byte {
+func appendDigestKey(b []byte, src Source, module string, ref, own Token) []byte {
+	b = append(b, byte(src))
 	b = append(b, module...)
 	b = append(b, 0)
 	b = appendToken(b, ref)
 	return appendToken(b, own)
 }
 
-// mismatchKey flattens the (module, ref, keyA, keyB) address. Digest keys
-// are fixed-size MD5 strings (or empty for the reference cluster), so
-// length-prefixing is unnecessary; a 0 separator keeps the parts apart.
-func mismatchKey(module string, ref Token, ka, kb string) string {
-	return string(appendMismatchKey(make([]byte, 0, len(module)+len(ka)+len(kb)+3+16), module, ref, ka, kb))
+// mismatchKey flattens the (source, module, ref, keyA, keyB) address.
+// Cluster keys differ in length (an MD5 string, empty, or either with a
+// load base appended), so keyA is length-prefixed.
+func mismatchKey(src Source, module string, ref Token, ka, kb string) string {
+	return string(appendMismatchKey(make([]byte, 0, 4+len(module)+len(ka)+len(kb)+16), src, module, ref, ka, kb))
 }
 
 // appendMismatchKey appends mismatchKey's bytes to b.
-func appendMismatchKey(b []byte, module string, ref Token, ka, kb string) []byte {
+func appendMismatchKey(b []byte, src Source, module string, ref Token, ka, kb string) []byte {
+	b = append(b, byte(src))
 	b = append(b, module...)
 	b = append(b, 0)
 	b = appendToken(b, ref)
+	b = append(b, byte(len(ka)))
 	b = append(b, ka...)
-	b = append(b, 0)
 	return append(b, kb...)
 }
 
@@ -166,10 +180,22 @@ func appendToken(b []byte, t Token) []byte {
 	return b
 }
 
-// LookupDigest returns the cached digest entry for one VM's copy of module
-// against the reference image ref, where own is the VM's current token.
-// Invalid tokens never hit.
+// LookupDigest is LookupDigestFrom for the diff scan's records, the form
+// perfbench's store replay calls.
 func (s *Store) LookupDigest(module string, ref, own Token) (Entry, bool) {
+	return s.LookupDigestFrom(0, module, ref, own)
+}
+
+// InsertDigest is InsertDigestFrom for the diff scan's records, the form
+// perfbench's store replay calls.
+func (s *Store) InsertDigest(module string, ref, own Token, e Entry) {
+	s.InsertDigestFrom(0, module, ref, own, e)
+}
+
+// LookupDigestFrom returns source src's cached digest entry for one VM's
+// copy of module against the reference image ref, where own is the VM's
+// current token. Invalid tokens never hit.
+func (s *Store) LookupDigestFrom(src Source, module string, ref, own Token) (Entry, bool) {
 	if !ref.OK || !own.OK {
 		return Entry{}, false
 	}
@@ -177,21 +203,22 @@ func (s *Store) LookupDigest(module string, ref, own Token) (Entry, bool) {
 	defer s.mu.Unlock()
 	s.stats.Lookups++
 	var buf [keyBufSize]byte
-	e, ok := s.digests[string(appendDigestKey(buf[:0], module, ref, own))]
+	e, ok := s.digests[string(appendDigestKey(buf[:0], src, module, ref, own))]
 	if ok {
 		s.stats.Hits++
 	}
 	return e, ok
 }
 
-// InsertDigest stores one VM's digest outcome. Entries under invalid tokens
-// are dropped (nothing could ever address them), and re-inserting an
-// identical entry is a no-op — the persistent log does not grow.
-func (s *Store) InsertDigest(module string, ref, own Token, e Entry) {
+// InsertDigestFrom stores one VM's digest outcome under source src.
+// Entries under invalid tokens are dropped (nothing could ever address
+// them), and re-inserting an identical entry is a no-op — the persistent
+// log does not grow.
+func (s *Store) InsertDigestFrom(src Source, module string, ref, own Token, e Entry) {
 	if !ref.OK || !own.OK {
 		return
 	}
-	key := digestKey(module, ref, own)
+	key := digestKey(src, module, ref, own)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.digests[key]; ok && old.Key == e.Key && equalStrings(old.Names, e.Names) {
@@ -200,15 +227,15 @@ func (s *Store) InsertDigest(module string, ref, own Token, e Entry) {
 	e.Names = append([]string(nil), e.Names...)
 	s.insertLocked(storeKey{kindDigest, key}, func() { s.digests[key] = e })
 	if s.log != nil {
-		s.log.appendDigest(module, ref, own, e)
+		s.log.appendDigest(src, module, ref, own, e)
 	}
 }
 
-// LookupMismatch returns the cached mismatch list of the representative
-// comparison between the clusters keyed ka and kb under the reference image
-// ref. ok distinguishes a cached empty list (the clusters matched) from no
-// entry at all.
-func (s *Store) LookupMismatch(module string, ref Token, ka, kb string) ([]string, bool) {
+// LookupMismatchFrom returns source src's cached mismatch list of the
+// representative comparison between the clusters keyed ka and kb under the
+// reference image ref. ok distinguishes a cached empty list (the clusters
+// matched) from no entry at all.
+func (s *Store) LookupMismatchFrom(src Source, module string, ref Token, ka, kb string) ([]string, bool) {
 	if !ref.OK {
 		return nil, false
 	}
@@ -216,20 +243,21 @@ func (s *Store) LookupMismatch(module string, ref Token, ka, kb string) ([]strin
 	defer s.mu.Unlock()
 	s.stats.Lookups++
 	var buf [keyBufSize]byte
-	mm, ok := s.mismatches[string(appendMismatchKey(buf[:0], module, ref, ka, kb))]
+	mm, ok := s.mismatches[string(appendMismatchKey(buf[:0], src, module, ref, ka, kb))]
 	if ok {
 		s.stats.Hits++
 	}
 	return mm, ok
 }
 
-// InsertMismatch stores one representative comparison's outcome. An empty
-// list is a meaningful entry (the clusters matched) and is stored too.
-func (s *Store) InsertMismatch(module string, ref Token, ka, kb string, mm []string) {
+// InsertMismatchFrom stores one representative comparison's outcome under
+// source src. An empty list is a meaningful entry (the clusters matched)
+// and is stored too.
+func (s *Store) InsertMismatchFrom(src Source, module string, ref Token, ka, kb string, mm []string) {
 	if !ref.OK {
 		return
 	}
-	key := mismatchKey(module, ref, ka, kb)
+	key := mismatchKey(src, module, ref, ka, kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, ok := s.mismatches[key]; ok && equalStrings(old, mm) {
@@ -239,7 +267,7 @@ func (s *Store) InsertMismatch(module string, ref Token, ka, kb string, mm []str
 	copy(stored, mm)
 	s.insertLocked(storeKey{kindMismatch, key}, func() { s.mismatches[key] = stored })
 	if s.log != nil {
-		s.log.appendMismatch(module, ref, ka, kb, stored)
+		s.log.appendMismatch(src, module, ref, ka, kb, stored)
 	}
 }
 

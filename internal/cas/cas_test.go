@@ -2,6 +2,7 @@ package cas
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,7 +39,7 @@ func TestInvalidTokensNeverHitOrStore(t *testing.T) {
 	bad := Token{ID: 7}
 	s.InsertDigest("hal.dll", bad, tok(1, 0), Entry{Key: "k"})
 	s.InsertDigest("hal.dll", tok(1, 0), bad, Entry{Key: "k"})
-	s.InsertMismatch("hal.dll", bad, "a", "b", nil)
+	s.InsertMismatchFrom(0, "hal.dll", bad, "a", "b", nil)
 	if s.Len() != 0 {
 		t.Fatalf("stored %d entries under invalid tokens", s.Len())
 	}
@@ -53,16 +54,16 @@ func TestInvalidTokensNeverHitOrStore(t *testing.T) {
 func TestMismatchEmptyListIsAnEntry(t *testing.T) {
 	s := NewStore(0)
 	ref := tok(3, 1)
-	if _, ok := s.LookupMismatch("hal.dll", ref, "", "kA"); ok {
+	if _, ok := s.LookupMismatchFrom(0, "hal.dll", ref, "", "kA"); ok {
 		t.Fatal("hit on empty store")
 	}
-	s.InsertMismatch("hal.dll", ref, "", "kA", nil)
-	mm, ok := s.LookupMismatch("hal.dll", ref, "", "kA")
+	s.InsertMismatchFrom(0, "hal.dll", ref, "", "kA", nil)
+	mm, ok := s.LookupMismatchFrom(0, "hal.dll", ref, "", "kA")
 	if !ok || len(mm) != 0 {
 		t.Fatalf("cached match lookup = %v, %v", mm, ok)
 	}
-	s.InsertMismatch("hal.dll", ref, "kA", "kB", []string{".text"})
-	mm, ok = s.LookupMismatch("hal.dll", ref, "kA", "kB")
+	s.InsertMismatchFrom(0, "hal.dll", ref, "kA", "kB", []string{".text"})
+	mm, ok = s.LookupMismatchFrom(0, "hal.dll", ref, "kA", "kB")
 	if !ok || len(mm) != 1 || mm[0] != ".text" {
 		t.Fatalf("cached mismatch lookup = %v, %v", mm, ok)
 	}
@@ -78,7 +79,7 @@ func TestFIFOEviction(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("len = %d before eviction", s.Len())
 	}
-	s.InsertMismatch("m3", ref, "x", "y", nil)
+	s.InsertMismatchFrom(0, "m3", ref, "x", "y", nil)
 	if s.Len() != 2 {
 		t.Fatalf("len = %d after eviction", s.Len())
 	}
@@ -104,9 +105,9 @@ func TestInsertCopiesCallerSlices(t *testing.T) {
 		t.Fatal("stored entry aliases the caller's slice")
 	}
 	mm := []string{".data"}
-	s.InsertMismatch("m", ref, "a", "b", mm)
+	s.InsertMismatchFrom(0, "m", ref, "a", "b", mm)
 	mm[0] = "mutated"
-	if got, _ := s.LookupMismatch("m", ref, "a", "b"); got[0] != ".data" {
+	if got, _ := s.LookupMismatchFrom(0, "m", ref, "a", "b"); got[0] != ".data" {
 		t.Fatal("stored mismatch list aliases the caller's slice")
 	}
 }
@@ -120,7 +121,7 @@ func TestPersistReopen(t *testing.T) {
 	ref := tok(5, 2)
 	s.InsertDigest("hal.dll", ref, ref, Entry{Key: "", Names: []string{".text"}})
 	s.InsertDigest("hal.dll", ref, tok(6, 2), Entry{Key: "kX", Names: []string{".text"}})
-	s.InsertMismatch("hal.dll", ref, "", "kX", []string{".text"})
+	s.InsertMismatchFrom(0, "hal.dll", ref, "", "kX", []string{".text"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestPersistReopen(t *testing.T) {
 	if e, ok := r.LookupDigest("hal.dll", ref, tok(6, 2)); !ok || e.Key != "kX" {
 		t.Fatalf("digest did not survive reopen: %+v, %v", e, ok)
 	}
-	if mm, ok := r.LookupMismatch("hal.dll", ref, "", "kX"); !ok || len(mm) != 1 || mm[0] != ".text" {
+	if mm, ok := r.LookupMismatchFrom(0, "hal.dll", ref, "", "kX"); !ok || len(mm) != 1 || mm[0] != ".text" {
 		t.Fatalf("mismatch did not survive reopen: %v, %v", mm, ok)
 	}
 }
@@ -283,7 +284,7 @@ func TestLookupsAllocateNoKey(t *testing.T) {
 	ref, own := tok(1, 0), tok(2, 0)
 	ka, kb := "0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210"
 	s.InsertDigest("hal.dll", ref, own, Entry{Key: ka})
-	s.InsertMismatch("hal.dll", ref, ka, kb, []string{".text"})
+	s.InsertMismatchFrom(0, "hal.dll", ref, ka, kb, []string{".text"})
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := s.LookupDigest("hal.dll", ref, own); !ok {
 			t.Fatal("digest missed")
@@ -291,14 +292,91 @@ func TestLookupsAllocateNoKey(t *testing.T) {
 		if _, ok := s.LookupDigest("ndis.sys", ref, own); ok {
 			t.Fatal("digest hit another module")
 		}
-		if _, ok := s.LookupMismatch("hal.dll", ref, ka, kb); !ok {
+		if _, ok := s.LookupMismatchFrom(0, "hal.dll", ref, ka, kb); !ok {
 			t.Fatal("mismatch missed")
 		}
-		if _, ok := s.LookupMismatch("hal.dll", ref, kb, ka); ok {
+		if _, ok := s.LookupMismatchFrom(0, "hal.dll", ref, kb, ka); ok {
 			t.Fatal("mismatch hit swapped keys")
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("lookups made %v allocations, want 0", allocs)
+	}
+}
+
+// TestSourcesKeepApart: a record of one source never answers a lookup of
+// another, in memory or after a reopen, since a cluster key means
+// different things under different normalizers.
+func TestSourcesKeepApart(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "digests.cas")
+	s, err := Open(path, "fp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, own := tok(1, 0), tok(2, 0)
+	s.InsertDigestFrom(1, "hal.dll", ref, own, Entry{Key: "", Names: []string{".text"}})
+	s.InsertMismatchFrom(1, "hal.dll", ref, "", "kX", []string{".text"})
+	for _, st := range []*Store{s, nil} {
+		if st == nil {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Open(path, "fp", 0); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+		}
+		if _, ok := st.LookupDigest("hal.dll", ref, own); ok {
+			t.Error("the other source's digest entry answered a diff-scan lookup")
+		}
+		if _, ok := st.LookupMismatchFrom(0, "hal.dll", ref, "", "kX"); ok {
+			t.Error("the other source's mismatch entry answered a diff-scan lookup")
+		}
+		if _, ok := st.LookupDigestFrom(1, "hal.dll", ref, own); !ok {
+			t.Error("the digest entry does not answer its own source")
+		}
+		if _, ok := st.LookupMismatchFrom(1, "hal.dll", ref, "", "kX"); !ok {
+			t.Error("the mismatch entry does not answer its own source")
+		}
+	}
+}
+
+// TestPersistVersion1LogResets: a log written in the format before records
+// named their source, whose "" entries meant the reference alone, is reset
+// on open instead of replayed.
+func TestPersistVersion1LogResets(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "digests.cas")
+	v1 := append([]byte("MODCAS\x01"), binary.BigEndian.AppendUint32(nil, 2)...)
+	v1 = append(v1, "fp"...)
+	var enc encoder
+	enc.str("hal.dll")
+	enc.token(tok(1, 0))
+	enc.token(tok(1, 0))
+	enc.str("")
+	enc.strs([]string{".text"})
+	v1 = append(v1, kindDigest)
+	v1 = binary.BigEndian.AppendUint32(v1, uint32(len(enc.buf)))
+	v1 = append(v1, enc.buf...)
+	v1 = binary.BigEndian.AppendUint32(v1, crc32.ChecksumIEEE(enc.buf))
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, "fp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Loaded != 0 {
+		t.Fatalf("a version-1 log replayed %d entries", st.Loaded)
+	}
+	if _, ok := s.LookupDigest("hal.dll", tok(1, 0), tok(1, 0)); ok {
+		t.Fatal("a version-1 entry was served")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(encodeHeader("fp")) || string(raw[:len(logMagic)]) == string(v1[:len(logMagic)]) {
+		t.Fatalf("the reset log holds %q, want only a header of the current version", raw)
 	}
 }

@@ -4,13 +4,13 @@ package cas
 //
 // Layout:
 //
-//	header:  magic "MODCAS\x01" | u32 len | fingerprint bytes
+//	header:  magic "MODCAS\x02" | u32 len | fingerprint bytes
 //	record:  u8 kind | u32 payloadLen | payload | u32 crc32(payload)
 //
-// Digest payload:   str module | token ref | token own | str key |
-//	                 u32 n | n × str name
-// Mismatch payload: str module | token ref | str keyA | str keyB |
-//	                 u32 n | n × str component
+// Digest payload:   u8 source | str module | token ref | token own |
+//	                 str key | u32 n | n × str name
+// Mismatch payload: u8 source | str module | token ref | str keyA |
+//	                 str keyB | u32 n | n × str component
 //
 // where str is u32 len | bytes and token is u64 id | u64 epoch (big
 // endian). Every record is independently CRC-checked, so a crash mid-append
@@ -37,7 +37,10 @@ import (
 	"os"
 )
 
-var logMagic = []byte("MODCAS\x01")
+// logMagic names the log format. Version 2 added each record's source and
+// made the "" cluster key mean every copy the reference covers, so a
+// version-1 log is reset on open rather than replayed.
+var logMagic = []byte("MODCAS\x02")
 
 // maxLogString bounds any one length-prefixed string in the log, so a
 // corrupted length field cannot make the reader attempt a giant allocation.
@@ -172,6 +175,7 @@ func applyRecord(s *Store, kind byte, payload []byte) bool {
 	d := &decoder{buf: payload}
 	switch kind {
 	case kindDigest:
+		src := d.source()
 		module := d.str()
 		ref := d.token()
 		own := d.token()
@@ -180,9 +184,10 @@ func applyRecord(s *Store, kind byte, payload []byte) bool {
 		if d.bad {
 			return false
 		}
-		s.InsertDigest(module, ref, own, Entry{Key: key, Names: names})
+		s.InsertDigestFrom(src, module, ref, own, Entry{Key: key, Names: names})
 		return true
 	case kindMismatch:
+		src := d.source()
 		module := d.str()
 		ref := d.token()
 		ka := d.str()
@@ -191,7 +196,7 @@ func applyRecord(s *Store, kind byte, payload []byte) bool {
 		if d.bad {
 			return false
 		}
-		s.InsertMismatch(module, ref, ka, kb, mm)
+		s.InsertMismatchFrom(src, module, ref, ka, kb, mm)
 		return true
 	}
 	return false
@@ -227,6 +232,16 @@ func (e *encoder) strs(ss []string) {
 type decoder struct {
 	buf []byte
 	bad bool
+}
+
+func (d *decoder) source() Source {
+	if d.bad || len(d.buf) < 1 {
+		d.bad = true
+		return 0
+	}
+	src := Source(d.buf[0])
+	d.buf = d.buf[1:]
+	return src
 }
 
 func (d *decoder) str() string {
@@ -281,8 +296,8 @@ func (d *decoder) strs() []string {
 }
 
 // appendDigest writes one digest record. Called with the store lock held.
-func (l *logFile) appendDigest(module string, ref, own Token, e Entry) {
-	var enc encoder
+func (l *logFile) appendDigest(src Source, module string, ref, own Token, e Entry) {
+	enc := encoder{buf: []byte{byte(src)}}
 	enc.str(module)
 	enc.token(ref)
 	enc.token(own)
@@ -293,8 +308,8 @@ func (l *logFile) appendDigest(module string, ref, own Token, e Entry) {
 
 // appendMismatch writes one mismatch record. Called with the store lock
 // held.
-func (l *logFile) appendMismatch(module string, ref Token, ka, kb string, mm []string) {
-	var enc encoder
+func (l *logFile) appendMismatch(src Source, module string, ref Token, ka, kb string, mm []string) {
+	enc := encoder{buf: []byte{byte(src)}}
 	enc.str(module)
 	enc.token(ref)
 	enc.str(ka)

@@ -443,8 +443,14 @@ type fetched struct {
 	//   - refCovered: the component equals the reference's peer outside the
 	//     memo entry's windows and carries its RVAs inside them, or the
 	//     bases are equal and the bytes are the reference's.
+	// covered: every component is covered and is the reference's component
+	// of the same index, so the copy takes the covered key.
 	against              *fetched
 	refMatch, refCovered uint64
+	covered              bool
+	// moved: the fetch is a covered copy's stand-in, the reference's bytes
+	// moved to this base at the memo's windows (refMemo.standIn).
+	moved *refMemo
 }
 
 // releaseFetched recycles a fetch's module buffer once nothing derived from
@@ -458,14 +464,6 @@ func (c *Checker) releaseFetched(f *fetched) {
 	putFetchBuf(f.buf)
 	f.buf = nil
 	f.parsed = nil
-}
-
-// adopt gives a fetch covered in place the copy and parse a cluster's
-// representative needs; releaseFetched recycles the buffer.
-//
-//modown:transfer fetch-buf
-func (f *fetched) adopt(buf []byte, parsed *ParsedModule) {
-	f.buf, f.parsed, f.inPlace = buf, parsed, false
 }
 
 // fetchAndParse runs Module-Searcher and Module-Parser for one VM through
@@ -659,7 +657,7 @@ func (c *Checker) compare(a, b *fetched) (mismatched []string, cost time.Duratio
 			mismatched = append(mismatched, cb[j].Name)
 		}
 	}
-	sort.Strings(mismatched)
+	slices.Sort(mismatched)
 	return slices.Compact(mismatched), cost, derived
 }
 
@@ -674,6 +672,8 @@ func (c *Checker) compare(a, b *fetched) (mismatched []string, cost time.Duratio
 //     windows and carry the same RVAs inside them, so Algorithm 2 run on
 //     the pair, at the pair's own base offset, rewrites exactly those
 //     windows and leaves the sides equal (refMemo.covers' argument).
+//   - one side is a covered copy's stand-in and the other is not covered:
+//     a mismatch where refMemo.apart proves one.
 //
 // Everything else, including a pair whose Normalize flags differ, is left
 // to compareComponent.
@@ -684,8 +684,13 @@ func compareFact(a, b *fetched, i, j int) (eq, ok bool) {
 	switch {
 	case b.against == a:
 		return b.refMatch>>j&1 != 0, true
-	case a.against != nil && a.against == b.against && a.refCovered>>i&1 != 0 && b.refCovered>>j&1 != 0:
+	case a.against == nil || a.against != b.against:
+	case a.refCovered>>i&1 != 0 && b.refCovered>>j&1 != 0:
 		return true, true
+	case a.moved != nil && b.refCovered>>j&1 == 0 && a.parsed.Components[i].Normalize:
+		return false, a.moved.apart(i, b.side(j), a.against.side(i), a.info.Base)
+	case b.moved != nil && a.refCovered>>i&1 == 0 && b.parsed.Components[j].Normalize:
+		return false, b.moved.apart(j, a.side(i), b.against.side(j), b.info.Base)
 	}
 	return false, false
 }

@@ -3,10 +3,25 @@ package core
 // This file holds the pool-check engine: the one computation behind
 // CheckPool, ClusterPool and every PoolSweep module check. It fetches the
 // module from every VM, digests each healthy copy against a pool-wide
-// reference (the first healthy copy in pool order), groups equal digests
-// into clusters, and runs one true pairwise comparison per cluster pair.
-// Digest equality implies a pairwise match, so the clusters decide the
-// paper's majority vote exactly as comparing every pair would.
+// reference (the first healthy copy in pool order), groups the copies into
+// clusters, and runs one true pairwise comparison per pair of clusters that
+// the digests do not already answer. Its reports are those of comparing
+// every pair, MD5 collisions aside.
+//
+// A cluster is one key, at one load base once its module is split by base.
+// A copy the reference covers
+// on every component (fetched.covered), digested or checked in place, keys
+// the run's covered key (refMemo.key), whatever its base; every other copy
+// keys its digest. Copies that share a key match pairwise, so a module
+// whose copies all share one key, as a clean one does, is one cluster and
+// runs no comparison. Under the diff scan a comparison's outcome also
+// depends on the pair's bases (Algorithm 2 rewrites only the fields in
+// which a pair differs), so a key is split by base as soon as a module
+// has a second key, and the clusters of two keys are compared base by
+// base. Copies that share a key and a base are byte for byte the same in
+// every compared byte, so each cluster's first member stands exactly for
+// the rest. Own sites rewrite each copy alone, and a key alone settles its
+// comparisons.
 //
 // The engine's settings are parameters, not separate paths:
 //
@@ -31,21 +46,21 @@ package core
 //     only on hits, so a cold store charges exactly what no store charges,
 //     in the same per-VM order. A nil store never hits and never inserts.
 //
-// Clean copies are checked in place: the reference and its first partner
-// are copied, the first digest fills and seals the reference memo, and
-// the rest of a shard is fetched and digested in one parallel stage in
-// which the Searcher compares each guest page with the reference as it
-// walks the module (pageCheck). A covered copy keeps no bytes and is not
-// parsed; one that differs falls back to a copy and digestAgainst. Only a
-// cluster's first member keeps bytes, so a covered copy that would be it
-// is re-read without a charge as part of its fetch (front) and digested
-// as a copy. Charges are those of copying, so simulated time and reports
-// do not depend on which copies were checked in place.
+// Clean copies are checked in place: the reference and the head of the
+// pool are copied and digested one at a time, in pool order, and fill and
+// seal the reference memo; the rest of a shard is fetched and digested in
+// one parallel stage in which the Searcher compares each guest page with
+// the reference as it walks the module (pageCheck). A covered copy keeps no
+// bytes and is not parsed; one that differs falls back to a copy and
+// digestAgainst. A comparison that needs a covered copy's bytes reads the
+// reference's through a stand-in (refMemo.standIn). Charges are those
+// of copying, so simulated time and reports do not depend on which copies
+// were checked in place.
 //
 // Config.FullPairwise turns the engine into the paper's O(n²) oracle: no
-// digests, every healthy copy fronts its own cluster, so the compare stage
-// compares every healthy pair independently. Shard, dedup and store do not
-// apply to the oracle.
+// reference and no digests, every healthy copy is a cluster of its own, so
+// the compare stage compares every healthy pair independently. Shard,
+// dedup and store do not apply to the oracle.
 //
 // Every check's PoolReport is a view over its outcome (derive): verdicts
 // from cluster sizes, and each VM's detail built from the outcome's tables
@@ -58,13 +73,21 @@ package core
 // byte-identically for a fixed seed.
 
 import (
-	"fmt"
+	"encoding/binary"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"modchecker/internal/cas"
-	"modchecker/internal/vmi"
 )
+
+// maxHead bounds the head digests of a run: the memo seals after the first
+// one the reference covers under windows, or after maxHead, so an infected
+// reference, or a pool that shares the reference's base, is not digested
+// in sequence. A digest at the reference's base fills nothing, so in a
+// pool whose templates alternate, an infected first partner hands the fill
+// to the third head digest.
+const maxHead = 3
 
 // engine runs module checks over one fixed VM pool.
 type engine struct {
@@ -79,19 +102,35 @@ type engine struct {
 	grp   *groups
 	store *cas.Store // nil: no lookups, no inserts
 	shard int        // <= 0: every group in one shard
+	// slots are the shard's classifications, kept for the engine's next
+	// run: runs of one engine never overlap.
+	slots []slot
+}
+
+// slot is one shard group's classification: its fetched copy, or the
+// store entry that replaced the fetch, and its cluster key ("" for a copy
+// covered in this run, until the memo's key is known). The reference's
+// slot is empty: cluster 0 holds its copy.
+type slot struct {
+	f     *fetched
+	key   string
+	names []string // store hits only
 }
 
 // clusterPair identifies one unordered pair of clusters (a < b).
 type clusterPair struct{ a, b int }
 
-// cluster is one group of bit-equivalent copies: equal digests against the
-// reference (or, under FullPairwise, a single copy).
+// cluster is one group of copies that match pairwise: one key, at one base
+// once the module is split by base (or, under FullPairwise, a single copy).
+// Cluster 0 holds the reference.
 type cluster struct {
-	grp   int      // first member in pool order, as a group; names the compare tasks
-	key   string   // digest key; "" for the reference's cluster
-	names []string // component names, shared by every member
-	// f is the first fetched member's copy, the bytes the representative
-	// comparisons read; nil while every member so far was a store hit.
+	grp   int    // first member in pool order, as a group; names the compare tasks
+	key   string // the members' key: the run's covered key, or a digest; "" for a reference no copy was digested against
+	base  uint32 // the first member's load base
+	names []string
+	// f is the bytes the comparisons read: the first fetched member's copy
+	// of a key the memo cannot rebuild, a rebuilt or materialized copy, or,
+	// for cluster 0, the reference's; nil until one is needed.
 	f *fetched
 }
 
@@ -120,7 +159,7 @@ type outcome struct {
 }
 
 // mismatches returns the representative comparison between two clusters:
-// nil — a match — within one cluster.
+// nil — a match — within one cluster, and between two of one key.
 func (o *outcome) mismatches(a, b int) []string {
 	if a == b {
 		return nil
@@ -142,36 +181,6 @@ func (e *engine) fetch(g int, module string, chk *pageCheck) *fetched {
 	}
 	i := e.grp.leader(g)
 	return e.c.fetchAndParse(e.pool.Open(i), e.pool.Name(i), module, chk)
-}
-
-// front gives f, group g's copy that was covered in place, the bytes the
-// first fetched member of a cluster keeps for the compare stage: a re-read
-// of the frames its check already read and charged, parsed again without a
-// charge. The re-read is part of the copy's fetch, so its failure fails the
-// fetch. The copy is then digested as any copy is, so a guest write since
-// the check shows in its key as it would in a copy made then.
-func (e *engine) front(g int, module string, f *fetched) error {
-	var h *vmi.Handle
-	if e.ps != nil {
-		h = e.ps.handles[g]
-	} else {
-		h = e.pool.Open(e.grp.leader(g))
-	}
-	buf := getFetchBuf(int(f.info.SizeOfImage))
-	if err := h.Backfill(f.info.Base, buf); err != nil {
-		putFetchBuf(buf)
-		return fmt.Errorf("core: copying %s from %s: %w", module, f.name, err)
-	}
-	parsed, _, err := ParseModule(f.name, module, f.info.Base, buf)
-	if err == nil {
-		f.sites, err = e.c.sites().read(parsed)
-	}
-	if err != nil {
-		putFetchBuf(buf)
-		return err
-	}
-	f.adopt(buf, parsed)
-	return nil
 }
 
 // report checks one module and derives its PoolReport.
@@ -234,6 +243,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 		shard = n
 	}
 	pairwise := c.cfg.FullPairwise
+	src := cas.Source(c.cfg.Normalizer) // store records never cross normalizers
 	o := &outcome{
 		rep:       &PoolReport{ModuleName: module},
 		pool:      e.pool,
@@ -264,7 +274,11 @@ func (e *engine) run(module string) (*outcome, bool) {
 	// memo holds how Algorithm 2 rewrote the reference. It is taken from
 	// the Checker only once a shard has something to digest, and put back
 	// when the run ends; a run that digests nothing drops the kept one.
+	// heads counts the digests made while it was filling; covKey is its key
+	// once sealed.
 	var memo *refMemo
+	var heads int
+	var covKey string
 	// The memo's stamp is the reference's token, sampled before any fetch
 	// like the store's. Without the store only the first group's token is
 	// sampled, and it stamps the memo only if that group is the reference.
@@ -287,44 +301,50 @@ func (e *engine) run(module string) (*outcome, bool) {
 		}
 		c.putMemo(module, memo)
 	}()
-	byKey := map[string]int{"": 0} // only store hits of the reference's own token carry ""
-
-	// slot is one shard group's classification: its fetched copy, or the
-	// store entry that replaced the fetch, and its digest key.
-	type slot struct {
-		f     *fetched
-		key   string
-		names []string // store hits only
+	// Clusters are found by key. Under the diff scan a module with a second
+	// key is split by base after the fold, so a cluster keeps the bytes of a
+	// member at its first member's base only.
+	perBase := !pairwise && c.sites().perBase()
+	byKey := map[string]int{}
+	if cap(e.slots) < shard {
+		e.slots = make([]slot, shard)
 	}
-	slots := make([]slot, shard)
-	// ip checks copies in place once the memo is sealed; nil until then,
-	// and for good when the configuration or the reference's layout rules
-	// it out. Verified reads and the mapped strategy keep copying.
+	slots := e.slots[:shard]
+	defer clear(slots) // no fetched copy outlives the run in a slot
+	// ip checks copies in place once the memo is sealed; nil until then, and
+	// for good when the configuration or the reference's layout rules it
+	// out. Verified reads and the mapped strategy keep copying.
 	var ip *inPlace
 	inPlaceOK := !pairwise && c.cfg.Strategy == CopyPageWise && !c.cfg.Retry.VerifyReads
-	// digest computes a healthy copy's cluster key against the reference,
-	// from the run's in-place check for a copy it covered and with
-	// digestAgainst otherwise, and returns its charged cost.
+	// digest computes a healthy copy's cluster key against the reference
+	// and returns its charged cost. A copy the reference covers on every
+	// component, in place or by digestAgainst, keys "" until the fold.
 	digest := func(s *slot) time.Duration {
 		var cost time.Duration
-		if s.f.inPlace {
-			s.key, cost = ip.digest(s.f.info.Base)
-		} else {
-			s.key, cost = c.digestAgainst(o.clusters[0].f, s.f, memo)
+		if s.key = ""; s.f.inPlace {
+			cost = ip.digest(s.f.info.Base)
+		} else if s.key, cost = c.digestAgainst(o.clusters[0].f, s.f, memo); s.f.covered {
+			s.key = ""
 		}
 		return c.charge(cost)
 	}
-	// book records group i's digest cost; digests are booked in pool
-	// order.
-	book := func(i int, cost time.Duration) {
+	// book records group i's digest cost, and counts its copy when chk
+	// checked it in place; digests are booked in pool order.
+	book := func(i int, cost time.Duration, f *fetched, chk *pageCheck) {
 		digestIdx = append(digestIdx, i)
 		digestCosts = append(digestCosts, cost)
 		work += cost
+		if e.ps != nil && f.inPlace {
+			e.ps.InPlace++
+		}
+		if e.ps != nil && chk.fellBack() {
+			e.ps.InPlaceFallbacks++
+		}
 	}
 
 	// admit books group i's fetch in pool order and reports whether the copy
-	// is healthy and still needs clustering. The first healthy copy becomes
-	// the reference and fronts cluster 0.
+	// is healthy and still needs a digest. Outside the oracle, the first
+	// healthy copy becomes the reference: cluster 0 takes its copy.
 	admit := func(i int, f *fetched) bool {
 		fetchCosts[i] += f.timing.Total()
 		o.rep.Timing.Add(f.timing)
@@ -334,7 +354,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 			return false
 		}
 		o.bases[i] = f.info.Base
-		if ref >= 0 {
+		if ref >= 0 || pairwise {
 			return true
 		}
 		ref = i
@@ -342,8 +362,21 @@ func (e *engine) run(module string) (*outcome, bool) {
 			refTok = toks[i]
 		}
 		o.clusterOf[i] = 0
-		o.clusters = append(o.clusters, cluster{grp: i, names: componentNames(f), f: f})
+		o.clusters = append(o.clusters, cluster{grp: i, base: f.info.Base, names: componentNames(f), f: f})
 		return false
+	}
+	// keyed takes the sealed memo's key as the covered key, and cluster 0's
+	// when no store entry named it, and readies the in-place check.
+	keyed := func() {
+		covKey = memo.key(o.clusters[0].f.parsed)
+		if o.clusters[0].key == "" {
+			o.clusters[0].key = covKey
+			byKey[covKey] = 0
+		}
+		if inPlaceOK {
+			ip = newInPlace(o.clusters[0].f, memo)
+			inPlaceOK = ip != nil
+		}
 	}
 	// materialize fetches a cluster's first member when a real comparison
 	// (or, for the reference, a digest) needs bytes no fetch has produced.
@@ -383,7 +416,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 				if ref < 0 {
 					against = toks[i]
 				}
-				if ent, ok := e.store.LookupDigest(module, against, toks[i]); ok {
+				if ent, ok := e.store.LookupDigestFrom(src, module, against, toks[i]); ok {
 					lc := c.charge(CostCASLookup)
 					fetchCosts[i] = lc
 					work += lc
@@ -391,7 +424,8 @@ func (e *engine) run(module string) (*outcome, bool) {
 					if ref < 0 {
 						ref, refTok = i, toks[i]
 						o.clusterOf[i] = 0
-						o.clusters = append(o.clusters, cluster{grp: i, names: ent.Names})
+						o.clusters = append(o.clusters, cluster{grp: i, key: ent.Key, base: info.Base, names: ent.Names})
+						byKey[ent.Key] = 0
 					} else {
 						sl[i-lo] = slot{key: ent.Key, names: ent.Names}
 					}
@@ -401,6 +435,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 				if ref < 0 {
 					sl[i-lo].f = e.fetch(i, module, nil)
 					admit(i, sl[i-lo].f)
+					sl[i-lo].f = nil // released, or the reference's: cluster 0 holds it
 					continue
 				}
 			}
@@ -413,12 +448,13 @@ func (e *engine) run(module string) (*outcome, bool) {
 		if len(batch) > 0 && ref >= 0 && o.clusters[0].f == nil && !materialize(0) {
 			return nil, false
 		}
-		// The head of the batch is copied, in pool order, until the
-		// reference is known and the run's first digest has filled and
-		// sealed the memo on this goroutine; the digest workers only ever
-		// read it.
+		// The head of the batch is fetched and digested in pool order, on
+		// this goroutine, until the reference is known and the memo is
+		// sealed: by the first head digest the reference covers under
+		// windows, by the maxHead-th, or at the end of the pool. The digest
+		// workers only ever read the memo.
 		k := 0
-		for !pairwise && k < len(batch) && (ref < 0 || memo == nil) {
+		for !pairwise && k < len(batch) && (ref < 0 || memo == nil || memo.filling) {
 			head := batch[k:min(k+2, len(batch))]
 			if ref >= 0 {
 				head = head[:1]
@@ -428,11 +464,12 @@ func (e *engine) run(module string) (*outcome, bool) {
 			})
 			k += len(head)
 			for _, i := range head {
-				if !admit(i, sl[i-lo].f) {
+				s := &sl[i-lo]
+				if !admit(i, s.f) {
+					s.f = nil
 					continue
 				}
-				first := memo == nil
-				if first {
+				if memo == nil {
 					tok := refTok
 					if toks == nil && ref == 0 {
 						tok = firstTok
@@ -443,18 +480,20 @@ func (e *engine) run(module string) (*outcome, bool) {
 						e.ps.MemoReuses++
 					}
 				}
-				book(i, digest(&sl[i-lo]))
-				if first {
+				book(i, digest(s), s.f, nil)
+				if s.f.covered {
+					c.releaseFetched(s.f) // its bytes are never read again
+				}
+				if heads++; heads == maxHead || s.f.covered && !memo.src.raw(s.f.info.Base, o.bases[ref]) {
 					memo.seal()
 				}
 			}
 		}
-		if ip == nil && inPlaceOK && memo != nil {
-			ip = newInPlace(o.clusters[0].f, memo)
-			inPlaceOK = ip != nil
+		if memo != nil && !memo.filling && covKey == "" {
+			keyed()
 		}
-		// The rest is fetched in one parallel stage, each copy checked in
-		// place where it can be, and every copy that keeps bytes digested.
+		// The rest is fetched and digested in one parallel stage, each copy
+		// checked in place where it can be.
 		rest := batch[k:]
 		restCosts := make([]time.Duration, len(rest))
 		chks := make([]*pageCheck, len(rest))
@@ -464,7 +503,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 				chks[j] = ip.check()
 			}
 			s.f = e.fetch(rest[j], module, chks[j])
-			if !pairwise && s.f.err == nil && !s.f.inPlace {
+			if !pairwise && s.f.err == nil {
 				restCosts[j] = digest(s)
 			}
 		})
@@ -472,70 +511,103 @@ func (e *engine) run(module string) (*outcome, bool) {
 		// Fold the shard into the pool-wide clusters in pool order, hits and
 		// fetches interleaved, so cluster numbering is independent of the
 		// shard size; the parallel stage's copies are booked as they are
-		// folded. Only a cluster's first fetched copy keeps its buffer: a
-		// copy covered in place that would be it is fronted, as part of its
-		// fetch, and then digested as a copy.
+		// folded. A copy covered in this run takes the covered key. Only the
+		// first fetched copy at a base of a key the memo cannot rebuild keeps
+		// its buffer.
 		for i, j := lo, 0; i < hi; i++ {
 			s := &sl[i-lo]
 			if j < len(rest) && rest[j] == i {
-				f, cost, fell := s.f, restCosts[j], chks[j].fellBack()
+				if admit(i, s.f) && !pairwise {
+					book(i, restCosts[j], s.f, chks[j])
+				}
 				j++
-				fronted := false
-				if f.inPlace {
-					s.key = ip.key(f.info.Base)
-					if cid, ok := byKey[s.key]; !ok || o.clusters[cid].f == nil {
-						f.err, fronted = e.front(i, module, f), true
-					}
-				}
-				if admit(i, f) && !pairwise {
-					if f.inPlace || fronted {
-						cost = digest(s)
-					}
-					book(i, cost)
-					if e.ps != nil && f.inPlace {
-						e.ps.InPlace++
-					}
-					if e.ps != nil && fell {
-						e.ps.InPlaceFallbacks++
-					}
-				}
 			}
-			if o.errs[i] != nil || i <= ref {
+			if o.errs[i] != nil || i == ref {
 				continue
 			}
+			// A covered copy at the reference's base is its bytes, and joins
+			// it, before the memo is sealed too.
+			if !pairwise && s.f != nil && s.key == "" && o.bases[i] == o.bases[ref] {
+				c.releaseFetched(s.f)
+				o.clusterOf[i] = 0
+				continue
+			}
+			if s.f != nil && s.key == "" {
+				s.key = covKey
+			}
+			covered := covKey != "" && s.key == covKey
 			cid, ok := byKey[s.key]
 			if !ok || pairwise {
 				cid = len(o.clusters)
 				byKey[s.key] = cid
 				names := s.names
-				if s.f != nil {
+				if covered {
+					names = o.clusters[0].names
+				} else if s.f != nil {
 					names = componentNames(s.f)
 				}
-				o.clusters = append(o.clusters, cluster{grp: i, key: s.key, names: names, f: s.f})
-			} else if o.clusters[cid].f == nil {
-				o.clusters[cid].f = s.f
+				o.clusters = append(o.clusters, cluster{grp: i, key: s.key, base: o.bases[i], names: names})
+			}
+			o.clusterOf[i] = cid
+			if cl := &o.clusters[cid]; cl.f == nil && !covered && (!perBase || o.bases[i] == cl.base) {
+				cl.f = s.f
 			} else {
 				c.releaseFetched(s.f)
 			}
-			o.clusterOf[i] = cid
+		}
+	}
+	if memo != nil && memo.filling {
+		memo.seal()
+		keyed()
+	}
+	// A module of one key is one cluster. One with a second key is split by
+	// base, each new cluster after the key clusters, in pool order; it gets
+	// bytes when a comparison needs them.
+	if perBase && len(o.clusters) > 1 {
+		keys := len(o.clusters)
+		for g, cid := range o.clusterOf {
+			if cid < 0 || o.bases[g] == o.clusters[cid].base {
+				continue
+			}
+			key, base := o.clusters[cid].key, o.bases[g]
+			sid := keys + slices.IndexFunc(o.clusters[keys:], func(cl cluster) bool { return cl.key == key && cl.base == base })
+			if sid < keys {
+				sid = len(o.clusters)
+				o.clusters = append(o.clusters, cluster{grp: g, key: key, base: base, names: o.clusters[cid].names})
+			}
+			o.clusterOf[g] = sid
 		}
 	}
 
-	// One true comparison per cluster pair — replayed from the store when
-	// the key pair's outcome is cached (an empty cached list is a cached
-	// match), computed otherwise.
+	// One true comparison per pair of clusters of different keys —
+	// replayed from the store when the pair's outcome is cached under its
+	// keys and bases (an empty cached list is a cached match), computed
+	// otherwise.
 	var cpairs []clusterPair
 	for a := range o.clusters {
 		for b := a + 1; b < len(o.clusters); b++ {
-			cpairs = append(cpairs, clusterPair{a, b})
+			if pairwise || o.clusters[a].key != o.clusters[b].key {
+				cpairs = append(cpairs, clusterPair{a, b})
+			}
 		}
+	}
+	// recKeys are a pair's keys in the store: each cluster's key, with its
+	// base when split by base, in one order whatever the clusters' numbers.
+	recKeys := func(p clusterPair) (string, string) {
+		ka, kb := o.clusters[p.a].key, o.clusters[p.b].key
+		if perBase {
+			ka = string(binary.LittleEndian.AppendUint32([]byte(ka), o.clusters[p.a].base))
+			kb = string(binary.LittleEndian.AppendUint32([]byte(kb), o.clusters[p.b].base))
+		}
+		return min(ka, kb), max(ka, kb)
 	}
 	mms := make([][]string, len(cpairs))
 	costs := make([]time.Duration, len(cpairs))
 	var toCompare []int
 	for k, p := range cpairs {
 		if refTok.OK {
-			if mm, ok := e.store.LookupMismatch(module, refTok, o.clusters[p.a].key, o.clusters[p.b].key); ok {
+			ka, kb := recKeys(p)
+			if mm, ok := e.store.LookupMismatchFrom(src, module, refTok, ka, kb); ok {
 				mms[k] = mm
 				costs[k] = c.charge(CostCASLookup)
 				work += costs[k]
@@ -544,13 +616,20 @@ func (e *engine) run(module string) (*outcome, bool) {
 		}
 		toCompare = append(toCompare, k)
 	}
-	// A cluster whose members were all store hits has no bytes yet.
+	// A cluster of the covered key is rebuilt from the reference's bytes;
+	// one of another key whose members were all store hits has no bytes
+	// yet, and is fetched.
 	needed := make([]bool, len(o.clusters))
 	for _, k := range toCompare {
 		needed[cpairs[k].a], needed[cpairs[k].b] = true, true
 	}
 	for cid := range o.clusters {
-		if needed[cid] && o.clusters[cid].f == nil && !materialize(cid) {
+		cl := &o.clusters[cid]
+		switch {
+		case !needed[cid] || cl.f != nil:
+		case covKey != "" && cl.key == covKey:
+			cl.f = memo.standIn(o.clusters[0].f, cl.base)
+		case !materialize(cid):
 			return nil, false
 		}
 	}
@@ -584,12 +663,13 @@ func (e *engine) run(module string) (*outcome, bool) {
 		for i, tok := range toks {
 			if o.clusterOf[i] >= 0 {
 				cl := &o.clusters[o.clusterOf[i]]
-				e.store.InsertDigest(module, refTok, tok, cas.Entry{Key: cl.key, Names: cl.names})
+				e.store.InsertDigestFrom(src, module, refTok, tok, cas.Entry{Key: cl.key, Names: cl.names})
 			}
 		}
 		for _, k := range toCompare {
 			p := cpairs[k]
-			e.store.InsertMismatch(module, refTok, o.clusters[p.a].key, o.clusters[p.b].key, mms[k])
+			ka, kb := recKeys(p)
+			e.store.InsertMismatchFrom(src, module, refTok, ka, kb, mms[k])
 		}
 	}
 

@@ -194,10 +194,19 @@ func rebase(data []byte, sites []uint32, base, newBase uint32) []byte {
 // equal-base shortcut covers both the partner and the copy, Algorithm 2
 // normalizes the two to equal sides at their own bases.
 //
+// Three parties: partner2, y, is digested against the sealed memo as a
+// third copy. For the copy x covered on the component and any y, when y is
+// covered too, compareComponent matches y with x and with the reference;
+// so when those two comparisons differ, y is not covered. (Matching the
+// reference is not enough: y may match it pairwise and not x, which is
+// why a key is split by base.) x's stand-in (refMemo.standIn) must carry
+// x's bytes, and where refMemo.apart proves y apart from it,
+// compareComponent must not match y with x.
+//
 // It then runs the memo a second time, as a Checker does with a kept
-// memo: reopened for filling, with a different partner, partner2, as its
-// first digest, then sealed again for the copy. Every sum of that run must
-// equal the sum a fresh memo computes for the same digest.
+// memo: reopened for filling, with partner2 as its filling digest, then
+// sealed again for the copy. Every sum of that run, and the entry it
+// leaves, must equal what a fresh memo computes for the same digests.
 func FuzzDigestMemo(f *testing.F) {
 	// Every seed also runs the in-place check in pages of 8 bytes, with
 	// the component at module offset 3: a site's field straddles a page.
@@ -274,6 +283,44 @@ func FuzzDigestMemo(f *testing.F) {
 		f.Add(partner, tampered, ref, uint32(b1), uint32(b3), uint32(b2), tampered, uint32(b3), split[0], split[1])
 	}
 
+	// Three-party seeds: a copy y that matches the reference pairwise but
+	// not the covered copy x. In the first, y's field at 28, at no site of
+	// the reference's, holds the reference's plus the bases' difference;
+	// in the second, y keeps the reference's unrelocated field at its
+	// second site. Then the line-22 and the overlapping-window sections as
+	// y beside a covered x.
+	const bx, by = 0xF8D40000, 0xF9D40000
+	r := make([]byte, 64)
+	for i := range r {
+		r[i] = byte(i*11 + 5)
+	}
+	le.PutUint32(r[8:], b2+0x2468)
+	y := rebase(r, []uint32{8}, b2, by)
+	le.PutUint32(y[28:], le.Uint32(r[28:])+by-b2)
+	f.Add(rebase(r, []uint32{8}, b2, b1), rebase(r, []uint32{8}, b2, bx), r, uint32(b1), uint32(bx), uint32(b2), y, uint32(by), uint16(8), uint16(3))
+	r2 := append([]byte(nil), r...)
+	le.PutUint32(r2[28:], b2+0x3579)
+	f.Add(rebase(r2, []uint32{8, 28}, b2, b1), rebase(r2, []uint32{8, 28}, b2, bx), r2, uint32(b1), uint32(bx), uint32(b2),
+		rebase(r2, []uint32{8}, b2, by), uint32(by), uint16(8), uint16(3))
+	for _, s := range normalizeSeeds(f) {
+		_, _, sites := NormalizePair(s.d1, s.d2, s.b1, s.b2)
+		b3 := s.b2 + 0x00040000
+		add(s.d1, rebase(s.d1, sites, s.b1, b3), s.d2, s.b1, b3, s.b2, s.d1, s.b1)
+	}
+	add(partner, clean, ref, uint32(b1), uint32(b3), uint32(b2), op, uint32(b1))
+	// A third party whose differing bytes at 8 and 9 only Algorithm 2's
+	// rewrite at 6 equalizes against x, after the rewrite of the site at 4
+	// made bytes 6 and 7 equal: apart must not prove the pair apart.
+	const sx, sy, sp = 0x30000000, 0x30020000, 0x30040000
+	r3 := make([]byte, 32)
+	for i := range r3 {
+		r3[i] = byte(i*7 + 3)
+	}
+	le.PutUint32(r3[4:], b2+0x1234)
+	y3 := rebase(r3, []uint32{4}, b2, sy)
+	le.PutUint16(y3[8:], le.Uint16(r3[8:])+(sy-sx)>>16)
+	f.Add(rebase(r3, []uint32{4}, b2, sp), rebase(r3, []uint32{4}, b2, sx), r3, uint32(sp), uint32(sx), uint32(b2), y3, uint32(sy), uint16(8), uint16(0))
+
 	c := NewChecker(Config{})
 	f.Fuzz(func(t *testing.T, partner, cp, ref []byte, bp, bc, br uint32, partner2 []byte, bp2 uint32, page, at uint16) {
 		refF := digestFetch(ref, br)
@@ -299,7 +346,7 @@ func FuzzDigestMemo(f *testing.F) {
 		if cpKey != digestByPair(refF, cf) {
 			t.Fatal("copy: digestAgainst key differs from NormalizePair+MD5")
 		}
-		checkInPlace(t, m, cp, ref, bc, br, cpKey, int(page), int(at))
+		checkInPlace(t, m, cp, ref, bc, br, cf.covered, int(page), int(at))
 
 		for _, d := range []struct {
 			name string
@@ -324,6 +371,25 @@ func FuzzDigestMemo(f *testing.F) {
 			t.Fatalf("the digest facts answer %v for the partner and the copy, compareComponent %v", eq, want)
 		}
 
+		// The third party, digested against the sealed memo.
+		yf := digestFetch(partner2, bp2)
+		c.digestAgainst(refF, yf, m)
+		if cf.refCovered&yf.refCovered&1 != 0 && (!c.compareComponent(cf, yf, 0, 0) || !c.compareComponent(refF, yf, 0, 0)) {
+			t.Fatal("the copy and the third party are both covered, but they do not match each other and the reference")
+		}
+		// The covered copy's stand-in carries its bytes, and where apart
+		// proves the third party apart from it, Algorithm 2 agrees.
+		if cf.refCovered&1 != 0 && m.sides[0].starts != nil {
+			moved := make([]byte, len(ref))
+			m.standIn(refF, bc).side(0).copyTo(moved)
+			if !bytes.Equal(moved, cp) {
+				t.Fatal("the covered copy's stand-in differs from the copy")
+			}
+			if yf.refCovered&1 == 0 && m.apart(0, yf.side(0), refF.side(0), bc) && c.compareComponent(cf, yf, 0, 0) {
+				t.Fatal("apart proves the third party apart from the covered copy, but they match")
+			}
+		}
+
 		// The second run, against a fresh memo fed the same digests.
 		m.reopen()
 		fresh := newRefMemo(1)
@@ -334,13 +400,16 @@ func FuzzDigestMemo(f *testing.F) {
 			base uint32
 		}{{"second partner", partner2, bp2}, {"copy", cp, bc}} {
 			cs, rs := side{data: d.data, base: d.base}, side{data: ref, base: br}
-			sum, refSum, _ := m.digestPair(0, cs, rs)
-			wantSum, wantRef, _ := fresh.digestPair(0, cs, rs)
-			if sum != wantSum || refSum != wantRef {
-				t.Fatalf("second run: %s: the reopened memo's sums differ from a fresh memo's", d.name)
+			sum, refSum, covered := m.digestPair(0, cs, rs)
+			wantSum, wantRef, wantCovered := fresh.digestPair(0, cs, rs)
+			if sum != wantSum || refSum != wantRef || covered != wantCovered {
+				t.Fatalf("second run: %s: the reopened memo's sums or coverage differ from a fresh memo's", d.name)
 			}
 			m.seal()
 			fresh.seal()
+			if a, b := m.sides[0].starts, fresh.sides[0].starts; (a == nil) != (b == nil) || a != nil && !bytes.Equal(*a, *b) {
+				t.Fatalf("second run: %s: the reopened memo's entry differs from a fresh memo's", d.name)
+			}
 		}
 	})
 }
@@ -362,8 +431,9 @@ func (c *pageCheck) scan(b []byte, page int) bool {
 // behind as many header bytes, in pages of page bytes (at least one)
 // starting at module offset 0. The check must cover the copy exactly when
 // the window check covers it (byte equality at the reference's base), and
-// then give the copy's digestAgainst key, cpKey.
-func checkInPlace(t *testing.T, m *refMemo, cp, ref []byte, bc, br uint32, cpKey string, page, at int) {
+// so exactly when digestAgainst found the copy covered (covered), which
+// puts it in the reference's cluster either way.
+func checkInPlace(t *testing.T, m *refMemo, cp, ref []byte, bc, br uint32, covered bool, page, at int) {
 	t.Helper()
 	page = max(page, 1)
 	image := func(data []byte) []byte { return append(make([]byte, at), data...) }
@@ -393,9 +463,7 @@ func checkInPlace(t *testing.T, m *refMemo, cp, ref []byte, bc, br uint32, cpKey
 	if got != want {
 		t.Fatalf("in pages of %d at offset %d: the in-place check covers %v, the window check on the copy %v", page, at, got, want)
 	}
-	if got {
-		if key, _ := ip.digest(bc); key != cpKey {
-			t.Fatal("covered in place, but the key differs from digestAgainst's")
-		}
+	if got != covered {
+		t.Fatalf("in pages of %d at offset %d: the in-place check covers %v, digestAgainst %v", page, at, got, covered)
 	}
 }

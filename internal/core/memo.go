@@ -15,7 +15,7 @@ import (
 
 // This file holds the reference memo behind digestAgainst. Every
 // copy of a module is normalized against the same reference, and a clean
-// copy's pair is rewritten at exactly the windows the first digest
+// copy's pair is rewritten at exactly the windows a head digest
 // recorded: Algorithm 2's sites against the reference, or, under the
 // reloc-table normalizer, the reference's own .reloc sites, which a clean
 // copy shares. The memo keeps those sites' windows, not the normalized
@@ -74,13 +74,17 @@ var windowMask = func() (t [256]uint64) {
 // and the MD5 of the normalized reference side. It keeps no normalized
 // bytes.
 //
-// A run's first digest fills the memo on the engine's driving goroutine;
-// seal then closes it, and the digest workers only read it. So whether a
-// digest hits depends only on guest bytes, never on which worker ran
-// first, and a hit returns exactly the sums the miss path would compute.
+// A run's head digests, its first ones, fill the memo on the engine's
+// driving goroutine: a component's entry is the windows of the first whose
+// sides came out equal on it, with windows (see siteSource.raw). seal then
+// closes the memo, and the digest workers only read it, so whether a digest
+// hits depends only on guest bytes, and a hit returns exactly the sums the
+// miss path would compute. A kept memo's entries must be set or confirmed
+// by the head digests, exactly as a fresh memo would fill, so which copies
+// the memo covers, and its key, never depend on the runs before.
 type refMemo struct {
 	sides   []refSide // by reference component index
-	filling bool      // until seal: a miss may become its component's entry
+	filling bool      // until seal: head digests set entries
 	hits    atomic.Int64
 	tok     cas.Token // the reference's content token when the memo was made
 	src     siteSource
@@ -94,6 +98,9 @@ type refSide struct {
 	// has no entry.
 	starts *[]byte
 	sum    [md5.Size]byte // MD5 of the normalized reference side
+	// held: the entry was kept from an earlier run, and no head digest of
+	// this run has set or confirmed it yet; seal drops it if none does.
+	held bool
 
 	// raw is the MD5 of the raw reference side, the digest of both sides
 	// for a partner whose base equals the reference's; nil until one
@@ -107,14 +114,26 @@ func newRefMemo(n int) *refMemo {
 	return &refMemo{sides: make([]refSide, n), filling: true}
 }
 
-// seal ends filling: from here on the memo is read-only, and concurrent
-// digests may share it.
-func (m *refMemo) seal() { m.filling = false }
+// seal ends filling, dropping every kept entry no head digest confirmed:
+// from here on the memo is read-only, and concurrent digests may share it.
+func (m *refMemo) seal() {
+	m.filling = false
+	for k := range m.sides {
+		if e := &m.sides[k]; e.held {
+			putWindows(e.starts)
+			e.starts, e.held = nil, false
+		}
+	}
+}
 
-// reopen readies a kept memo for a new run: open for filling, with no hits.
+// reopen readies a kept memo for a new run: open for filling, with no hits,
+// and every entry held for the head digests to confirm.
 func (m *refMemo) reopen() {
 	m.filling = true
 	m.hits.Store(0)
+	for k := range m.sides {
+		m.sides[k].held = m.sides[k].starts != nil
+	}
 }
 
 // takeMemo returns the memo for a run of module whose reference has n
@@ -126,8 +145,8 @@ func (m *refMemo) reopen() {
 // Reuse is exact: an entry is a function of the reference bytes, the
 // reference's base and the entry's sites alone, and an unchanged valid
 // token proves the first two unchanged, as it does for the digest store
-// (own sites are read from the reference bytes).
-// covers still checks every copy against the live reference bytes.
+// (own sites are read from the reference bytes), and the head digests
+// re-confirm every entry (see refMemo); covers still checks every copy.
 func (c *Checker) takeMemo(module string, tok cas.Token, n int) (m *refMemo, reused bool) {
 	c.memoMu.Lock()
 	m = c.memos[module]
@@ -221,7 +240,7 @@ func (m *refMemo) digestPair(k int, c, r side) (sum, refSum [md5.Size]byte, cove
 	// Equal sides mean c is r outside the rewritten windows and carries r's
 	// RVAs inside them: covered, once those windows are the entry's. (Equal
 	// sides at the entry's own sites would have passed covers.)
-	covered = m.keep(k, starts, refSum, disjoint) && equal
+	covered = m.keep(k, starts, refSum, disjoint && equal)
 	return sum, refSum, covered
 }
 
@@ -266,6 +285,9 @@ func (m *refMemo) covers(k int, c, r []byte, base, refBase uint32) bool {
 	}
 	if diff, _ := windowDiff(*e.starts, c, r, 0, base, refBase); diff != 0 {
 		return false
+	}
+	if m.filling {
+		e.held = false
 	}
 	m.hits.Add(1)
 	return true
@@ -389,20 +411,138 @@ func (m *refMemo) sumFor(k int, starts []byte) ([md5.Size]byte, bool) {
 	return [md5.Size]byte{}, false
 }
 
+// key returns the cluster key of every copy the sealed memo covers, the
+// reference ref included: the digest key digestAgainst gives a copy covered
+// under windows, each normalized component's sides summed by its entry. A
+// component without an entry covers no copy at another base; its part
+// carries a zero sum, which no digest does. Copies at the reference's base
+// that are its bytes take this key too, so it is the same for a run's
+// covered copies at every base, and it changes with the windows, so a
+// store entry made under other windows never joins their cluster.
+func (m *refMemo) key(ref *ParsedModule) string {
+	w := newKeyWriter()
+	for k := range ref.Components {
+		comp := &ref.Components[k]
+		n := len(comp.Data)
+		if !comp.Normalize {
+			w.part(comp.Name, n, m.raw(k, comp.Data))
+			continue
+		}
+		var sum [md5.Size]byte
+		if m.sides[k].starts != nil {
+			sum = m.sides[k].sum
+		}
+		w.part(comp.Name, n, sum)
+		w.part("", n, sum)
+	}
+	return w.key()
+}
+
+// standIn returns the copy every copy the sealed memo covers carries when
+// it is loaded at base: the reference's bytes, read with each entry
+// window's field moved by the bases' difference (side.move), which is
+// covers' conditions read backwards. It keeps no bytes of its own, and
+// carries a covered copy's digest facts against ref.
+func (m *refMemo) standIn(ref *fetched, base uint32) *fetched {
+	in := &struct {
+		f    fetched
+		info ModuleInfo
+	}{fetched{name: ref.name, parsed: ref.parsed, moved: m,
+		against: ref, refMatch: ^uint64(0), refCovered: ^uint64(0), covered: true}, *ref.info}
+	in.info.Base = base
+	in.f.info = &in.info
+	return &in.f
+}
+
+// apart reports whether Algorithm 2 provably leaves copy side y unequal to
+// the covered copy at base on reference component k, r being the
+// reference's side, without reading the covered copy's bytes. Algorithm 2
+// only makes a differing byte equal by rewriting a 4-byte field over it
+// whose two sides decode to the same RVA. Some byte of y outside the
+// entry's windows differs from r, and so from the covered copy, and no
+// field over it can pass that check: read as it is, or with its low bytes
+// set equal on both sides by an earlier rewrite that reached into it. A
+// pair at equal bases is compared raw, and y, not covered, is not the
+// covered copy there.
+func (m *refMemo) apart(k int, y, r side, base uint32) bool {
+	e := m.sides[k].starts
+	switch {
+	case len(y.data) != len(r.data):
+		return true
+	case e == nil:
+		return false
+	case y.base == base:
+		return true
+	}
+	starts, yd, rd := *e, y.data, r.data
+	le := binary.LittleEndian
+	window := func(p int) int { // the window over byte p, -1: none
+		for w := p; w >= max(p-3, 0); w-- {
+			if starts[w>>3]>>(w&7)&1 != 0 {
+				return w
+			}
+		}
+		return -1
+	}
+	// field returns the covered copy's field at s: r's bytes, each window's
+	// moved by the bases' difference.
+	field := func(s int) uint32 {
+		var b [4]byte
+		for t := range b {
+			b[t] = rd[s+t]
+			if w := window(s + t); w >= 0 {
+				b[t] = byte((le.Uint32(rd[w:]) + base - r.base) >> (8 * (s + t - w)))
+			}
+		}
+		return le.Uint32(b[:])
+	}
+	d := y.base - base
+	for p, n := 0, len(yd); p < n; p++ {
+		if p+8 <= n {
+			if x := le.Uint64(yd[p:]) ^ le.Uint64(rd[p:]); x == 0 {
+				p += 7
+				continue
+			} else {
+				p += bits.TrailingZeros64(x) >> 3
+			}
+		}
+		if yd[p] == rd[p] || window(p) >= 0 {
+			continue
+		}
+		rewritable := false
+		for s := max(p-3, 0); s <= p && s+4 <= n && !rewritable; s++ {
+			a, b := le.Uint32(yd[s:]), field(s)
+			// An earlier rewrite sets the field's low q bytes equal on both
+			// sides; the check then holds when the rest differs by d.
+			for q := 0; q < 4 && !rewritable; q++ {
+				rewritable = d&(1<<(8*q)-1) == 0 && (a>>(8*q)-b>>(8*q)-d>>(8*q))<<(8*q) == 0
+			}
+		}
+		if !rewritable {
+			return true
+		}
+	}
+	return false
+}
+
 // keep offers the window bitmap a miss recorded on component k, with the
 // MD5 of the normalized reference side, as the component's entry, and
-// reports whether the memo took it. The memo takes the bitmap while it is
-// filling, the slot is empty and its windows were disjoint; otherwise the
-// bitmap goes back to its pool.
+// reports whether the memo took it. Only a head digest sets an entry, the
+// first whose windows were disjoint and whose sides came out equal (ok);
+// it replaces a kept entry. Every bitmap the memo does not take goes
+// back to its pool.
 //
 //modown:transfer windows
-func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte, disjoint bool) bool {
+func (m *refMemo) keep(k int, starts *[]byte, sum [md5.Size]byte, ok bool) bool {
 	e := &m.sides[k]
-	if !m.filling || e.starts != nil || !disjoint {
+	if !m.filling || !ok || e.starts != nil && !e.held {
 		putWindows(starts)
 		return false
 	}
-	e.starts, e.sum = starts, sum
+	if e.starts != nil {
+		putWindows(e.starts)
+	}
+	e.starts, e.sum, e.held = starts, sum, false
 	return true
 }
 
@@ -422,10 +562,10 @@ type span struct {
 // inPlace is what every in-place check of one run shares: the reference
 // fetch, the spans of its image that the digest reads, and the sealed
 // memo. A copy whose every span passes (pageCheck.covered) is one
-// digestAgainst would find covered in every component. Its header bytes
-// are the reference's, so it parses to the reference's layout, its own
-// sites are the reference's, and its digest key and charges follow from
-// that layout and the memo alone.
+// digestAgainst would find covered in every component, so it takes the
+// covered key. Its header bytes are the reference's, so it parses to the
+// reference's layout, its own sites are the reference's, and its charges
+// follow from that layout and the memo alone.
 type inPlace struct {
 	ref   *fetched
 	memo  *refMemo
@@ -435,8 +575,6 @@ type inPlace struct {
 	windowed bool
 	cost     time.Duration // nominal digest charge of a covered copy
 	hits     int64         // window-check hits of a covered copy compared under windows
-	keyOnce  [2]sync.Once
-	keys     [2]string // by covered kind: under windows, raw
 }
 
 // newInPlace returns the run's in-place check against reference ref under
@@ -511,45 +649,13 @@ func (ip *inPlace) comparesRaw(lo, hi int) bool {
 // reference byte for byte (see siteSource.raw).
 func (ip *inPlace) exactAt(base uint32) bool { return ip.memo.src.raw(base, ip.ref.info.Base) }
 
-// key returns the digest key of a covered copy loaded at base: compared
-// raw (exact), every side hashes raw; under windows every normalized side
-// is its memo entry's sum. It is the key digestAgainst computes for the
-// copy, from the same names, lengths and sums.
-func (ip *inPlace) key(base uint32) string {
-	exact := ip.exactAt(base)
-	kind := 0
-	if exact {
-		kind = 1
-	}
-	ip.keyOnce[kind].Do(func() {
-		comps := ip.ref.parsed.Components
-		w := newKeyWriter()
-		for k := range comps {
-			comp := &comps[k]
-			n := len(comp.Data)
-			if !comp.Normalize {
-				w.part(comp.Name, n, ip.memo.raw(k, comp.Data))
-				continue
-			}
-			sum := ip.memo.sides[k].sum
-			if exact {
-				sum = ip.memo.raw(k, comp.Data)
-			}
-			w.part(comp.Name, n, sum)
-			w.part("", n, sum)
-		}
-		ip.keys[kind] = w.key()
-	})
-	return ip.keys[kind]
-}
-
-// digest returns a covered copy's digest key and nominal charge, and
-// counts the window-check hits digestAgainst would have counted for it.
-func (ip *inPlace) digest(base uint32) (string, time.Duration) {
+// digest returns a covered copy's nominal charge, and counts the
+// window-check hits digestAgainst would have counted for it.
+func (ip *inPlace) digest(base uint32) time.Duration {
 	if !ip.exactAt(base) {
 		ip.memo.hits.Add(ip.hits)
 	}
-	return ip.key(base), ip.cost
+	return ip.cost
 }
 
 // pageCheck is one copy's in-place check: a vmi.PageVisitor fed the

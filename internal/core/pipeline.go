@@ -196,6 +196,7 @@ func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Du
 	var cost time.Duration
 	src := memo.src
 	f.against, f.refMatch, f.refCovered = ref, 0, 0
+	f.covered = len(f.parsed.Components) == len(ref.parsed.Components)
 	for i := range f.parsed.Components {
 		comp := &f.parsed.Components[i]
 		var match, covered bool
@@ -221,6 +222,7 @@ func (c *Checker) digestAgainst(ref, f *fetched, memo *refMemo) (string, time.Du
 				match = covered || len(comp.Data) == len(refData) && sum == memo.raw(rk, refData)
 			}
 		}
+		f.covered = f.covered && covered && rk == i
 		if i < 64 {
 			if match {
 				f.refMatch |= 1 << i

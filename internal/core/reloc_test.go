@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"modchecker/internal/cas"
 	"modchecker/internal/guest"
 	"modchecker/internal/hypervisor"
 	"modchecker/internal/pe"
@@ -65,7 +66,7 @@ func firstRelocBlock(t *testing.T, g *guest.Guest, module string) (lo, size uint
 // two bases) carrying the reloc source's test cases on alpha.sys:
 //
 //   - Dom2, the reference's first partner: an opcode patch — 4 code bytes
-//     flipped, so the first clean copy after it fronts its cluster;
+//     flipped, so the next clean copy completes the memo's fill;
 //   - Dom5: a .reloc-extended patch (Bania) — 4 code bytes overwritten with
 //     a plausible address, and the first .reloc block's padding entry made
 //     a site at them;
@@ -188,10 +189,10 @@ func oracleMismatches(a, b map[string][md5.Size]byte) []string {
 
 // TestRelocSourceMatchesOracle is the reloc-table normalizer's
 // differential: on relocPool, the engine's clusters group exactly the VMs
-// whose oracle digests are equal, at either base, except the reference,
-// which fronts a cluster of its own; and every VM's verdict, agreement counts
-// and per-peer mismatched components are the oracle's, for flat, sharded,
-// parallel and FullPairwise runs. The clustered runs also show that the
+// whose oracle digests are equal, at either base, the reference included;
+// and every VM's verdict, agreement counts and per-peer mismatched
+// components are the oracle's, for flat, sharded, parallel and
+// FullPairwise runs. The clustered runs also show that the
 // source runs through the reference memo, the in-place check and the
 // compare facts.
 func TestRelocSourceMatchesOracle(t *testing.T) {
@@ -231,7 +232,7 @@ func checkRelocOracle(t *testing.T, targets []Target, cfg Config, writable bool)
 	for i := range n {
 		for j := range n {
 			same := rep.out.clusterOf[i] == rep.out.clusterOf[j]
-			wantSame := len(oracleMismatches(want[i], want[j])) == 0 && i > 0 && j > 0 || i == j
+			wantSame := len(oracleMismatches(want[i], want[j])) == 0
 			if !cfg.FullPairwise && same != wantSame {
 				t.Errorf("%s and %s: same cluster %v, want %v", targets[i].Name, targets[j].Name, same, wantSame)
 			}
@@ -316,6 +317,44 @@ func TestRelocSourceStaleDirectory(t *testing.T) {
 		if ps.MemoWindowHits != step.counted*normalized || ps.InPlace != step.counted {
 			t.Errorf("%s: %d window-check hits, %d copies in place; want %d and %d",
 				step.name, ps.MemoWindowHits, ps.InPlace, step.counted*normalized, step.counted)
+		}
+	}
+}
+
+// TestStoreKeepsSiteSourcesApart: a digest store filled by a diff-scan
+// checker never answers a reloc-table checker that shares it. The
+// reloc-table checker's first sweep gets no hit and charges exactly what a
+// checker without a store charges; its second sweep is answered by its own
+// records, and the diff-scan checker's second sweep by its own.
+func TestStoreKeepsSiteSourcesApart(t *testing.T) {
+	const module = "alpha.sys"
+	targets := fleetTargets(memoFleet(t, 8, testDisk(t), 16<<20))
+	store := cas.NewStore(0)
+	check := func(cfg Config) (*PoolReport, uint64) {
+		t.Helper()
+		ps, err := NewChecker(cfg).NewPoolSweep(targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Close()
+		before := store.Stats().Hits
+		return ps.CheckModule(module), store.Stats().Hits - before
+	}
+	diff, reloc := Config{DigestCache: store}, Config{Normalizer: NormalizeRelocTable, DigestCache: store}
+	if _, hits := check(diff); hits != 0 {
+		t.Fatalf("diff scan, cold: %d store hits", hits)
+	}
+	rep, hits := check(reloc)
+	want, _ := check(Config{Normalizer: NormalizeRelocTable})
+	if hits != 0 || rep.Stages != want.Stages || rep.Timing != want.Timing {
+		t.Errorf("reloc table after the diff scan: %d store hits, stages %+v, want none and %+v", hits, rep.Stages, want.Stages)
+	}
+	for _, step := range []struct {
+		name string
+		cfg  Config
+	}{{"reloc table, warm", reloc}, {"diff scan, warm", diff}} {
+		if _, hits := check(step.cfg); hits != uint64(len(targets)) {
+			t.Errorf("%s: %d store hits, want one per VM", step.name, hits)
 		}
 	}
 }

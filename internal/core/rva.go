@@ -228,12 +228,33 @@ type side struct {
 	data     []byte
 	va, base uint32
 	sites    []uint32
+	// moved marks a covered copy's stand-in (refMemo.standIn): data is the
+	// reference's, loaded at from, and a copy of it moves the field of each
+	// window these start bits mark by base - from.
+	moved []byte
+	from  uint32
 }
 
 // side returns component i of f as a site source reads it.
 func (f *fetched) side(i int) side {
 	comp := &f.parsed.Components[i]
-	return side{data: comp.Data, va: comp.VirtualAddress, base: f.info.Base, sites: f.sites}
+	s := side{data: comp.Data, va: comp.VirtualAddress, base: f.info.Base, sites: f.sites}
+	if f.moved != nil && f.moved.sides[i].starts != nil {
+		s.moved, s.from = *f.moved.sides[i].starts, f.against.info.Base
+	}
+	return s
+}
+
+// copyTo copies the side's bytes into dst, moving a stand-in's windows.
+func (s side) copyTo(dst []byte) {
+	copy(dst, s.data)
+	le := binary.LittleEndian
+	for i, b := range s.moved {
+		for ; b != 0; b &= b - 1 {
+			p := 8*i + bits.TrailingZeros8(b)
+			le.PutUint32(dst[p:], le.Uint32(dst[p:])+s.base-s.from)
+		}
+	}
 }
 
 // siteSource is where the rewrite windows of a normalized component — the
@@ -306,6 +327,11 @@ func (s siteSource) dir(raw []byte) (lo, hi int) {
 // rewritten at any base.
 func (s siteSource) raw(base, refBase uint32) bool { return !s.own && base == refBase }
 
+// perBase reports whether a comparison's outcome can depend on the pair's
+// bases beyond what each side's digest says: the diff scan finds its
+// windows where the pair differs, while own sites rewrite each copy alone.
+func (s siteSource) perBase() bool { return !s.own }
+
 // shared reports whether copy side c has reference side r's windows
 // wherever their bytes agree, as the memo's window check requires: always
 // for the diff scan, whose windows that check proves, and for own sites
@@ -320,8 +346,8 @@ func (s siteSource) shared(c, r side) bool { return !s.own || slices.Equal(c.sit
 //modown:pool scratch get
 func (s siteSource) rewritten(c, r side, marks []byte) (sc, sr *[]byte, disjoint bool) {
 	sc, sr = getScratch(len(c.data)), getScratch(len(r.data))
-	copy(*sc, c.data)
-	copy(*sr, r.data)
+	c.copyTo(*sc)
+	r.copyTo(*sr)
 	if !s.own {
 		return sc, sr, normalizePairInPlace(*sc, *sr, c.base, r.base, marks)
 	}

@@ -47,26 +47,29 @@ func TestRefMemoReusesCounter(t *testing.T) {
 }
 
 // TestCompareDerivedCounter pins core/compare_derived on a cached scanner
-// over a 16-clone, 2-template fleet. Each module has three clusters: the
-// reference, the other clones at its base, and the clones at the other
-// template's base. The memo covers every component of all three, so a
-// cold sweep answers every component of the three cluster pairs from
-// digest facts. A warm sweep replays every pair from the store and adds
-// nothing.
+// over a 16-clone, 2-template fleet with Dom5's hal.dll patched. Every
+// clean copy takes the covered key, so a clean module is one cluster and
+// runs no comparison. hal.dll has a second key, Dom5's, so its covered
+// key is split by base and runs two comparisons, the reference against
+// Dom5 and the covered copies at the other base against Dom5, whose every
+// component the digest facts answer on a cold sweep: the patched one
+// against the other base by refMemo.apart. A warm sweep replays both pairs
+// from the store and adds nothing.
 func TestCompareDerivedCounter(t *testing.T) {
 	cloud, err := NewCloud(CloudConfig{VMs: 16, Templates: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	modules := []string{"hal.dll", "ndis.sys"}
-	var want uint64
-	for _, m := range modules {
-		rep, err := cloud.NewChecker().CheckModule(m, "Dom1", "Dom2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += 3 * uint64(len(rep.Components))
+	const patched = "Dom5"
+	if err := InfectOpcode(cloud, patched, "hal.dll"); err != nil {
+		t.Fatal(err)
 	}
+	modules := []string{"hal.dll", "ndis.sys"}
+	rep, err := cloud.NewChecker().CheckModule("hal.dll", "Dom1", patched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 2 * uint64(len(rep.Components))
 	sc := cloud.NewScanner(WithDigestCache(NewDigestStore(0)))
 	sc.SetModules(modules)
 	derived := func() uint64 { return counterValue(cloud.Metrics().Snapshot(), "core/compare_derived") }
@@ -77,8 +80,8 @@ func TestCompareDerivedCounter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		if !rep.Clean() {
-			t.Fatalf("%s: clean fleet flagged: %+v", step, rep.Alerts)
+		if len(rep.Alerts) != 1 || rep.Alerts[0].VM != patched {
+			t.Fatalf("%s: alerts %+v, want only %s's hal.dll", step, rep.Alerts, patched)
 		}
 		if got := derived() - before; got != want {
 			t.Errorf("%s: %d component pairs answered from digest facts, want %d", step, got, want)
@@ -92,10 +95,8 @@ func TestCompareDerivedCounter(t *testing.T) {
 // core/fetch_in_place_fallbacks on a 15-VM pool of independently booted
 // guests with one infected VM. Per module, every healthy copy but the
 // reference and its first partner is checked in place: it counts as in
-// place unless it is infected, and falls back, or is the first clean copy
-// at the other kind of base than the partner's (the reference's base or
-// another), and fronts a cluster of its own. A direct session reports the
-// same counts in PoolSweep.InPlace and InPlaceFallbacks.
+// place unless it is infected, and falls back. A direct session reports
+// the same counts in PoolSweep.InPlace and InPlaceFallbacks.
 func TestInPlaceCounters(t *testing.T) {
 	cloud, err := NewCloud(CloudConfig{VMs: 15, Seed: 1})
 	if err != nil {
@@ -115,21 +116,10 @@ func TestInPlaceCounters(t *testing.T) {
 	}
 	var inPlace, fallbacks int
 	for _, pool := range session.CheckModules(modules) {
-		refBase := pool.At(0).Base
-		partner := pool.At(1)
-		// Which kinds of base already have a cluster a copy fronts.
-		fronted := map[bool]bool{}
-		if partner.Verdict == VerdictClean {
-			fronted[partner.Base == refBase] = true
-		}
 		for i := 2; i < pool.Len(); i++ {
-			vm := pool.At(i)
-			switch exact := vm.Base == refBase; {
-			case vm.Verdict != VerdictClean:
+			if pool.At(i).Verdict != VerdictClean {
 				fallbacks++
-			case !fronted[exact]:
-				fronted[exact] = true
-			default:
+			} else {
 				inPlace++
 			}
 		}

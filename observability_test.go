@@ -31,13 +31,17 @@ func healthFingerprint(rep *SweepReport) string {
 }
 
 // runTracedScenario drives the PR's observability acceptance scenario on a
-// fresh cloud — 15 VMs, tracing on, a fault plan exercising transient,
-// flaky, torn, and destroy injections, parallel pipelined sweeps with
-// retries — and returns the Chrome trace export plus a fingerprint of
-// everything determinism covers (findings, health, metrics, sim clock).
+// fresh cloud — 15 VMs, one with a patched hal.dll so the compare stage
+// has work, tracing on, a fault plan exercising transient, flaky, torn,
+// and destroy injections, parallel pipelined sweeps with retries — and
+// returns the Chrome trace export plus a fingerprint of everything
+// determinism covers (findings, health, metrics, sim clock).
 func runTracedScenario(t *testing.T) (traceJSON []byte, fingerprint string, snap MetricsSnapshot) {
 	t.Helper()
 	cloud := testCloud(t, 15, 42)
+	if err := InfectOpcode(cloud, "Dom2", "hal.dll"); err != nil {
+		t.Fatal(err)
+	}
 	tr := cloud.EnableTrace(0)
 	plan := NewFaultPlan(7)
 	plan.FailReads("Dom3", 0, 2)
@@ -133,9 +137,13 @@ func TestTraceExportContent(t *testing.T) {
 
 // TestSweepTimingAndMetricsPopulated: a traced parallel sweep fills every
 // SweepTiming stage and the cross-layer metric families the registry is
-// supposed to absorb (vmi/*, hv/*, scanner/*).
+// supposed to absorb (vmi/*, hv/*, scanner/*). One VM's hal.dll is
+// patched, so the compare stage has a comparison to run.
 func TestSweepTimingAndMetricsPopulated(t *testing.T) {
 	cloud := testCloud(t, 4, 137)
+	if err := InfectOpcode(cloud, "Dom2", "hal.dll"); err != nil {
+		t.Fatal(err)
+	}
 	cloud.EnableTrace(0)
 	sc := cloud.NewScanner(WithParallel())
 	rep, err := sc.Sweep()
