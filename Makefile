@@ -73,7 +73,7 @@ check: build vet fmt race-test lint golden-check
 # CI step "Fault suite (race detector)" runs this target, so robustness
 # regressions fail fast.
 fault-suite:
-	$(GO) test -race -run 'Fault|Torn|Quarantine|Retry|Sweep|Health|Destroy|Epoch|Regroup|Memo' . ./internal/faults ./internal/vmi ./internal/hypervisor ./internal/core ./internal/mm
+	$(GO) test -race -run 'Fault|Torn|Quarantine|Retry|Sweep|Health|Destroy|Epoch|Regroup|Memo|TestModuleTable' . ./internal/faults ./internal/vmi ./internal/hypervisor ./internal/core ./internal/mm
 
 # Seeded chaos soak under the race detector: $(CHAOS_SEEDS) randomized
 # fault plans over a 15-VM pool, each run twice and required to converge,
@@ -126,14 +126,15 @@ fleet-smoke:
 	@$(call benchcheck,-bench '^BenchmarkScannerSweep/vms=100000$$' -benchtime 1x -benchmem .)
 
 # The digest-cache gate: the cached-vs-uncached differential suite (cold
-# byte-identity, warm equivalence, invalidation, budget/resume), the
-# persistent-tier reopen test, and the same differentials again under the
-# modpoison build tag, which scribbles every recycled fetch/scratch buffer
-# to surface use-after-put bugs as garbage digests.
+# byte-identity, warm equivalence, invalidation, budget/resume), the module
+# tables kept per content token (differentials against walked tables and
+# staleness), the persistent-tier reopen test, and the same differentials
+# again under the modpoison build tag, which scribbles every recycled
+# fetch/scratch buffer to surface use-after-put bugs as garbage digests.
 cache-smoke:
-	$(GO) test -count=1 -run 'TestCached|TestTargetIdentity|TestResumeResamplesIdentity' .
+	$(GO) test -count=1 -run 'TestCached|TestTargetIdentity|TestResumeResamplesIdentity|TestModuleTable' .
 	$(GO) test -count=1 ./internal/cas
-	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean' . ./internal/core
+	$(GO) test -count=1 -tags modpoison -run 'TestCached|TestSweep|TestSharded|TestLean|TestModuleTable' . ./internal/core
 
 # Traced 15-VM sweep through the CLI, validated by cmd/tracecheck: the
 # Chrome trace export must stay structurally loadable (Perfetto) and

@@ -238,6 +238,12 @@ type Checker struct {
 	// carries the same one (see NewPoolSweepFrom). Atomic because sessions
 	// may be opened from several goroutines.
 	dedup atomic.Pointer[stampedGroups]
+	// tables keeps the module tables the last session used, by the content
+	// token of the leader each was walked from, for the next session's
+	// leaders under the same tokens (see NewPoolSweepFrom). A session swaps
+	// in a map of its own; a stored map is never written again, so the
+	// tables in it are shared read-only. nil when no leader had a token.
+	tables atomic.Pointer[map[cas.Token][]ModuleInfo]
 	// memos keeps each module's reference memo between engine runs (see
 	// takeMemo).
 	memoMu sync.Mutex

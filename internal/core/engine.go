@@ -102,9 +102,23 @@ type engine struct {
 	grp   *groups
 	store *cas.Store // nil: no lookups, no inserts
 	shard int        // <= 0: every group in one shard
-	// slots are the shard's classifications, kept for the engine's next
-	// run: runs of one engine never overlap.
-	slots []slot
+	// slots are the shard's classifications, toks and fetchCosts the run's
+	// per-group content tokens and fetch-stage costs, kept for the engine's
+	// next run: runs of one engine never overlap, and no run's result
+	// holds them.
+	slots      []slot
+	toks       []cas.Token
+	fetchCosts []time.Duration
+}
+
+// reuse returns (*s)[:n], zeroed, growing *s first when it is shorter.
+func reuse[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	r := (*s)[:n]
+	clear(r)
+	return r
 }
 
 // slot is one shard group's classification: its fetched copy, or the
@@ -255,7 +269,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 	for i := range o.clusterOf {
 		o.clusterOf[i] = -1
 	}
-	fetchCosts := make([]time.Duration, n)
+	fetchCosts := reuse(&e.fetchCosts, n)
 	var digestIdx []int // group per digest task, pool order
 	var digestCosts []time.Duration
 	var work time.Duration // Checker work: store hits, digests, comparisons
@@ -266,7 +280,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 	// never re-inserted.
 	var toks []cas.Token
 	if e.store != nil {
-		toks = make([]cas.Token, n)
+		toks = reuse(&e.toks, n)
 		for g := range toks {
 			toks[g] = sourceToken(e.pool, e.grp.leader(g))
 		}
@@ -306,10 +320,7 @@ func (e *engine) run(module string) (*outcome, bool) {
 	// member at its first member's base only.
 	perBase := !pairwise && c.sites().perBase()
 	byKey := map[string]int{}
-	if cap(e.slots) < shard {
-		e.slots = make([]slot, shard)
-	}
-	slots := e.slots[:shard]
+	slots := reuse(&e.slots, shard)
 	defer clear(slots) // no fetched copy outlives the run in a slot
 	// ip checks copies in place once the memo is sealed; nil until then, and
 	// for good when the configuration or the reference's layout rules it

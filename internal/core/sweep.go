@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"modchecker/internal/cas"
 	"modchecker/internal/faults"
 	"modchecker/internal/vmi"
 )
@@ -22,13 +23,15 @@ var ErrSweepClosed = errors.New("core: pool sweep session closed")
 var ErrVMBudget = faults.Transient("core: per-VM sweep budget exhausted")
 
 // PoolSweep is a sweep-scoped session over a fixed VM pool. Opening the
-// session walks each VM's loaded-module list exactly once (with the
-// checker's retry policy) and keeps the resulting module-table snapshot plus
-// the open introspection handles for the whole sweep, so checking M modules
-// across N VMs costs N list walks instead of M×N — and the handles' software
-// TLBs stay warm across modules. The Scanner drives one PoolSweep per sweep;
-// a module loaded into a guest mid-sweep is picked up by the next sweep's
-// fresh snapshot.
+// session takes each identity group's module-table snapshot exactly once
+// (a retried LDR-list walk, or the table the Checker kept for the leader's
+// content token) and keeps it for the whole sweep, so checking M modules
+// across N VMs costs at most N list walks instead of M×N. A leader's
+// introspection handle is opened by its list walk or by its first fetch,
+// and stays open for the sweep, so its software TLB stays warm across
+// modules; a leader the sweep neither walks nor fetches from is never
+// opened. The Scanner drives one PoolSweep per sweep; a module loaded into
+// a guest mid-sweep is picked up by the next sweep's fresh snapshot.
 //
 // The session's per-VM state is kept per identity group (see groups): a
 // deduplicated fleet holds one handle, snapshot and budget account per
@@ -37,19 +40,27 @@ type PoolSweep struct {
 	c    *Checker
 	pool Pool
 	grp  *groups
-	// handles[g] is group g's leader's handle; tables[g] its module-table
-	// snapshot; listErr[g] is set when the walk failed (the group then
-	// errors for every module of the sweep, exactly as a per-module walk
-	// failure would).
+	// handles[g] is group g's leader's handle, nil until its list walk or
+	// first fetch opens it; tables[g] its module-table snapshot, which may
+	// be a kept table shared with other sessions and is only ever read;
+	// listErr[g] is set when the walk failed (the group then errors for
+	// every module of the sweep, exactly as a per-module walk failure
+	// would).
 	handles []*vmi.Handle
 	tables  [][]ModuleInfo
 	listErr []error
 	// ListElapsed is the simulated elapsed time of taking the snapshot
 	// (sum of per-VM costs sequentially, deterministic makespan in parallel
-	// mode). It is charged to the clock once, at session open.
+	// mode): a walked group costs its walk, a reused table CostCASLookup.
+	// It is charged to the clock once, at session open.
 	ListElapsed time.Duration
 	// ListTiming is the total Searcher work of the snapshot.
 	ListTiming time.Duration
+	// TableReuses counts the groups whose module table this session took
+	// from the Checker's kept tables instead of walking the leader's list,
+	// because the leader's content token named a table an earlier session
+	// had walked or reused.
+	TableReuses int
 	// Regrouped reports that opening the session sampled every VM's
 	// identity to build its dedup groups, rather than reusing the groups of
 	// an earlier session whose pool carried the same identity stamp. Always
@@ -118,18 +129,20 @@ func (c *Checker) NewPoolSweep(vms []Target) (*PoolSweep, error) {
 	return c.NewPoolSweepFrom(targetPool(vms))
 }
 
-// NewPoolSweepFrom opens a sweep session: one retried LDR-list walk per
+// NewPoolSweepFrom opens a sweep session: one module-table snapshot per
 // identity group. The caller owns the session and must Close it once the
 // sweep is done.
 //
 // Identity tokens are sampled once here (with Config.DedupIdentical): VMs
 // sharing a token are bit-identical for the whole sweep (sweeps only read),
-// so dedup followers share their leader's list walk, fetches, digests and
-// verdicts without touching guest memory. Only group leaders are opened,
-// in pool order, just before the list walks; every VM the engine fetches
-// from is a leader. When the pool carries the identity stamp of the last
-// dedup session this checker opened, nothing is sampled: the stamp
-// promises the same answers, so that session's groups are reused.
+// so dedup followers share their leader's snapshot, fetches, digests and
+// verdicts without touching guest memory. When the pool carries the
+// identity stamp of the last dedup session this checker opened, nothing is
+// sampled: the stamp promises the same answers, so that session's groups
+// are reused.
+//
+// Each group's module table is kept by the Checker or walked (see
+// snapshot).
 //
 //modsafe:acquires sweep-session
 //modsafe:charged
@@ -153,23 +166,75 @@ func (c *Checker) NewPoolSweepFrom(p Pool) (*PoolSweep, error) {
 	if !cfg.FullPairwise {
 		ps.eng.shard, ps.eng.store = cfg.ShardSize, cfg.DigestCache
 	}
-	for g := range ps.handles {
-		ps.handles[g] = p.Open(grp.leader(g))
-	}
-	costs := make([]time.Duration, ng)
-	runBounded(ng, c.stageWorkers(), func(g int) {
-		s := c.newSearcher(ps.handles[g])
-		mods, cost, err := s.ListModulesCosted()
-		costs[g] = c.charge(cost)
-		ps.tables[g] = mods
-		ps.listErr[g] = err
-	})
+	costs := ps.snapshot()
 	for _, d := range costs {
 		ps.ListTiming += d
 	}
 	ps.ListElapsed = c.traceStage("list", "",
 		func(k int) string { return "list " + p.Name(k) }, costs, grp)
 	return ps, nil
+}
+
+// snapshot takes every group's module table and returns each group's
+// charged list cost. Each leader's content token is sampled before any
+// read. A leader whose token names a table the Checker kept gets that
+// table for CostCASLookup: a walk reads only the list head, the LDR
+// entries, their names and the page-table frames translating them, and a
+// valid token promises every one of those frames unchanged, as it does for
+// the digest store. Every other leader is opened, in pool order, and
+// walked. The tables this session used, under tokens that held across
+// their walks, then replace the Checker's kept ones; a failed walk keeps
+// nothing.
+func (ps *PoolSweep) snapshot() []time.Duration {
+	c, p, grp := ps.c, ps.pool, ps.grp
+	costs := make([]time.Duration, len(ps.tables))
+	toks := make([]cas.Token, len(ps.tables))
+	var kept map[cas.Token][]ModuleInfo // keys are valid tokens only
+	if m := c.tables.Load(); m != nil {
+		kept = *m
+	}
+	// A memory's first token sample hashes its frames (mm ContentID), which
+	// for a freshly sealed booted guest is most of a first sweep's list
+	// stage, so the samples run on the stage's workers.
+	runBounded(len(toks), c.stageWorkers(), func(g int) { toks[g] = sourceToken(p, grp.leader(g)) })
+	for g := range toks {
+		if mods, ok := kept[toks[g]]; ok {
+			ps.tables[g] = mods
+			costs[g] = c.charge(CostCASLookup)
+			ps.TableReuses++
+			continue
+		}
+		ps.handles[g] = p.Open(grp.leader(g))
+	}
+	// Only the groups opened above are walked.
+	runBounded(len(toks), c.stageWorkers(), func(g int) {
+		if ps.handles[g] == nil {
+			return
+		}
+		s := c.newSearcher(ps.handles[g])
+		mods, cost, err := s.ListModulesCosted()
+		costs[g] = c.charge(cost)
+		ps.tables[g] = mods
+		ps.listErr[g] = err
+		if err != nil || sourceToken(p, grp.leader(g)) != toks[g] {
+			toks[g] = cas.Token{}
+		}
+	})
+	var keep map[cas.Token][]ModuleInfo
+	for g, tok := range toks {
+		if _, ok := keep[tok]; tok.OK && !ok {
+			if keep == nil {
+				keep = make(map[cas.Token][]ModuleInfo)
+			}
+			keep[tok] = ps.tables[g]
+		}
+	}
+	if keep == nil {
+		c.tables.Store(nil)
+	} else {
+		c.tables.Store(&keep)
+	}
+	return costs
 }
 
 // sweepGroups returns a session's identity groups and whether it sampled
@@ -280,9 +345,10 @@ func (g *groups) leaderCost(costs []time.Duration) func(int) time.Duration {
 	}
 }
 
-// Close releases the sweep session: the module-table snapshot is dropped and
-// every handle the session opened has its translation cache invalidated, so
-// a later sweep starts from fresh guest state rather than mappings that may
+// Close releases the sweep session: the module-table snapshot is dropped
+// (tables the Checker keeps stay kept) and every handle the session opened,
+// by a list walk or a fetch, has its translation cache invalidated, so a
+// later sweep starts from fresh guest state rather than mappings that may
 // have gone stale between sweeps. Close is idempotent; lookups against a
 // closed session fail with ErrSweepClosed.
 //
@@ -348,9 +414,10 @@ func (ps *PoolSweep) name(g int) string { return ps.pool.Name(ps.grp.leader(g)) 
 
 // fetchVM copies and parses one module on group g's leader using the
 // session's module-table snapshot, reading in place through chk when it is
-// not nil (see Searcher.readModule). spent[g] is only ever touched by
-// group g's fetch slot, and stage boundaries (runBounded joins) order
-// those touches, so the accounting is race-free.
+// not nil (see Searcher.readModule), and opens the leader's handle on its
+// first fetch when no list walk did. handles[g] and spent[g] are only ever
+// touched by group g's fetch slot, and stage boundaries (runBounded joins)
+// order those touches, so the accounting is race-free.
 func (ps *PoolSweep) fetchVM(g int, module string, chk *pageCheck) *fetched {
 	c := ps.c
 	f := &fetched{name: ps.name(g)}
@@ -358,6 +425,9 @@ func (ps *PoolSweep) fetchVM(g int, module string, chk *pageCheck) *fetched {
 	if err != nil {
 		f.err = err
 		return f
+	}
+	if ps.handles[g] == nil {
+		ps.handles[g] = ps.pool.Open(ps.grp.leader(g))
 	}
 	s := c.newSearcher(ps.handles[g])
 	buf, cost, err := s.readModuleCosted(info, chk)

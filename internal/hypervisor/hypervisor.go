@@ -315,12 +315,15 @@ func (h *Hypervisor) CloneDomains(prefix string, n int, disk map[string][]byte, 
 // copy-on-write forks of those templates, round-robin. Templates preserve
 // the cross-VM layout diversity that exercises RVA normalization; forks
 // share their template's frozen memory image until first write, so the
-// fleet's memory and boot cost are O(templates), not O(n). templates <= 0
-// (or >= n) degenerates to CloneDomains.
+// fleet's memory and boot cost are O(templates), not O(n). Each template is
+// sealed once booted, through one mm.FrameSet, so the templates keep one
+// copy of every frame they share byte for byte. templates <= 0 (or >= n)
+// degenerates to CloneDomains.
 func (h *Hypervisor) CloneFleet(prefix string, n, templates int, disk map[string][]byte, memBytes uint64, baseSeed int64) ([]*Domain, error) {
 	if templates <= 0 || templates >= n {
 		return h.CloneDomains(prefix, n, disk, memBytes, baseSeed)
 	}
+	var frames mm.FrameSet
 	out := make([]*Domain, 0, n)
 	for i := 1; i <= n; i++ {
 		name := fmt.Sprintf("%s%d", prefix, i)
@@ -339,6 +342,9 @@ func (h *Hypervisor) CloneFleet(prefix string, n, templates int, disk map[string
 				BootSeed: seed,
 				Disk:     disk,
 			})
+			if err == nil {
+				d.Guest().Phys().SealInto(&frames)
+			}
 		} else {
 			src := out[(i-templates-1)%templates]
 			d, err = h.ForkDomain(src.Name, name, seed)

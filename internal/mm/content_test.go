@@ -97,3 +97,67 @@ func TestContentIDSharedByForks(t *testing.T) {
 		t.Fatalf("reseal of clean fork changed identity: %#x(%v)", id, ok)
 	}
 }
+
+// TestSealIntoSharesFrames: memories sealed through one FrameSet keep one
+// copy of each frame they hold byte for byte, at whatever PFN, and nothing
+// a reader sees moves: ContentIDs equal those of the same images sealed
+// alone, a frame that differs is not shared, and a write to a shared frame
+// lands in the writer's overlay only.
+func TestSealIntoSharesFrames(t *testing.T) {
+	same, other := []byte("shared frame"), []byte("own frame")
+	build := func(sameAt int) (*PhysMemory, uint32, uint32) {
+		m := NewPhysMemory(64*PageSize, int64(sameAt))
+		var pfns []uint32
+		for i := 0; i < 3; i++ {
+			pfns = append(pfns, mustAlloc(t, m))
+		}
+		if err := m.WritePhys(pfns[sameAt]*PageSize, same); err != nil {
+			t.Fatal(err)
+		}
+		own := pfns[(sameAt+1)%3]
+		if err := m.WritePhys(own*PageSize, append(other, byte(sameAt))); err != nil {
+			t.Fatal(err)
+		}
+		return m, pfns[sameAt], own
+	}
+	var set FrameSet
+	a, aSame, aOwn := build(0)
+	b, bSame, bOwn := build(2)
+	a.SealInto(&set)
+	b.SealInto(&set)
+	for m, at := range map[*PhysMemory]int{a: 0, b: 2} {
+		alone, _, _ := build(at)
+		alone.Seal()
+		id, ok := m.ContentID()
+		want, _ := alone.ContentID()
+		if !ok || id != want {
+			t.Fatalf("ContentID through the set %#x (%v), want %#x as sealed alone", id, ok, want)
+		}
+	}
+	shared := func(pa, pb uint32) (s bool) {
+		if err := a.ViewPhys(pa*PageSize, 1, func(fa []byte) {
+			if err := b.ViewPhys(pb*PageSize, 1, func(fb []byte) { s = &fa[0] == &fb[0] }); err != nil {
+				t.Fatal(err)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if !shared(aSame, bSame) {
+		t.Error("byte-identical frames are not shared")
+	}
+	if shared(aOwn, bOwn) {
+		t.Error("differing frames are shared")
+	}
+	if err := b.WritePhys(bSame*PageSize, []byte{0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(same))
+	if err := a.ReadPhys(aSame*PageSize, got); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(same) || shared(aSame, bSame) {
+		t.Errorf("a write to b's shared frame reached a: %q", got)
+	}
+}

@@ -152,6 +152,14 @@ func TestIdentityEpochMovesExactlyOnIdentityChange(t *testing.T) {
 			f := cleanFork(t)
 			return func() *mm.PhysMemory { return f.m }, f.m.Seal
 		}, false},
+		{"SealOnce of a never-frozen memory", func(t *testing.T) (func() *mm.PhysMemory, func()) {
+			f := neverFrozen(t)
+			return func() *mm.PhysMemory { return f.m }, f.m.SealOnce
+		}, true},
+		{"SealOnce after writes", func(t *testing.T) (func() *mm.PhysMemory, func()) {
+			f := dirtyFork(t)
+			return func() *mm.PhysMemory { return f.m }, f.m.SealOnce
+		}, false},
 		{"Fork of an unmodified fork", func(t *testing.T) (func() *mm.PhysMemory, func()) {
 			f := cleanFork(t)
 			var child *mm.PhysMemory

@@ -10,10 +10,12 @@
 package mm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"sync"
@@ -432,8 +434,9 @@ func (m *PhysMemory) WritePhys(pa uint32, b []byte) error {
 // with the same pop sequence the live bookkeeping would have produced.
 // The base layer changes, so the identity epoch moves.
 // Frame slices are shared into the new layer without copying — safe because
-// every later write lands in an overlay, never in a frozen layer.
-func (m *PhysMemory) freezeLocked() {
+// every later write lands in an overlay, never in a frozen layer. With a
+// set, each overlay frame the layer takes is interned there (see FrameSet).
+func (m *PhysMemory) freezeLocked(set *FrameSet) {
 	frames := m.dirty
 	if m.base != nil {
 		frames = make(map[uint32][]byte, len(m.base.frames)+len(m.dirty))
@@ -445,6 +448,13 @@ func (m *PhysMemory) freezeLocked() {
 				delete(frames, pfn)
 			} else {
 				frames[pfn] = f
+			}
+		}
+	}
+	if set != nil {
+		for pfn, f := range m.dirty {
+			if f != nil {
+				frames[pfn] = set.intern(f)
 			}
 		}
 	}
@@ -480,7 +490,7 @@ func (m *PhysMemory) Fork() *PhysMemory {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.base == nil || len(m.dirty) > 0 {
-		m.freezeLocked()
+		m.freezeLocked(nil)
 	}
 	m.base.refs.Add(1)
 	out := &PhysMemory{
@@ -509,11 +519,58 @@ func (m *PhysMemory) Fork() *PhysMemory {
 // cache keys on. Sealing an unmodified fork is a no-op; sealing after
 // writes mints a fresh layer (and therefore a fresh identity, since the
 // content changed).
-func (m *PhysMemory) Seal() {
+func (m *PhysMemory) Seal() { m.SealInto(nil) }
+
+// SealInto is Seal, with every frame the new layer takes from the overlay
+// replaced by a byte-identical frame set already holds, and added to set
+// when it holds none. A nil set is Seal.
+func (m *PhysMemory) SealInto(set *FrameSet) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.base == nil || len(m.dirty) > 0 {
-		m.freezeLocked()
+		m.freezeLocked(set)
+	}
+}
+
+// FrameSet interns frozen frames by content, so the memories sealed
+// through one set keep one copy of each byte-identical frame: guests
+// booted from one disk at different load bases share every page no
+// relocation touches. A frozen frame is never written (a write copies it
+// into the writer's overlay first), so sharing one changes no byte any
+// reader sees, and no ContentID. The zero value is empty; a FrameSet is
+// not safe for concurrent use, and holds its frames until it is dropped.
+type FrameSet struct {
+	frames map[uint32][]byte // by CRC-32C of the frame; the first frame seen
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// intern returns a frame of the set equal to f, or adds f and returns it.
+// A frame whose checksum names an unequal frame is returned unshared.
+func (s *FrameSet) intern(f []byte) []byte {
+	sum := crc32.Checksum(f, castagnoli)
+	g, ok := s.frames[sum]
+	switch {
+	case ok && bytes.Equal(g, f):
+		return g
+	case !ok:
+		if s.frames == nil {
+			s.frames = make(map[uint32][]byte)
+		}
+		s.frames[sum] = f
+	}
+	return f
+}
+
+// SealOnce is Seal for a memory that was never frozen (an independently
+// booted guest), and a no-op for any other, dirty or not: it gives a
+// memory its first base layer and never re-keys one that has a base, so
+// calling it again moves no identity answer and no identity epoch.
+func (m *PhysMemory) SealOnce() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.base == nil {
+		m.freezeLocked(nil)
 	}
 }
 

@@ -579,18 +579,19 @@ func (c *Cloud) NewChecker(opts ...CheckerOption) *Checker {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.DigestCache != nil {
-		// Content-cache tokens only exist for memory sitting unmodified on a
-		// frozen copy-on-write layer. Fleet clones are born that way;
-		// independently booted guests are sealed here once, so enabling the
-		// cache gives every live domain a stable identity. Sealing changes
-		// nothing observable — reads see the same bytes at the same cost —
-		// and the first later guest write lands in a fresh overlay, which is
-		// exactly what retires the VM's token.
-		for _, d := range c.domains {
-			if !d.Destroyed() {
-				d.Guest().Phys().Seal()
-			}
+	// Content tokens only exist for memory sitting unmodified on a frozen
+	// copy-on-write layer. Fleet clones are born that way; independently
+	// booted guests are sealed here the first time a checker is built,
+	// whether or not a digest store is set, since the checker keeps module
+	// tables by token either way (core.PoolSweep) and a store must move no
+	// list cost. Sealing changes no byte a read sees and no read's cost. A
+	// memory with a base layer is left alone, dirty or not, so building a
+	// checker never re-keys a VM another scanner has grouped; the first
+	// guest write after a seal lands in a fresh overlay, which is exactly
+	// what retires the VM's token.
+	for _, d := range c.domains {
+		if !d.Destroyed() {
+			d.Guest().Phys().SealOnce()
 		}
 	}
 	return &Checker{cloud: c, inner: core.NewChecker(cfg)}

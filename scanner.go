@@ -267,6 +267,7 @@ type Scanner struct {
 	mResumed      *metrics.Counter
 	mRegroups     *metrics.Counter
 	mMemoReuses   *metrics.Counter
+	mTableReuses  *metrics.Counter
 	mWindowHits   *metrics.Counter
 	mDerived      *metrics.Counter
 	mInPlace      *metrics.Counter
@@ -313,6 +314,7 @@ func (c *Cloud) NewScanner(opts ...CheckerOption) *Scanner {
 		mResumed:      reg.Counter("scanner/resumed_sweeps"),
 		mRegroups:     c.mRegroups,
 		mMemoReuses:   reg.Counter("core/ref_memo_reuses"),
+		mTableReuses:  reg.Counter("core/module_table_reuses"),
 		mWindowHits:   reg.Counter("core/ref_memo_window_hits"),
 		mDerived:      reg.Counter("core/compare_derived"),
 		mInPlace:      reg.Counter("core/fetch_in_place"),
@@ -383,8 +385,10 @@ func (s *Scanner) slot(vm string) *vmHealth {
 // partition assigns every roster VM its role in sweep number `sweep` and
 // describes, in pool order, the VMs the sweep checks: healthy and suspect
 // VMs, and quarantined VMs due for a readmission probe. No handle is opened
-// here — the sweep session opens only the VMs it lists, so identity dups
-// never get one. Skipped quarantined VMs are left out.
+// here — the sweep session opens only the VMs whose lists it walks or from
+// which it fetches, so identity dups never get one, and neither does a VM
+// whose module table and digests are kept under its content token. Skipped
+// quarantined VMs are left out.
 //
 // The pool carries an identity stamp (see core.Pool.IdentityStamp) that
 // stays the same from sweep to sweep while no memory's identity answer can
@@ -583,10 +587,11 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 			"modchecker: sweep %d has %d eligible VMs, need at least 2", sweep, rep.VMs))
 	}
 
-	// One session per sweep: every eligible VM's LDR list is walked exactly
-	// once and the snapshot (plus warm introspection handles) is reused for
-	// every module below. A module loaded between sweeps is observed by the
-	// next sweep's fresh snapshot.
+	// One session per sweep: every listed VM's module table is taken exactly
+	// once, walked or kept under an unchanged content token, and the
+	// snapshot (plus the handles its walks and fetches open) is reused for
+	// every module below. A module loaded between sweeps moves the VM's
+	// token, so the next sweep walks its list again.
 	session, err := s.checker.inner.NewPoolSweepFrom(pool)
 	if err != nil {
 		return nil, s.abortSweep(tr, sweep, fmt.Errorf("modchecker: sweep %d: %w", sweep, err))
@@ -595,6 +600,7 @@ func (s *Scanner) Sweep() (*SweepReport, error) {
 	if session.Regrouped {
 		s.mRegroups.Inc()
 	}
+	s.mTableReuses.Add(uint64(session.TableReuses))
 	rep.Timing.List = session.ListElapsed
 
 	// A pending checkpoint takes priority over fresh discovery: the budget

@@ -8,10 +8,15 @@ import (
 // TestSweepOpensOnlyListedVMs: a parallel dedup scanner sweep over a fleet
 // of copy-on-write clones opens an introspection handle only for the VMs
 // the session lists — one per identity group, plus the infected VM whose
-// private frames give it no identity — and the same cloud under a fault
-// plan (no identities, so no dedup) opens and reads every VM exactly as
-// before, reaching the same verdicts. Handles are counted by the cloud's
-// vmi/handles_opened counter, reads by the fault plan.
+// private frames give it no identity. Once the infected VM's memory is
+// sealed, every VM has a content token, so a scanner with a digest store
+// takes every module table and digest of its second sweep from the first's
+// under unchanged tokens: that sweep opens no handle and reads no guest
+// byte. The same cloud under a fault
+// plan (no identities, so no dedup and no kept tables) opens and reads
+// every VM exactly as before, reaching the same verdicts. Handles are
+// counted by the cloud's vmi/handles_opened counter, reads by the cloud's
+// introspection stats and the fault plan.
 func TestSweepOpensOnlyListedVMs(t *testing.T) {
 	const vms = 2048
 	cloud, err := NewCloud(CloudConfig{VMs: vms, Templates: 4, Seed: 7, Cores: 16})
@@ -48,7 +53,7 @@ func TestSweepOpensOnlyListedVMs(t *testing.T) {
 	opened := func() uint64 { return counterValue(cloud.Metrics().Snapshot(), "vmi/handles_opened") }
 	sweep := func(sc *Scanner) string {
 		t.Helper()
-		before := opened()
+		before, read := opened(), cloud.IntrospectionStats().BytesRead
 		rep, err := sc.Sweep()
 		if err != nil {
 			t.Fatal(err)
@@ -57,24 +62,35 @@ func TestSweepOpensOnlyListedVMs(t *testing.T) {
 			t.Fatalf("sweep %d covered %d VMs x %d modules", rep.Sweep, rep.VMs, rep.ModulesChecked)
 		}
 		t.Logf("sweep %d opened %d handles", rep.Sweep, opened()-before)
-		return fmt.Sprintf("opened=%d alerts=%v", opened()-before, rep.Alerts)
+		return fmt.Sprintf("opened=%d read=%v alerts=%v", opened()-before,
+			cloud.IntrospectionStats().BytesRead > read, rep.Alerts)
 	}
-	want := fmt.Sprintf("alerts=%v", []Alert{{Sweep: 1, Module: "hal.dll", VM: infected,
-		Verdict: VerdictAltered, Components: []string{".text"},
-		Reason: fmt.Sprintf("%d of %d peers dispute this copy", vms-1, vms-1)}})
+	want := func(sweep int) string {
+		return fmt.Sprintf("alerts=%v", []Alert{{Sweep: sweep, Module: "hal.dll", VM: infected,
+			Verdict: VerdictAltered, Components: []string{".text"},
+			Reason: fmt.Sprintf("%d of %d peers dispute this copy", vms-1, vms-1)}})
+	}
 
 	sc := cloud.NewScanner(WithParallel(), WithShardSize(256), WithIdentityDedup())
 	sc.SetModules(modules)
-	if got := sweep(sc); got != fmt.Sprintf("opened=%d %s", leaders, want) {
-		t.Errorf("dedup sweep: %s, want opened=%d %s", got, leaders, want)
+	if got := sweep(sc); got != fmt.Sprintf("opened=%d read=true %s", leaders, want(1)) {
+		t.Errorf("dedup sweep: %s, want opened=%d read=true %s", got, leaders, want(1))
+	}
+
+	cloud.Domain(infected).Guest().Phys().Seal()
+	sc = cloud.NewScanner(WithParallel(), WithShardSize(256), WithIdentityDedup(), WithDigestCache(NewDigestStore(0)))
+	sc.SetModules(modules)
+	sweep(sc)
+	if got := sweep(sc); got != "opened=0 read=false "+want(2) {
+		t.Errorf("second cached sweep: %s, want opened=0 read=false %s", got, want(2))
 	}
 
 	plan := NewFaultPlan(1)
 	cloud.InstallFaultPlan(plan)
 	sc = cloud.NewScanner(WithParallel(), WithShardSize(256), WithIdentityDedup())
 	sc.SetModules(modules)
-	if got := sweep(sc); got != fmt.Sprintf("opened=%d %s", vms, want) {
-		t.Errorf("sweep under a fault plan: %s, want opened=%d %s", got, vms, want)
+	if got := sweep(sc); got != fmt.Sprintf("opened=%d read=true %s", vms, want(1)) {
+		t.Errorf("sweep under a fault plan: %s, want opened=%d read=true %s", got, vms, want(1))
 	}
 	for _, n := range names {
 		if plan.Reads(n) == 0 {
